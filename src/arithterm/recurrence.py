@@ -87,10 +87,9 @@ class Recurrence:
 
 @dataclass(frozen=True, slots=True)
 class SequenceWindow:
-    """A contiguous prefix s(0..len-1) of a sequence, tagged with its source."""
+    """A contiguous prefix s(0..len-1) of a sequence."""
 
     values: tuple[int, ...]
-    source: str = "recurrence"
 
     def __getitem__(self, n: int) -> int:
         return self.values[n]
@@ -201,13 +200,12 @@ def is_provably_nonnegative(rec: Recurrence, probe: int = 8) -> bool:
     """Conservative check that s(n) >= 0 for every n.
 
     True is only returned with a proof in hand; False just means no proof
-    was found, not that the sequence goes negative.  Three routes:
+    was found, not that the sequence goes negative.  Both routes first
+    require the first probe + d terms to be nonnegative:
 
-    1. all recurrence coefficients are <= 0 and all initial terms >= 0,
-       so every new term is a nonnegative combination of earlier ones;
-    2. same criterion after replaying a short prefix, in case only the
-       first few terms needed special handling;
-    3. order 2 with s(n+2) = p*s(n+1) + q*s(n), q < 0: a linear minorant
+    1. all recurrence coefficients are <= 0, so every new term is a
+       nonnegative combination of earlier ones;
+    2. order 2 with s(n+2) = p*s(n+1) + q*s(n), q < 0: a linear minorant
        s(n+1) >= L*s(n) survives the step when 0 <= L <= p and
        L*(p - L) >= -q, so one valid base pair settles everything after it.
     """

@@ -13,7 +13,9 @@ generating function of t(n) = s(n) + c^(n+1).  The pipeline is:
 3. split numerator and denominator into positive and negative parts, which
    become the truncated subtractions inside the term;
 4. derive bound data (growth constant of t, a lower bound for the radius
-   of convergence) giving a base b2 that is always valid from n = 1 on;
+   of convergence) giving a base b2 that is always valid from n = 1 on,
+   plus a witness (b1, m) whose inequalities in powers of b1 are decided
+   exactly by pow_lt from rounded interval powers, never built in full;
 5. search downward from b2 for the least base that still validates, by a
    sufficient certificate plus direct checks on an initial segment.
 
@@ -113,26 +115,96 @@ def find_shift(rec: Recurrence) -> int:
     raise SynthesisError("no certified shift at or below the growth constant")
 
 
+def _round_down(x: int, e: int, prec: int) -> tuple[int, int]:
+    """x * 2^e with x cut to its top prec bits, rounded down."""
+    s = x.bit_length() - prec
+    return (x >> s, e + s) if s > 0 else (x, e)
+
+
+def _round_up(x: int, e: int, prec: int) -> tuple[int, int]:
+    """x * 2^e with x cut to its top prec bits, rounded up."""
+    s = x.bit_length() - prec
+    return (-(-x >> s), e + s) if s > 0 else (x, e)
+
+
+def _pow_bounds(a: int, p: int, prec: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(lo, lo_exp), (hi, hi_exp) with lo * 2^lo_exp <= a^p <= hi * 2^hi_exp.
+
+    Left-to-right square-and-multiply on both bounds at once, each product
+    truncated to about prec bits in its own direction.  Every intermediate
+    is a^k with k <= p, so once prec covers the bit length of a^p nothing is
+    truncated and both bounds equal a^p.
+    """
+    a_lo, a_hi = _round_down(a, 0, prec), _round_up(a, 0, prec)
+    lo, hi = (1, 0), (1, 0)
+    for bit in bin(p)[2:]:
+        lo = _round_down(lo[0] * lo[0], 2 * lo[1], prec)
+        hi = _round_up(hi[0] * hi[0], 2 * hi[1], prec)
+        if bit == "1":
+            lo = _round_down(lo[0] * a_lo[0], lo[1] + a_lo[1], prec)
+            hi = _round_up(hi[0] * a_hi[0], hi[1] + a_hi[1], prec)
+    return lo, hi
+
+
+def _scaled_lt(x: tuple[int, int], y: tuple[int, int]) -> bool:
+    """x[0] * 2^x[1] < y[0] * 2^y[1] for positive mantissas."""
+    (mx, ex), (my, ey) = x, y
+    lx, ly = mx.bit_length() + ex, my.bit_length() + ey
+    if lx != ly:
+        return lx < ly
+    if ex >= ey:
+        return mx << (ex - ey) < my
+    return mx < my << (ey - ex)
+
+
+def pow_lt(a: int, p: int, b: int, q: int) -> bool:
+    """Exactly whether a^p < b^q, for naturals a, b, p, q, without either power.
+
+    Both powers are enclosed in intervals of prec-bit mantissas times powers
+    of two (see _pow_bounds).  Disjoint intervals decide the comparison;
+    overlapping ones double prec.  At the bit length of the larger power the
+    bounds are exact, so the loop always ends, with the exact answer.  Each
+    round costs O(log p + log q) multiplications of prec-bit numbers.
+    """
+    if min(a, p, b, q) < 0:
+        raise ValueError("pow_lt needs natural numbers")
+    # x^0 = 1 (also for x = 0), and 0^k = 0 for k >= 1
+    a, b = (a if p else 1), (b if q else 1)
+    if a == 0 or b == 0:
+        return a < b
+    prec = 64
+    while True:
+        a_lo, a_hi = _pow_bounds(a, p, prec)
+        b_lo, b_hi = _pow_bounds(b, q, prec)
+        if _scaled_lt(a_hi, b_lo):
+            return True
+        if not _scaled_lt(a_lo, b_hi):
+            return False
+        prec *= 2
+
+
 def find_b1_m(c_t: int, rho: Fraction) -> tuple[int, int]:
     """Base b1 just above the growth constant, and a cutoff m for it.
 
     m is the least index >= 3 from which both c_t^(m+1) < b1^(m-2) and
     b1^(-m) < rho hold; past it the digit-size and radius requirements are
     met at base b1.  Both conditions are monotone in m because b1 > c_t,
-    so the least m can be found by doubling and bisecting.
+    and both eventually hold because rho > 0, so the least m is found by
+    doubling and bisecting.  Each probe decides the two inequalities
+    exactly with pow_lt, the second in the integer form
+    floor(1/rho) < b1^m, so no power of b1 is ever built in full.
     """
     if c_t < 1 or rho <= 0:
         raise ValueError("need c_t >= 1 and rho > 0")
     b1 = max(c_t + 1, 2)
+    inv_rho = rho.denominator // rho.numerator
 
     def good(m: int) -> bool:
-        return c_t ** (m + 1) < b1 ** (m - 2) and rho.numerator * b1**m > rho.denominator
+        return pow_lt(c_t, m + 1, b1, m - 2) and pow_lt(inv_rho, 1, b1, m)
 
     hi = 3
     while not good(hi):
         hi *= 2
-        if hi > 1 << 26:
-            raise SynthesisError("no cutoff found for b1; rho is degenerate")
     lo = 3
     while lo < hi:
         mid = (lo + hi) // 2
@@ -168,17 +240,25 @@ class BoundsCertificate:
     b2: int
 
     def validate(self) -> None:
+        """Raise ValueError naming the first inequality the data violates.
+
+        Checks run in order, so the two inequalities in b1^m are only reached
+        with m >= 3, b1 > c_t >= 1 and rho > 0.  pow_lt decides them exactly
+        without building the powers, the radius one as floor(1/rho) < b1^m.
+        """
+        rho = self.rho
         checks = [
-            (self.m >= 3, "m >= 3"),
-            (self.b1 >= 2, "b1 >= 2"),
-            (self.b1 > self.c_t, "b1 > c_t"),
-            (self.c_t ** (self.m + 1) < self.b1 ** (self.m - 2), "c_t^(m+1) < b1^(m-2)"),
-            (self.rho.numerator * self.b1**self.m > self.rho.denominator, "b1^(-m) < rho"),
-            (self.b2 >= max(8, self.c_t**6 + 1), "b2 >= max(8, c_t^6 + 1)"),
-            (self.rho.numerator * self.b2 > self.rho.denominator, "b2^(-1) < rho"),
+            ("m >= 3", lambda: self.m >= 3),
+            ("c_t >= 1", lambda: self.c_t >= 1),
+            ("b1 > c_t", lambda: self.b1 > self.c_t),
+            ("rho > 0", lambda: rho > 0),
+            ("c_t^(m+1) < b1^(m-2)", lambda: pow_lt(self.c_t, self.m + 1, self.b1, self.m - 2)),
+            ("b1^(-m) < rho", lambda: pow_lt(rho.denominator // rho.numerator, 1, self.b1, self.m)),
+            ("b2 >= max(8, c_t^6 + 1)", lambda: self.b2 >= max(8, self.c_t**6 + 1)),
+            ("b2^(-1) < rho", lambda: rho.numerator * self.b2 > rho.denominator),
         ]
-        for ok, label in checks:
-            if not ok:
+        for label, ok in checks:
+            if not ok():
                 raise ValueError(f"certificate violates {label}")
 
     def to_json_dict(self) -> dict:
@@ -206,6 +286,7 @@ class _Pipeline:
     b_plus: tuple[int, ...]
     b_minus: tuple[int, ...]
     h: int
+    rho: Fraction
     t_values: tuple[int, ...]
 
     def t_upto(self, hi: int) -> tuple[int, ...]:
@@ -243,8 +324,18 @@ def _prepare(rec: Recurrence, c: int, horizon: int) -> _Pipeline:
         b_plus=b_plus.int_coeffs(),
         b_minus=b_minus.int_coeffs(),
         h=h,
+        rho=radius_lower_bound(den_int),
         t_values=t,
     )
+
+
+def _bound_data(pipe: _Pipeline) -> BoundsCertificate:
+    """Validated bound data for the shifted sequence of a prepared pipeline."""
+    c_t = growth_constant(recurrence_from_denominator(pipe.den_int, pipe.t_values[: pipe.h]))
+    b1, m = find_b1_m(c_t, pipe.rho)
+    cert = BoundsCertificate(c=pipe.c, c_t=c_t, rho=pipe.rho, b1=b1, m=m, b2=find_b2(c_t, pipe.rho))
+    cert.validate()
+    return cert
 
 
 def _extraction_value(pipe: _Pipeline, b: int, n: int) -> int:
@@ -298,7 +389,7 @@ def _certify(pipe: _Pipeline, b: int) -> int | None:
         pw *= b
     if start is None:
         return None
-    rho = radius_lower_bound(den)
+    rho = pipe.rho
     m_rho = 1
     pw = b
     while rho.numerator * pw <= rho.denominator:
@@ -358,18 +449,11 @@ def _search_minimal_base(pipe: _Pipeline, b2: int, horizon: int) -> tuple[int, i
     return low, m_b, {"strategy": "scan+bisect", "probes": probes, "scanned_from": lo, "scanned_to": b - 1}
 
 
-def minimal_valid_b(
-    rec: Recurrence,
-    c: int,
-    b1: int,
-    m: int,
-    b2: int,
-    horizon: int = 40,
-) -> int:
+def minimal_valid_b(rec: Recurrence, c: int, b2: int, horizon: int = 40) -> int:
     """Least base passing validation for s(n) = E(n) - c^(n+1), n >= 1.
 
-    (b1, m) and b2 are the bound data that guarantee the search space is
-    nonempty; the returned base may lie well below b1.  Validation means:
+    b2 is the bound-data base that guarantees the search space is
+    nonempty; the returned base may lie far below it.  Validation means:
     certified from some cutoff on, and directly checked below it and up to
     the horizon.
     """
@@ -438,13 +522,7 @@ def synthesize(
     else:
         c = find_shift(rec)
     pipe = _prepare(rec, c, horizon)
-
-    c_t = growth_constant(recurrence_from_denominator(pipe.den_int, pipe.t_values[: pipe.h]))
-    rho = radius_lower_bound(pipe.den_int)
-    b1, m = find_b1_m(c_t, rho)
-    b2 = find_b2(c_t, rho)
-    cert = BoundsCertificate(c=c, c_t=c_t, rho=rho, b1=b1, m=m, b2=b2)
-    cert.validate()
+    cert = _bound_data(pipe)
 
     if force_b is not None:
         if force_b < 2:
@@ -463,7 +541,7 @@ def synthesize(
                     )
             report = {"strategy": "forced", "evidence": "horizon-only", "checked_to": horizon}
     else:
-        b, certified_from, report = _search_minimal_base(pipe, b2, horizon)
+        b, certified_from, report = _search_minimal_base(pipe, cert.b2, horizon)
         report["evidence"] = "certified"
         report["checked_to"] = max(certified_from - 1, horizon)
 

@@ -1,18 +1,26 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from arithterm import synthesis
+from arithterm.catalog import get_fixture
 from arithterm.polys import Polynomial
 from arithterm.recurrence import Recurrence, eval_oracle
 from arithterm.synthesis import (
     AllZeroSequenceError,
     BoundsCertificate,
     SynthesisError,
+    _bound_data,
+    _prepare,
     find_b1_m,
     find_b2,
     find_shift,
     minimal_valid_b,
+    pow_lt,
     radius_lower_bound,
     synthesize,
 )
@@ -67,6 +75,57 @@ def test_find_b1_m_respects_rho():
     assert 3**m > 3**20 >= 3 ** (m - 1)
 
 
+@given(st.integers(0, 300), st.integers(0, 80), st.integers(0, 300), st.integers(0, 80))
+@example(0, 0, 0, 0)
+@example(0, 1, 0, 0)
+@example(0, 0, 0, 1)
+@example(1, 0, 1, 1)
+@example(7, 1, 7, 1)
+@example(2, 6, 4, 3)  # equal powers
+@example(2, 6, 8, 2)
+def test_pow_lt_matches_exact_powers(a, p, b, q):
+    assert pow_lt(a, p, b, q) == (a**p < b**q)
+
+
+@given(st.integers(1, 400), st.integers(3, 3000))
+@example(6480, 170629)
+@example(6480, 170630)
+@example(1, 3)
+def test_pow_lt_near_ties(c, m):
+    # the find_b1_m inequality, whose two sides differ by a factor near 1
+    assert pow_lt(c, m + 1, c + 1, m - 2) == (c ** (m + 1) < (c + 1) ** (m - 2))
+    assert pow_lt(c + 1, m - 2, c, m + 1) == ((c + 1) ** (m - 2) < c ** (m + 1))
+
+
+@given(st.integers(3, 10**6), st.integers(1, 40), st.integers(1, 40))
+def test_pow_lt_equal_large_powers(x, j, k):
+    # (x^j)^k == (x^k)^j: the intervals overlap until prec covers the power
+    assert not pow_lt(x**j, k, x**k, j)
+    assert pow_lt(x**j, k, x**k + 1, j)
+    assert not pow_lt(x**k + 1, j, x**j, k)
+
+
+def test_pow_lt_rejects_negative_operands():
+    with pytest.raises(ValueError):
+        pow_lt(-2, 3, 2, 3)
+    with pytest.raises(ValueError):
+        pow_lt(2, -1, 2, 3)
+
+
+def test_find_b1_m_least_cutoff_grid():
+    # the least m by the definition with exact powers, for every c_t <= 200
+    for rho in (Fraction(1), Fraction(1, 2), Fraction(7, 10), Fraction(1, 1000), Fraction(1, 3**20)):
+        for c_t in range(1, 201):
+            b1 = max(c_t + 1, 2)
+
+            def good(m):
+                return c_t ** (m + 1) < b1 ** (m - 2) and rho.numerator * b1**m > rho.denominator
+
+            got_b1, m = find_b1_m(c_t, rho)
+            assert got_b1 == b1
+            assert good(m) and (m == 3 or not good(m - 1)), (c_t, rho, m)
+
+
 def test_find_b1_m_validation():
     with pytest.raises(ValueError):
         find_b1_m(0, Fraction(1, 2))
@@ -95,10 +154,52 @@ def test_certificate_validate():
         bad.validate()
 
 
+def test_certificate_validate_checks_the_power_inequalities():
+    # m = 28 is one below the least cutoff for c_t = 5
+    bad = BoundsCertificate(c=0, c_t=5, rho=Fraction(1, 2), b1=6, m=28, b2=15626)
+    with pytest.raises(ValueError, match=r"c_t\^\(m\+1\)"):
+        bad.validate()
+    # b1^(-m) == rho exactly: the strict inequality fails on a tie
+    bad = BoundsCertificate(c=0, c_t=5, rho=Fraction(1, 6**29), b1=6, m=29, b2=6**29 + 1)
+    with pytest.raises(ValueError, match=r"b1\^\(-m\) < rho"):
+        bad.validate()
+    bad = BoundsCertificate(c=0, c_t=5, rho=Fraction(0), b1=6, m=29, b2=15626)
+    with pytest.raises(ValueError, match="rho > 0"):
+        bad.validate()
+
+
+def test_fibconv4_certificate_unchanged():
+    cert = synthesize(get_fixture("FibConv4").recurrence).certificate
+    assert (cert.c_t, cert.b1, cert.m) == (6480, 6481, 170630)
+
+
+def test_bound_data_for_huge_initial_values_is_fast():
+    # c_t has 182 bits here; building c_t^(m+1) exactly never finishes
+    rec = Recurrence(2, (-1, -1), (2**181, 2**181 + 7))
+    started = time.perf_counter()
+    cert = _bound_data(_prepare(rec, find_shift(rec), 40))
+    cert.validate()
+    assert time.perf_counter() - started < 10
+    assert cert.c_t.bit_length() == 182
+    assert cert.b1 == cert.c_t + 1
+    assert cert.m.bit_length() == 190
+
+
 def test_minimal_valid_b_searches_below_b1():
-    assert minimal_valid_b(FIB, 0, 6, 29, 15626) == 3
-    assert minimal_valid_b(Recurrence(2, (-2, 1), (2, 2)), 0, 12, 29, 15626) == 4
-    assert minimal_valid_b(Recurrence(2, (-2, -1), (0, 1)), 0, 12, 29, 15626) == 3
+    assert minimal_valid_b(FIB, 0, 15626) == 3
+    assert minimal_valid_b(Recurrence(2, (-2, 1), (2, 2)), 0, 15626) == 4
+    assert minimal_valid_b(Recurrence(2, (-2, -1), (0, 1)), 0, 15626) == 3
+
+
+def test_scan_then_bisect_fallback(monkeypatch):
+    # FIB's digit floor is 2 and its least base 3, so one scanned probe
+    # leaves the rest of [3, b2] to bisection
+    monkeypatch.setattr(synthesis, "_SCAN_LIMIT", 1)
+    r = synthesize(FIB)
+    assert r.report["strategy"] == "scan+bisect"
+    assert r.report["scanned_to"] == 2
+    oracle = eval_oracle(FIB, r.horizon + 1).values
+    assert verify_term(oracle, r.term, r.c, 1, r.horizon).ok
 
 
 def test_synthesize_fibonacci():
