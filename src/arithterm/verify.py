@@ -2,10 +2,17 @@
 
 ``verify_term`` compares term values (minus the shift part) against oracle
 values over an index range and reports the first mismatch, elapsed time in
-integer nanoseconds, and the largest intermediate seen.  ``verify_catalog``
-replays every catalog fixture.  ``extraction_direct`` recomputes the digit
-extraction through exact Fraction arithmetic on the generating function,
-completely bypassing the term evaluator, for two-path cross-checks.
+integer nanoseconds, and the largest intermediate seen.  A term of the
+shape ``build_extraction_term`` makes (recognised exactly by
+``match_extraction``) is replayed through ``extraction_value``, which works
+modulo D*b^n and never forms b^(n^2); any other term goes through the
+reference evaluator ``evaluate``.  Both give the same values, but
+``peak_bits`` then measures different computations: O(h*n*log b) bits on
+the fast path against O(n^2*log b) through ``evaluate``.
+``verify_catalog`` replays every catalog fixture.  ``extraction_direct``
+recomputes the digit extraction through exact Fraction arithmetic on the
+generating function, completely bypassing both term evaluators, for
+two-path cross-checks.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from typing import Sequence
 from .catalog import fixtures
 from .polys import RationalFunction
 from .recurrence import eval_oracle
-from .terms import BudgetExceededError, EvalStats, Term, evaluate
+from .terms import BudgetExceededError, EvalStats, Term, evaluate, extraction_value, match_extraction
 
 
 @dataclass(frozen=True, slots=True)
@@ -30,6 +37,16 @@ class Failure:
 
 @dataclass(frozen=True, slots=True)
 class VerificationReport:
+    """Outcome of one replay over [n_lo, n_hi].
+
+    ``checked`` counts the indices evaluated, the failing one included.
+    ``peak_bits`` is the bit length of the largest intermediate of the
+    evaluations: through ``extraction_value`` for terms ``match_extraction``
+    recognises, whose intermediates stay O(h*n*log b) bits, else through
+    ``evaluate``.  ``aborted`` carries the index and message of a blown bit
+    budget.
+    """
+
     n_lo: int
     n_hi: int
     checked: int
@@ -73,7 +90,9 @@ def verify_term(
 
     Stops at the first mismatch.  ``oracle`` must cover indices up to n_hi.
     A blown evaluation budget aborts the run and is reported as such rather
-    than as a mismatch.
+    than as a mismatch.  Terms that match_extraction recognises, with
+    ``var`` as their variable, are evaluated by extraction_value, all others
+    by evaluate.
     """
     if n_lo < 0 or n_hi < n_lo:
         raise ValueError("need 0 <= n_lo <= n_hi")
@@ -81,12 +100,23 @@ def verify_term(
         raise ValueError(f"oracle covers {len(oracle)} values, need {n_hi + 1}")
     stats = EvalStats()
     started = time.monotonic_ns()
+    params = match_extraction(term)
+    if params is not None and params[-1] == var:
+
+        def value(n: int) -> int:
+            return extraction_value(*params[:-1], n, stats=stats)
+
+    else:
+
+        def value(n: int) -> int:
+            return evaluate(term, {var: n}, stats=stats)
+
     checked = 0
     first_failure = None
     aborted = None
     for n in range(n_lo, n_hi + 1):
         try:
-            got = evaluate(term, {var: n}, stats=stats) - c ** (n + 1)
+            got = value(n) - c ** (n + 1)
         except BudgetExceededError as exc:
             aborted = f"n={n}: {exc}"
             break

@@ -117,6 +117,13 @@ def test_verify_fixture(capsys):
     assert out.strip() == "ok: checked n in [0, 30]"
 
 
+def test_verify_fixture_far_point(capsys):
+    # evaluate would build 3^(7000^2), past the bit budget; the fast path does not
+    code, out, _ = run(capsys, "verify", "--fixture", "A000045", "--from", "7000", "--to", "7000")
+    assert code == 0
+    assert out.strip() == "ok: checked n in [7000, 7000]"
+
+
 def test_verify_mismatch_exit_code(capsys):
     code, out, _ = run(capsys, "verify", FIB, "n", "--to", "10")
     assert code == 3

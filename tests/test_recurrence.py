@@ -69,6 +69,36 @@ def test_eval_oracle_non_integer_term():
     assert err.value.value == Fraction(1, 2)
 
 
+def fraction_steps(rec, count):
+    """Reference expansion in Fraction arithmetic, step by step."""
+    vals = [Fraction(v) for v in rec.init[:count]]
+    for n in range(len(vals), count):
+        nxt = -sum(rec.coeffs[i] * vals[n - 1 - i] for i in range(rec.order))
+        if nxt.denominator != 1:
+            return n, nxt
+        vals.append(nxt)
+    return tuple(vals)
+
+
+@given(
+    st.integers(1, 3).flatmap(
+        lambda d: st.tuples(
+            st.lists(st.fractions(-4, 4, max_denominator=4), min_size=d, max_size=d).filter(lambda cs: cs[-1] != 0),
+            st.lists(st.integers(-8, 8), min_size=d, max_size=d),
+        )
+    )
+)
+def test_eval_oracle_matches_fraction_steps(data):
+    coeffs, init = data
+    rec = Recurrence(len(coeffs), coeffs, init)
+    expected = fraction_steps(rec, 25)
+    try:
+        got = eval_oracle(rec, 25).values
+    except NonIntegerTermError as err:
+        got = (err.index, err.value)
+    assert got == expected
+
+
 def test_json_round_trip():
     rec = Recurrence(2, ("-1/2", "-1"), (0, 1))
     data = rec.to_json_dict()

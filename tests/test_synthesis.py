@@ -133,6 +133,21 @@ def test_find_b1_m_validation():
         find_b1_m(3, Fraction(0))
 
 
+def test_find_b1_m_work_bound():
+    # c_t longer than the cap on m's bits: rejected before the first probe
+    started = time.perf_counter()
+    with pytest.raises(SynthesisError):
+        find_b1_m(2**4000 + 1, Fraction(1, 3))
+    assert time.perf_counter() - started < 5
+    # 247 bits: the least m lies past the last doubling, 3*2^254, and is
+    # still found by the probe clamped to 2^256 - 1
+    b1, m = find_b1_m(2**246 * 16 // 10, Fraction(1, 3))
+    assert 3 * 2**254 < m < 2**256
+    # 248 bits: every m of 256 bits fails
+    with pytest.raises(SynthesisError, match="more than 256 bits"):
+        find_b1_m(2**247, Fraction(1, 3))
+
+
 def test_find_b2_values():
     assert find_b2(1, Fraction(1, 2)) == 8
     assert find_b2(2, Fraction(1, 2)) == 65
@@ -244,8 +259,21 @@ def test_synthesize_force_b_valid_base():
 def test_synthesize_force_c():
     r = synthesize(FIB, force_c=1)
     assert r.c == 1
+    assert r.report["evidence"] == "certified" and r.certified_from is not None
     oracle = eval_oracle(FIB, 41).values
     assert verify_term(oracle, r.term, 1, 1, 40).ok
+
+
+def test_synthesize_forced_shift_without_proof_is_horizon_only():
+    # 23*100^n - 101^n: nonnegative up to n = 315, negative from n = 316 on
+    rec = Recurrence(2, (-201, 10100), (22, 2199))
+    r = synthesize(rec, force_c=0)
+    assert r.report["evidence"] == "horizon-only"
+    assert r.certified_from is None
+    oracle = eval_oracle(rec, 321).values
+    assert verify_term(oracle, r.term, 0, 1, 40).ok
+    report = verify_term(oracle, r.term, 0, 1, 320)
+    assert report.first_failure is not None and report.first_failure.n == 315
 
 
 def test_synthesize_force_c_too_small_is_rejected():

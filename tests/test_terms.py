@@ -2,9 +2,10 @@ import json
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from arithterm import terms
 from arithterm.terms import (
     BinOp,
     BudgetExceededError,
@@ -15,6 +16,8 @@ from arithterm.terms import (
     Var,
     build_extraction_term,
     evaluate,
+    extraction_value,
+    match_extraction,
     parse,
     render,
     term_from_json,
@@ -91,6 +94,12 @@ def test_power_budget():
     big = BinOp("mul", Const(2**100), Const(2**100))
     with pytest.raises(BudgetExceededError):
         evaluate(big, bit_budget=150)
+
+
+def test_power_budget_message_survives_huge_exponents():
+    # the exponent 9^4510 has 4,304 digits, past the int-to-str limit of 4,300
+    with pytest.raises(BudgetExceededError, match="bit exponent"):
+        evaluate(parse("n^((9^82)^55)"), {"n": 3})
 
 
 def test_eval_stats_track_peak():
@@ -255,3 +264,57 @@ def test_build_extraction_term_validation():
         build_extraction_term((-1,), (), (1,), (0, 1), 1, 3)  # signed coefficient
     with pytest.raises(ValueError):
         build_extraction_term((), (), (1,), (0, 1), 1, 3)  # empty numerator
+
+
+@st.composite
+def extraction_data(draw):
+    """Valid build_extraction_term arguments, with coefficients of both signs."""
+    h = draw(st.integers(1, 3))
+    nat = st.integers(0, 6)
+    b_plus = draw(st.lists(nat, min_size=h + 1, max_size=h + 1))
+    b_minus = draw(st.lists(nat, min_size=h + 1, max_size=h + 1))
+    a_plus = draw(st.lists(nat, min_size=h, max_size=h))
+    a_minus = draw(st.lists(nat, min_size=h, max_size=h))
+    assume(b_plus[h] != b_minus[h] and any(a_plus) and any(b_plus))
+    base = draw(st.integers(2, 50))
+    return tuple(a_plus), tuple(a_minus), tuple(b_plus), tuple(b_minus), h, base
+
+
+@given(extraction_data(), st.integers(0, 25))
+def test_extraction_value_matches_evaluate(data, n):
+    term = build_extraction_term(*data)
+    assert extraction_value(*data, n) == evaluate(term, {"n": n})
+    params = match_extraction(term)
+    assert params is not None and params[-1] == "n"
+    assert build_extraction_term(*params) == term
+    assert extraction_value(*params[:-1], n) == evaluate(term, {"n": n})
+
+
+def test_extraction_value_stats_and_budget(monkeypatch):
+    fib = ((0, 1), (), (1,), (0, 1, 1), 2, 3)
+    stats = EvalStats()
+    assert extraction_value(*fib, 50, stats=stats) == 12586269025
+    # the term itself builds 3^2550; the fast path stays near 3 * 3^50
+    assert 0 < stats.peak_bits < 400
+    with pytest.raises(BudgetExceededError):
+        extraction_value(*fib, 10**8)
+    monkeypatch.setattr(terms, "DEFAULT_BIT_BUDGET", 20000)
+    with pytest.raises(BudgetExceededError, match="product"):
+        extraction_value(*fib, 5000)
+    with pytest.raises(ValueError):
+        extraction_value(*fib[:-1], 1, 5)
+    with pytest.raises(ValueError):
+        extraction_value((0, 1, 0, 0), (), (1,), (0, 1, 1), 2, 3, 5)
+
+
+def test_match_extraction_rejects_other_shapes():
+    term = build_extraction_term((0, 1), (), (1,), (0, 1, 1), 2, 3)
+    assert match_extraction(term) == ((0, 1, 0), (0, 0, 0), (1, 0, 0), (0, 1, 1), 2, 3, "n")
+    assert match_extraction(BinOp("add", term, Const(0))) is None
+    assert match_extraction(parse("fl(3^(n^2 + n) / (3^(2*n) -. (3^n + 1))) % 3^m")) is None
+    assert match_extraction(parse("fl(3^(n^2 + n) / (3^(2*n) -. (3^n + 3^n))) % 3^n")) is None
+    assert match_extraction(parse("fl(1*3^(n^2 + n) / (3^(2*n) -. (3^n + 1))) % 3^n")) is None
+    assert match_extraction(parse("fl(3^(n^2 + n) / 3^(2*n)) % 3^(2*n)")) is None
+    # a valid shape, but its dense coefficient tuples would have 10,000 entries
+    assert match_extraction(parse("fl(2^(n^2 + 9999*n) / (2^(9999*n) + 1)) % 2^n")) is None
+    assert match_extraction(parse("2^2^2^n")) is None

@@ -1,8 +1,8 @@
 import pytest
 
-from arithterm.catalog import get_fixture
+from arithterm.catalog import fixtures, get_fixture
 from arithterm.recurrence import eval_oracle, generating_function
-from arithterm.terms import parse
+from arithterm.terms import BinOp, Const, evaluate, extraction_value, match_extraction, parse
 from arithterm.verify import extraction_direct, verify_catalog, verify_term
 
 FIB = get_fixture("A000045").recurrence
@@ -53,6 +53,19 @@ def test_verify_term_aborts_on_budget():
     assert report.aborted is not None and report.aborted.startswith("n=5")
 
 
+def test_fast_path_and_evaluate_agree_on_reports():
+    # the +0 wrapper hides the extraction shape, so it replays through evaluate
+    oracle = eval_oracle(FIB, 41).values
+    for fid, c, lo in (("A000045", 0, 0), ("A000129", 0, 0), ("A001045", 0, 3)):
+        term = get_fixture(fid).term
+        assert match_extraction(term) is not None
+        fast = verify_term(oracle, term, c, lo, 40)
+        slow = verify_term(oracle, BinOp("add", term, Const(0)), c, lo, 40)
+        assert (fast.checked, fast.first_failure) == (slow.checked, slow.first_failure)
+    pell = verify_term(oracle, get_fixture("A000129").term, 0, 0, 10)
+    assert (pell.checked, pell.first_failure.n) == (3, 2)
+
+
 def test_report_json_shape():
     oracle = eval_oracle(FIB, 11).values
     report = verify_term(oracle, get_fixture("A000129").term, 0, 0, 10)
@@ -84,3 +97,25 @@ def test_extraction_direct_validation():
         extraction_direct(gf, 3, 0)
     with pytest.raises(ValueError):
         extraction_direct(gf, 1, 2)
+
+
+NOT_EXTRACTION_SHAPED = {"A000032", "A001080", "A001629", "FibConv2", "FibConv3", "FibConv4", "A103469"}
+
+
+def test_match_extraction_on_the_catalog():
+    for fix in fixtures():
+        params = match_extraction(fix.term)
+        assert (params is None) == (fix.id in NOT_EXTRACTION_SHAPED), fix.id
+        if params is None:
+            continue
+        assert params[-1] == "n" and params[5] == fix.base
+        for n in range(61):
+            assert extraction_value(*params[:-1], n) == evaluate(fix.term, {"n": n}), (fix.id, n)
+
+
+@pytest.mark.parametrize("fid", ["A000045", "A088137", "A001081"])
+def test_extraction_value_far_points(fid):
+    term = get_fixture(fid).term
+    params = match_extraction(term)
+    for n in (200, 400):
+        assert extraction_value(*params[:-1], n) == evaluate(term, {"n": n})
