@@ -6,9 +6,8 @@ Usage: python3 scripts/replay_catalog.py [--horizon N]
 
 import argparse
 
-from arithterm.catalog import fixtures
-from arithterm.recurrence import eval_oracle
-from arithterm.verify import verify_term
+from arithterm.catalog import get_fixture
+from arithterm.verify import verify_catalog
 
 
 def main() -> int:
@@ -19,10 +18,10 @@ def main() -> int:
     header = f"{'id':12} {'b':>5} {'c':>2} {'range':>10} {'status':8} {'peak_bits':>10} {'ms':>8}"
     print(header)
     print("-" * len(header))
+    results = verify_catalog(args.horizon)
     bad = 0
-    for fix in fixtures():
-        oracle = eval_oracle(fix.recurrence, args.horizon + 1).values
-        report = verify_term(oracle, fix.term, fix.shift, fix.valid_from, args.horizon)
+    for fid, report in results:
+        fix = get_fixture(fid)
         if report.ok:
             status = "ok"
         elif report.aborted is not None:
@@ -33,7 +32,7 @@ def main() -> int:
         ms = report.elapsed_ns // 1_000_000
         print(f"{fix.id:12} {fix.base:>5} {fix.shift:>2} {span:>10} {status:8} {report.peak_bits:>10} {ms:>8}")
     print("-" * len(header))
-    print(f"{len(fixtures()) - bad}/{len(fixtures())} fixtures verified")
+    print(f"{len(results) - bad}/{len(results)} fixtures verified")
     return 1 if bad else 0
 
 

@@ -13,8 +13,8 @@ SPEC is a JSON object {"order": d, "coeffs": [...], "init": [...]} given as
 a file path, '-' for stdin, or inline starting with '{'.  Coefficients can
 be "p/q" strings for exact rationals.
 
-Exit codes: 0 success, 1 usage or input errors, 2 the recurrence generates
-the zero sequence, 3 a verification found a mismatch.
+Exit codes: 0 success, 1 usage or input errors or a blown bit budget, 2 the
+recurrence generates the zero sequence, 3 a verification found a mismatch.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .catalog import fixtures, get_fixture
 from .polys import clear_denominators
 from .recurrence import NonIntegerTermError, Recurrence, eval_oracle, generating_function, gf_shift
 from .synthesis import AllZeroSequenceError, SynthesisError, synthesize
-from .terms import ParseError, evaluate, parse, render, term_from_json, term_to_json
+from .terms import BudgetExceededError, ParseError, evaluate, parse, render, term_from_json, term_to_json
 from .verify import verify_term
 
 
@@ -240,7 +240,7 @@ def main(argv=None) -> int:
     except AllZeroSequenceError as exc:
         print(f"arithterm: {exc}", file=sys.stderr)
         return 2
-    except (ParseError, NonIntegerTermError, SynthesisError, ValueError, OSError) as exc:
+    except (ParseError, NonIntegerTermError, SynthesisError, BudgetExceededError, ValueError, OSError) as exc:
         print(f"arithterm: {exc}", file=sys.stderr)
         return 1
 

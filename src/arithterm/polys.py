@@ -90,9 +90,6 @@ class Polynomial:
     def __sub__(self, other: "Polynomial | Coeff") -> "Polynomial":
         return self + (-_as_poly(other))
 
-    def __rsub__(self, other: Coeff) -> "Polynomial":
-        return _as_poly(other) - self
-
     def __mul__(self, other: "Polynomial | Coeff") -> "Polynomial":
         other = _as_poly(other)
         if self.is_zero() or other.is_zero():
@@ -144,14 +141,6 @@ class Polynomial:
         for c in reversed(self._coeffs):
             acc = acc * x + c
         return acc
-
-    def shifted(self, k: int) -> "Polynomial":
-        """Multiply by z^k."""
-        if k < 0:
-            raise AlgebraError("shift must be a natural number")
-        if self.is_zero():
-            return self
-        return Polynomial((Fraction(0),) * k + self._coeffs)
 
     def scaled(self, factor: Coeff) -> "Polynomial":
         return Polynomial(c * _coerce(factor) for c in self._coeffs)
@@ -282,20 +271,11 @@ class RationalFunction:
     def __sub__(self, other: "RationalFunction | Polynomial | Coeff") -> "RationalFunction":
         return self + (-_as_rf(other))
 
-    def __rsub__(self, other: "Polynomial | Coeff") -> "RationalFunction":
-        return _as_rf(other) - self
-
     def __mul__(self, other: "RationalFunction | Polynomial | Coeff") -> "RationalFunction":
         other = _as_rf(other)
         return RationalFunction(self._num * other._num, self._den * other._den)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other: "RationalFunction | Polynomial | Coeff") -> "RationalFunction":
-        other = _as_rf(other)
-        if other.is_zero():
-            raise AlgebraError("division by the zero rational function")
-        return RationalFunction(self._num * other._den, self._den * other._num)
 
     def __call__(self, x: Coeff) -> Fraction:
         d = self._den(x)

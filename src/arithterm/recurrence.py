@@ -22,6 +22,8 @@ from .polys import Polynomial, RationalFunction
 
 Coeff = int | Fraction | str
 
+_NONNEG_PROBE = 8  # terms past the initial ones that is_provably_nonnegative inspects
+
 
 class NonIntegerTermError(ValueError):
     """A recurrence produced a non-integer value at some index."""
@@ -91,9 +93,6 @@ class SequenceWindow:
     """A contiguous prefix s(0..len-1) of a sequence."""
 
     values: tuple[int, ...]
-
-    def __getitem__(self, n: int) -> int:
-        return self.values[n]
 
     def __len__(self) -> int:
         return len(self.values)
@@ -205,12 +204,12 @@ def growth_constant(rec: Recurrence) -> int:
         c = max(floor_root(abs(v), k + 1) + 1 for k, v in enumerate(rec.init))
 
 
-def is_provably_nonnegative(rec: Recurrence, probe: int = 8) -> bool:
+def is_provably_nonnegative(rec: Recurrence) -> bool:
     """Conservative check that s(n) >= 0 for every n.
 
     True is only returned with a proof in hand; False just means no proof
     was found, not that the sequence goes negative.  Both routes first
-    require the first probe + d terms to be nonnegative:
+    require the first _NONNEG_PROBE + d terms to be nonnegative:
 
     1. all recurrence coefficients are <= 0, so every new term is a
        nonnegative combination of earlier ones;
@@ -218,7 +217,7 @@ def is_provably_nonnegative(rec: Recurrence, probe: int = 8) -> bool:
        s(n+1) >= L*s(n) survives the step when 0 <= L <= p and
        L*(p - L) >= -q, so one valid base pair settles everything after it.
     """
-    window = eval_oracle(rec, probe + rec.order).values
+    window = eval_oracle(rec, _NONNEG_PROBE + rec.order).values
     if any(v < 0 for v in window):
         return False
     if all(c <= 0 for c in rec.coeffs):

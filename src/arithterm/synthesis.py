@@ -16,8 +16,10 @@ generating function of t(n) = s(n) + c^(n+1).  The pipeline is:
    of convergence) giving a base b2 that is always valid from n = 1 on,
    plus a witness (b1, m) whose inequalities in powers of b1 are decided
    exactly by pow_lt from rounded interval powers, never built in full;
-5. search downward from b2 for the least base that still validates, by a
-   sufficient certificate plus direct checks on an initial segment.
+5. scan upward from a digit floor (no smaller base can fit t(n) into n
+   digits) for the least base that validates, by a sufficient certificate
+   plus direct checks on an initial segment; after _SCAN_LIMIT probes the
+   rest of the range up to b2 is bisected instead.
 
 Everything is exact integer/Fraction arithmetic.  Certificates are only
 ever sufficient: a reported base is backed by a proof sketch (coefficient
@@ -73,6 +75,30 @@ def radius_lower_bound(den: Polynomial) -> Fraction:
     return abs(d0) / (abs(d0) + top)
 
 
+def _dominated_from(den: tuple[int | Fraction, ...], base: int, values: tuple[int, ...], offset: int) -> int | None:
+    """First index of h = len(den) - 1 consecutive |v(k)| < base^(k+offset).
+
+    ``values`` obey sum_i den_i v(k-i) = 0, den_0 > 0.  The coefficient
+    criterion sum_{i>=1} |den_i| base^(h-i) <= den_0 base^h carries the
+    bound from k-h..k-1 to k, so such a window proves it for every later
+    index; it also keeps a term denominator D(base^n) positive.  The shift
+    uses it for |s(k)| < c^(k+1), base search for t(k) < b^(k-2).  None
+    when the criterion fails or ``values`` hold no window.
+    """
+    h = len(den) - 1
+    if sum(abs(d) * base ** (h - i) for i, d in enumerate(den[1:], start=1)) > den[0] * base**h:
+        return None
+    # |v| < base^(k+offset), decided in integers
+    scale, pw = base ** max(-offset, 0), base ** max(offset, 0)
+    run = 0
+    for k, v in enumerate(values):
+        run = run + 1 if abs(v) * scale < pw else 0
+        if run == h:
+            return k - h + 1
+        pw *= base
+    return None
+
+
 def _shift_window(rec: Recurrence) -> tuple[int, ...]:
     """The prefix of s that _shift_certified inspects."""
     return eval_oracle(rec, _SHIFT_CAP + rec.order).values
@@ -81,32 +107,16 @@ def _shift_window(rec: Recurrence) -> tuple[int, ...]:
 def _shift_certified(rec: Recurrence, c: int, window: tuple[int, ...]) -> bool:
     """Proof that s(n) + c^(n+1) > 0 for every n.
 
-    Three ingredients: the coefficient inequality
-    sum_i |a_i| c^(d-i) <= c^d propagates |s(n)| < c^(n+1) across a
-    recurrence step; a window of d consecutive indices where that size
-    bound already holds starts the induction; and the finitely many
-    indices before the window are checked one by one.  ``window`` is
-    _shift_window(rec), expanded once per recurrence.
+    _dominated_from proves |s(n)| < c^(n+1) from some window on, and the
+    finitely many indices before the window's end are checked one by one.
+    ``window`` is _shift_window(rec), expanded once per recurrence.
     """
     if c < 1:
         return False
-    d = rec.order
-    step = sum(abs(a) * c ** (d - i) for i, a in enumerate(rec.coeffs, start=1))
-    if step > c**d:
-        return False
-    run = 0
-    start = None
-    for k, v in enumerate(window):
-        if abs(v) < c ** (k + 1):
-            run += 1
-            if run == d:
-                start = k - d + 1
-                break
-        else:
-            run = 0
+    start = _dominated_from((1, *rec.coeffs), c, window, 1)
     if start is None:
         return False
-    return all(window[n] + c ** (n + 1) > 0 for n in range(start + d))
+    return all(window[n] + c ** (n + 1) > 0 for n in range(start + rec.order))
 
 
 def find_shift(rec: Recurrence) -> int:
@@ -297,11 +307,9 @@ class BoundsCertificate:
 class _Pipeline:
     """Everything derived from (rec, c) that base search needs."""
 
-    rec: Recurrence
     c: int
     gf_t: RationalFunction
-    num_int: Polynomial
-    den_int: Polynomial
+    den: tuple[int, ...]
     a_plus: tuple[int, ...]
     a_minus: tuple[int, ...]
     b_plus: tuple[int, ...]
@@ -314,15 +322,15 @@ class _Pipeline:
         """Value at n of the extraction term with base b."""
         return extraction_value(self.a_plus, self.a_minus, self.b_plus, self.b_minus, self.h, b, n)
 
-    def t_upto(self, hi: int) -> tuple[int, ...]:
-        """t(0..hi), recomputing past the precomputed window if needed."""
-        if hi < len(self.t_values):
-            return self.t_values[: hi + 1]
-        s = eval_oracle(self.rec, hi + 1).values
-        return tuple(v + self.c ** (n + 1) for n, v in enumerate(s))
-
 
 def _prepare(rec: Recurrence, c: int, horizon: int) -> _Pipeline:
+    """Pipeline for shift c, with t(0..depth-1).
+
+    depth covers every index base search reads once _bound_data has
+    accepted c_t, which has at most _M_BITS_CAP bits: 1/rho < 1 + c_t, so
+    m_rho <= _M_BITS_CAP, the window start is at most _WINDOW_CAP + 1, and
+    max(m_b - 1, horizon) < depth.
+    """
     gf_t = gf_shift(generating_function(rec), c)
     if gf_t.is_zero():
         raise SynthesisError("shifted sequence is identically zero")
@@ -339,11 +347,9 @@ def _prepare(rec: Recurrence, c: int, horizon: int) -> _Pipeline:
     a_plus, a_minus = split_signs(num_int)
     b_plus, b_minus = split_signs(den_int)
     return _Pipeline(
-        rec=rec,
         c=c,
         gf_t=gf_t,
-        num_int=num_int,
-        den_int=den_int,
+        den=den_int.int_coeffs(),
         a_plus=a_plus.int_coeffs(),
         a_minus=a_minus.int_coeffs(),
         b_plus=b_plus.int_coeffs(),
@@ -356,7 +362,7 @@ def _prepare(rec: Recurrence, c: int, horizon: int) -> _Pipeline:
 
 def _bound_data(pipe: _Pipeline) -> BoundsCertificate:
     """Validated bound data for the shifted sequence of a prepared pipeline."""
-    c_t = growth_constant(recurrence_from_denominator(pipe.den_int, pipe.t_values[: pipe.h]))
+    c_t = growth_constant(recurrence_from_denominator(Polynomial(pipe.den), pipe.t_values[: pipe.h]))
     b1, m = find_b1_m(c_t, pipe.rho)
     cert = BoundsCertificate(c=pipe.c, c_t=c_t, rho=pipe.rho, b1=b1, m=m, b2=find_b2(c_t, pipe.rho))
     cert.validate()
@@ -366,33 +372,14 @@ def _bound_data(pipe: _Pipeline) -> BoundsCertificate:
 def _certify(pipe: _Pipeline, b: int) -> int | None:
     """Cutoff m_b such that the term provably equals t(n) for n >= m_b.
 
-    Requires the coefficient criterion sum_{i>=1} |d_i| b^(h-i) <= d_0 b^h
-    (which both keeps the term's denominator positive and propagates the
-    digit-size bound t(k) < b^(k-2) one step), a window of h consecutive
-    indices where the digit-size bound holds directly, and an index from
-    which b^(-n) drops below the radius bound.  Returns None if any piece
-    cannot be established within the search caps.
+    Requires the digit-size bound t(k) < b^(k-2) from some window on, proven
+    by _dominated_from on the term's denominator within the first
+    _WINDOW_CAP + h + 1 values, and an index from which b^(-n) drops below
+    the radius bound.  Returns None if either cannot be established.
     """
     if b < 2:
         return None
-    den = pipe.den_int
-    d0 = den[0].numerator
-    lead = sum(abs(den[i].numerator) * b ** (pipe.h - i) for i in range(1, pipe.h + 1))
-    if lead > d0 * b**pipe.h:
-        return None
-    bsq = b * b
-    run = 0
-    start = None
-    pw = 1  # b^k
-    for k in range(_WINDOW_CAP + pipe.h + 1):
-        if pipe.t_values[k] * bsq < pw:
-            run += 1
-            if run == pipe.h:
-                start = k - pipe.h + 1
-                break
-        else:
-            run = 0
-        pw *= b
+    start = _dominated_from(pipe.den, b, pipe.t_values[: _WINDOW_CAP + pipe.h + 1], -2)
     if start is None:
         return None
     rho = pipe.rho
@@ -404,26 +391,24 @@ def _certify(pipe: _Pipeline, b: int) -> int | None:
     return max(start, m_rho, 2)
 
 
+def _first_mismatch(pipe: _Pipeline, b: int, hi: int) -> int | None:
+    """Least n in [1, hi] where the term with base b misses t(n), if any."""
+    return next((n for n in range(1, hi + 1) if pipe.value(b, n) != pipe.t_values[n]), None)
+
+
 def _validated_cutoff(pipe: _Pipeline, b: int, horizon: int) -> int | None:
     """Certify b and direct-check every n from 1 up to the cutoff/horizon."""
     m_b = _certify(pipe, b)
-    if m_b is None:
+    if m_b is None or _first_mismatch(pipe, b, max(m_b - 1, horizon)) is not None:
         return None
-    hi = max(m_b - 1, horizon)
-    t = pipe.t_upto(hi)
-    for n in range(1, hi + 1):
-        if pipe.value(b, n) != t[n]:
-            return None
     return m_b
 
 
 def _digit_floor(pipe: _Pipeline, horizon: int) -> int:
     """No base below this can represent the sequence: t(n) must fit n digits."""
     lo = 2
-    probe = min(horizon, 8)
-    t = pipe.t_upto(probe)
-    for n in range(1, probe + 1):
-        lo = max(lo, floor_root(t[n], n) + 1)
+    for n in range(1, min(horizon, 8) + 1):
+        lo = max(lo, floor_root(pipe.t_values[n], n) + 1)
     return lo
 
 
@@ -453,19 +438,6 @@ def _search_minimal_base(pipe: _Pipeline, b2: int, horizon: int) -> tuple[int, i
     if m_b is None:
         raise SynthesisError("fallback base failed validation; bound data is inconsistent")
     return low, m_b, {"strategy": "scan+bisect", "probes": probes, "scanned_from": lo, "scanned_to": b - 1}
-
-
-def minimal_valid_b(rec: Recurrence, c: int, b2: int, horizon: int = 40) -> int:
-    """Least base passing validation for s(n) = E(n) - c^(n+1), n >= 1.
-
-    b2 is the bound-data base that guarantees the search space is
-    nonempty; the returned base may lie far below it.  Validation means:
-    certified from some cutoff on, and directly checked below it and up to
-    the horizon.
-    """
-    pipe = _prepare(rec, c, horizon)
-    base, _, _ = _search_minimal_base(pipe, b2, horizon)
-    return base
 
 
 @dataclass(frozen=True, slots=True)
@@ -543,13 +515,11 @@ def synthesize(
         if certified_from is not None:
             report = {"strategy": "forced", "evidence": "certified", "checked_to": max(certified_from - 1, horizon)}
         else:
-            t = pipe.t_upto(horizon)
-            for n in range(1, horizon + 1):
-                got = pipe.value(b, n)
-                if got != t[n]:
-                    raise SynthesisError(
-                        f"base {b} fails at n={n}: term gives {got}, sequence needs {t[n]}"
-                    )
+            n = _first_mismatch(pipe, b, horizon)
+            if n is not None:
+                raise SynthesisError(
+                    f"base {b} fails at n={n}: term gives {pipe.value(b, n)}, sequence needs {pipe.t_values[n]}"
+                )
             report = {"strategy": "forced", "evidence": "horizon-only", "checked_to": horizon}
     else:
         b, certified_from, report = _search_minimal_base(pipe, cert.b2, horizon)
@@ -563,9 +533,8 @@ def synthesize(
 
     term = build_extraction_term(pipe.a_plus, pipe.a_minus, pipe.b_plus, pipe.b_minus, pipe.h, b)
 
-    t = pipe.t_upto(horizon)
     for n in range(1, horizon + 1):
-        if evaluate(term, {"n": n}) != t[n]:
+        if evaluate(term, {"n": n}) != pipe.t_values[n]:
             raise SynthesisError(f"internal: built term disagrees with sequence at n={n}")
     valid_at_zero = evaluate(term, {"n": 0}) - c == rec.init[0]
 

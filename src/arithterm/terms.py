@@ -96,14 +96,13 @@ class EvalStats:
             self.peak_bits = bits
 
 
-def evaluate(
-    term: Term,
-    env: Mapping[str, int] | None = None,
-    *,
-    bit_budget: int = DEFAULT_BIT_BUDGET,
-    stats: EvalStats | None = None,
-) -> int:
-    """Value of ``term`` under ``env``; every intermediate is a natural number."""
+def evaluate(term: Term, env: Mapping[str, int] | None = None, *, stats: EvalStats | None = None) -> int:
+    """Value of ``term`` under ``env``; every intermediate is a natural number.
+
+    A power or product past DEFAULT_BIT_BUDGET bits, read at call time,
+    raises BudgetExceededError instead of being built.
+    """
+    bit_budget = DEFAULT_BIT_BUDGET
     env = env or {}
     for name, value in env.items():
         if value < 0:
@@ -391,35 +390,23 @@ def variables(t: Term) -> set[str]:
 # --- construction of extraction terms ----------------------------------------
 
 
-def _nat_poly_terms(coeffs: tuple[int, ...], h: int, base: int, var: str) -> Iterator[Term]:
-    """Terms base^(n^2 + j*n) weighted by coeffs, j = h - i, i ascending."""
+def _nat_terms(coeffs: tuple[int, ...], h: int, base: int, var: str, square: bool) -> Iterator[Term]:
+    """Terms base^(n^2 + j*n) (square) or base^(j*n) weighted by coeffs,
+    j = h - i, i ascending; without the square, j = 0 is the bare constant."""
     n = Var(var)
     nsq = BinOp("pow", n, Const(2))
     for i, coeff in enumerate(coeffs):
         if coeff == 0:
             continue
         j = h - i
-        if j == 0:
-            expo: Term = nsq
-        elif j == 1:
-            expo = BinOp("add", nsq, n)
-        else:
-            expo = BinOp("add", nsq, BinOp("mul", Const(j), n))
-        powt: Term = BinOp("pow", Const(base), expo)
-        yield powt if coeff == 1 else BinOp("mul", Const(coeff), powt)
-
-
-def _nat_den_terms(coeffs: tuple[int, ...], h: int, base: int, var: str) -> Iterator[Term]:
-    """Terms base^(j*n) weighted by coeffs, j = h - i, i ascending."""
-    n = Var(var)
-    for i, coeff in enumerate(coeffs):
-        if coeff == 0:
-            continue
-        j = h - i
-        if j == 0:
+        jn = None if j == 0 else n if j == 1 else BinOp("mul", Const(j), n)
+        if square:
+            expo = nsq if jn is None else BinOp("add", nsq, jn)
+        elif jn is None:
             yield Const(coeff)
             continue
-        expo = n if j == 1 else BinOp("mul", Const(j), n)
+        else:
+            expo = jn
         powt: Term = BinOp("pow", Const(base), expo)
         yield powt if coeff == 1 else BinOp("mul", Const(coeff), powt)
 
@@ -466,10 +453,10 @@ def build_extraction_term(
     if deg(a_plus, a_minus) >= h:
         raise ValueError("numerator difference degree must be below h")
 
-    num_plus = _sum_terms(_nat_poly_terms(a_plus, h, base, var))
-    num_minus = _sum_terms(_nat_poly_terms(a_minus, h, base, var))
-    den_plus = _sum_terms(_nat_den_terms(b_plus, h, base, var))
-    den_minus = _sum_terms(_nat_den_terms(b_minus, h, base, var))
+    num_plus = _sum_terms(_nat_terms(a_plus, h, base, var, True))
+    num_minus = _sum_terms(_nat_terms(a_minus, h, base, var, True))
+    den_plus = _sum_terms(_nat_terms(b_plus, h, base, var, False))
+    den_minus = _sum_terms(_nat_terms(b_minus, h, base, var, False))
     if num_plus is None or den_plus is None:
         raise ValueError("positive parts must be nonzero")
 
@@ -508,7 +495,7 @@ def extraction_value(
     every intermediate has O(h * n * log base) bits instead of the
     O(n^2 * log base) bits of evaluate on the built term.  The largest one,
     A times a residue mod D*x, is noted in ``stats`` and checked against
-    DEFAULT_BIT_BUDGET, the budget evaluate uses by default.
+    DEFAULT_BIT_BUDGET, the budget evaluate uses.
     """
     if base < 2 or n < 0:
         raise ValueError("need base >= 2 and n >= 0")

@@ -84,15 +84,14 @@ def verify_term(
     c: int,
     n_lo: int,
     n_hi: int,
-    var: str = "n",
 ) -> VerificationReport:
     """Check term(n) - c^(n+1) == oracle[n] for n in [n_lo, n_hi].
 
     Stops at the first mismatch.  ``oracle`` must cover indices up to n_hi.
     A blown evaluation budget aborts the run and is reported as such rather
-    than as a mismatch.  Terms that match_extraction recognises, with
-    ``var`` as their variable, are evaluated by extraction_value, all others
-    by evaluate.
+    than as a mismatch.  The term's variable is n; terms in n that
+    match_extraction recognises are evaluated by extraction_value, all
+    others by evaluate.
     """
     if n_lo < 0 or n_hi < n_lo:
         raise ValueError("need 0 <= n_lo <= n_hi")
@@ -101,7 +100,7 @@ def verify_term(
     stats = EvalStats()
     started = time.monotonic_ns()
     params = match_extraction(term)
-    if params is not None and params[-1] == var:
+    if params is not None and params[-1] == "n":
 
         def value(n: int) -> int:
             return extraction_value(*params[:-1], n, stats=stats)
@@ -109,7 +108,7 @@ def verify_term(
     else:
 
         def value(n: int) -> int:
-            return evaluate(term, {var: n}, stats=stats)
+            return evaluate(term, {"n": n}, stats=stats)
 
     checked = 0
     first_failure = None

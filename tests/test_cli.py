@@ -111,6 +111,14 @@ def test_eval_parse_error(capsys):
     assert "arithterm:" in err
 
 
+def test_eval_blown_budget_is_one_line_error(capsys):
+    code, out, err = run(capsys, "eval", "2^2^2^2^2^2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("arithterm: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_verify_fixture(capsys):
     code, out, _ = run(capsys, "verify", "--fixture", "A000045", "--to", "30")
     assert code == 0

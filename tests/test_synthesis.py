@@ -19,7 +19,6 @@ from arithterm.synthesis import (
     find_b1_m,
     find_b2,
     find_shift,
-    minimal_valid_b,
     pow_lt,
     radius_lower_bound,
     synthesize,
@@ -200,10 +199,10 @@ def test_bound_data_for_huge_initial_values_is_fast():
     assert cert.m.bit_length() == 190
 
 
-def test_minimal_valid_b_searches_below_b1():
-    assert minimal_valid_b(FIB, 0, 15626) == 3
-    assert minimal_valid_b(Recurrence(2, (-2, 1), (2, 2)), 0, 15626) == 4
-    assert minimal_valid_b(Recurrence(2, (-2, -1), (0, 1)), 0, 15626) == 3
+def test_base_search_goes_below_b1():
+    assert synthesize(FIB).b == 3
+    assert synthesize(Recurrence(2, (-2, 1), (2, 2))).b == 4
+    assert synthesize(Recurrence(2, (-2, -1), (0, 1))).b == 3
 
 
 def test_scan_then_bisect_fallback(monkeypatch):

@@ -87,13 +87,14 @@ def test_constants_are_natural():
         Const("3")
 
 
-def test_power_budget():
+def test_power_budget(monkeypatch):
     with pytest.raises(BudgetExceededError):
         ev("2^(2^100)")
     # small budgets also stop products
     big = BinOp("mul", Const(2**100), Const(2**100))
+    monkeypatch.setattr(terms, "DEFAULT_BIT_BUDGET", 150)
     with pytest.raises(BudgetExceededError):
-        evaluate(big, bit_budget=150)
+        evaluate(big)
 
 
 def test_power_budget_message_survives_huge_exponents():
