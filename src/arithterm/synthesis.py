@@ -17,14 +17,17 @@ generating function of t(n) = s(n) + c^(n+1).  The pipeline is:
    plus a witness (b1, m) whose inequalities in powers of b1 are decided
    exactly by pow_lt from rounded interval powers, never built in full;
 5. scan upward from a digit floor (no smaller base can fit t(n) into n
-   digits) for the least base that validates, by a sufficient certificate
-   plus direct checks on an initial segment; after _SCAN_LIMIT probes the
-   rest of the range up to b2 is bisected instead.
+   digits) for the least base that validates: it direct-checks on
+   [1, horizon], the dominance lemma gives a cutoff m_b past which the
+   term provably equals t(n), and the indices below m_b direct-check too;
+   after _SCAN_LIMIT probes the rest of the range up to b2 is bisected
+   instead.
 
 Everything is exact integer/Fraction arithmetic.  Certificates are only
 ever sufficient: a reported base is backed by a proof sketch (coefficient
-dominance + a window of digit-size checks + the radius bound), and bases
-rejected during the search merely failed to certify.
+dominance + a window of digit-size checks), and nearly every base rejected
+during the search passes that certificate but fails the direct check,
+mostly at n = 1.
 """
 
 from __future__ import annotations
@@ -81,7 +84,8 @@ def _dominated_from(den: tuple[int | Fraction, ...], base: int, values: tuple[in
     ``values`` obey sum_i den_i v(k-i) = 0, den_0 > 0.  The coefficient
     criterion sum_{i>=1} |den_i| base^(h-i) <= den_0 base^h carries the
     bound from k-h..k-1 to k, so such a window proves it for every later
-    index; it also keeps a term denominator D(base^n) positive.  The shift
+    index; it also keeps a term denominator D(base^n) positive and puts
+    every root of den at modulus >= 1/base.  The shift
     uses it for |s(k)| < c^(k+1), base search for t(k) < b^(k-2).  None
     when the criterion fails or ``values`` hold no window.
     """
@@ -315,7 +319,6 @@ class _Pipeline:
     b_plus: tuple[int, ...]
     b_minus: tuple[int, ...]
     h: int
-    rho: Fraction
     t_values: tuple[int, ...]
 
     def value(self, b: int, n: int) -> int:
@@ -326,10 +329,10 @@ class _Pipeline:
 def _prepare(rec: Recurrence, c: int, horizon: int) -> _Pipeline:
     """Pipeline for shift c, with t(0..depth-1).
 
-    depth covers every index base search reads once _bound_data has
-    accepted c_t, which has at most _M_BITS_CAP bits: 1/rho < 1 + c_t, so
-    m_rho <= _M_BITS_CAP, the window start is at most _WINDOW_CAP + 1, and
-    max(m_b - 1, horizon) < depth.
+    depth covers every index base search reads: the dominance window reads
+    t(0.._WINDOW_CAP + h), its start is at most _WINDOW_CAP + 1, so the
+    direct checks stop at max(_WINDOW_CAP, horizon), and the final replay
+    reads t(horizon).
     """
     gf_t = gf_shift(generating_function(rec), c)
     if gf_t.is_zero():
@@ -338,7 +341,7 @@ def _prepare(rec: Recurrence, c: int, horizon: int) -> _Pipeline:
     h = den_int.degree()
     if h < 1:
         raise SynthesisError("shifted sequence is eventually zero; no proper pole")
-    depth = max(_WINDOW_CAP + h + 1, horizon + 1, 300)
+    depth = max(_WINDOW_CAP + h + 1, horizon + 1)
     s = eval_oracle(rec, depth).values
     t = tuple(v + c ** (n + 1) for n, v in enumerate(s))
     for n, v in enumerate(t):
@@ -355,53 +358,48 @@ def _prepare(rec: Recurrence, c: int, horizon: int) -> _Pipeline:
         b_plus=b_plus.int_coeffs(),
         b_minus=b_minus.int_coeffs(),
         h=h,
-        rho=radius_lower_bound(den_int),
         t_values=t,
     )
 
 
 def _bound_data(pipe: _Pipeline) -> BoundsCertificate:
     """Validated bound data for the shifted sequence of a prepared pipeline."""
-    c_t = growth_constant(recurrence_from_denominator(Polynomial(pipe.den), pipe.t_values[: pipe.h]))
-    b1, m = find_b1_m(c_t, pipe.rho)
-    cert = BoundsCertificate(c=pipe.c, c_t=c_t, rho=pipe.rho, b1=b1, m=m, b2=find_b2(c_t, pipe.rho))
+    den = Polynomial(pipe.den)
+    c_t = growth_constant(recurrence_from_denominator(den, pipe.t_values[: pipe.h]))
+    rho = radius_lower_bound(den)
+    b1, m = find_b1_m(c_t, rho)
+    cert = BoundsCertificate(c=pipe.c, c_t=c_t, rho=rho, b1=b1, m=m, b2=find_b2(c_t, rho))
     cert.validate()
     return cert
 
 
-def _certify(pipe: _Pipeline, b: int) -> int | None:
-    """Cutoff m_b such that the term provably equals t(n) for n >= m_b.
+def _first_mismatch(pipe: _Pipeline, b: int, ns: range) -> int | None:
+    """Least n in ns where the term with base b misses t(n), if any."""
+    return next((n for n in ns if pipe.value(b, n) != pipe.t_values[n]), None)
 
-    Requires the digit-size bound t(k) < b^(k-2) from some window on, proven
-    by _dominated_from on the term's denominator within the first
-    _WINDOW_CAP + h + 1 values, and an index from which b^(-n) drops below
-    the radius bound.  Returns None if either cannot be established.
+
+def _certified_cutoff(pipe: _Pipeline, b: int, horizon: int) -> int | None:
+    """Cutoff m_b >= 2 from which the term with base b provably equals t(n),
+    if b also direct-checks on (horizon, m_b - 1]; None otherwise.
+
+    The term reads t(n) off the base-b^n digits of the generating function
+    at b^(-n), which needs the series to converge there and each t(k) to
+    fit its digit block.  _dominated_from on the term's denominator gives
+    both from m_b = max(start, 2) on: the coefficient criterion puts every
+    pole at modulus >= 1/b > b^(-n), and the window proves t(k) < b^(k-2).
     """
-    if b < 2:
-        return None
     start = _dominated_from(pipe.den, b, pipe.t_values[: _WINDOW_CAP + pipe.h + 1], -2)
     if start is None:
         return None
-    rho = pipe.rho
-    m_rho = 1
-    pw = b
-    while rho.numerator * pw <= rho.denominator:
-        m_rho += 1
-        pw *= b
-    return max(start, m_rho, 2)
-
-
-def _first_mismatch(pipe: _Pipeline, b: int, hi: int) -> int | None:
-    """Least n in [1, hi] where the term with base b misses t(n), if any."""
-    return next((n for n in range(1, hi + 1) if pipe.value(b, n) != pipe.t_values[n]), None)
+    m_b = max(start, 2)
+    return m_b if _first_mismatch(pipe, b, range(horizon + 1, m_b)) is None else None
 
 
 def _validated_cutoff(pipe: _Pipeline, b: int, horizon: int) -> int | None:
-    """Certify b and direct-check every n from 1 up to the cutoff/horizon."""
-    m_b = _certify(pipe, b)
-    if m_b is None or _first_mismatch(pipe, b, max(m_b - 1, horizon)) is not None:
+    """_certified_cutoff for a base that direct-checks on [1, horizon]."""
+    if _first_mismatch(pipe, b, range(1, horizon + 1)) is not None:
         return None
-    return m_b
+    return _certified_cutoff(pipe, b, horizon)
 
 
 def _digit_floor(pipe: _Pipeline, horizon: int) -> int:
@@ -511,15 +509,15 @@ def synthesize(
         if force_b < 2:
             raise ValueError("force_b must be at least 2")
         b = force_b
-        certified_from = _validated_cutoff(pipe, b, horizon)
+        n = _first_mismatch(pipe, b, range(1, horizon + 1))
+        if n is not None:
+            raise SynthesisError(
+                f"base {b} fails at n={n}: term gives {pipe.value(b, n)}, sequence needs {pipe.t_values[n]}"
+            )
+        certified_from = _certified_cutoff(pipe, b, horizon)
         if certified_from is not None:
             report = {"strategy": "forced", "evidence": "certified", "checked_to": max(certified_from - 1, horizon)}
         else:
-            n = _first_mismatch(pipe, b, horizon)
-            if n is not None:
-                raise SynthesisError(
-                    f"base {b} fails at n={n}: term gives {pipe.value(b, n)}, sequence needs {pipe.t_values[n]}"
-                )
             report = {"strategy": "forced", "evidence": "horizon-only", "checked_to": horizon}
     else:
         b, certified_from, report = _search_minimal_base(pipe, cert.b2, horizon)

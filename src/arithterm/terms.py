@@ -390,10 +390,10 @@ def variables(t: Term) -> set[str]:
 # --- construction of extraction terms ----------------------------------------
 
 
-def _nat_terms(coeffs: tuple[int, ...], h: int, base: int, var: str, square: bool) -> Iterator[Term]:
+def _nat_terms(coeffs: tuple[int, ...], h: int, base: int, square: bool) -> Iterator[Term]:
     """Terms base^(n^2 + j*n) (square) or base^(j*n) weighted by coeffs,
     j = h - i, i ascending; without the square, j = 0 is the bare constant."""
-    n = Var(var)
+    n = Var("n")
     nsq = BinOp("pow", n, Const(2))
     for i, coeff in enumerate(coeffs):
         if coeff == 0:
@@ -425,7 +425,6 @@ def build_extraction_term(
     b_minus: tuple[int, ...],
     h: int,
     base: int,
-    var: str = "n",
 ) -> Term:
     """Assemble fl(numerator / denominator) % base^n from split coefficients.
 
@@ -453,17 +452,17 @@ def build_extraction_term(
     if deg(a_plus, a_minus) >= h:
         raise ValueError("numerator difference degree must be below h")
 
-    num_plus = _sum_terms(_nat_terms(a_plus, h, base, var, True))
-    num_minus = _sum_terms(_nat_terms(a_minus, h, base, var, True))
-    den_plus = _sum_terms(_nat_terms(b_plus, h, base, var, False))
-    den_minus = _sum_terms(_nat_terms(b_minus, h, base, var, False))
+    num_plus = _sum_terms(_nat_terms(a_plus, h, base, True))
+    num_minus = _sum_terms(_nat_terms(a_minus, h, base, True))
+    den_plus = _sum_terms(_nat_terms(b_plus, h, base, False))
+    den_minus = _sum_terms(_nat_terms(b_minus, h, base, False))
     if num_plus is None or den_plus is None:
         raise ValueError("positive parts must be nonzero")
 
     num = num_plus if num_minus is None else BinOp("truncsub", num_plus, num_minus)
     den = den_plus if den_minus is None else BinOp("truncsub", den_plus, den_minus)
     quot = BinOp("floordiv", num, den)
-    modulus = BinOp("pow", Const(base), Var(var))
+    modulus = BinOp("pow", Const(base), Var("n"))
     return BinOp("mod", quot, modulus)
 
 
@@ -572,18 +571,18 @@ _MAX_MATCHED_H = 1 << 12
 def match_extraction(term: Term) -> tuple | None:
     """Arguments of build_extraction_term that rebuild ``term`` exactly, or None.
 
-    Returns (a_plus, a_minus, b_plus, b_minus, h, base, var) when the term
-    has the shape build_extraction_term produces, so extraction_value can
-    stand in for evaluate on it.  The shape is read off leniently and then
-    confirmed by rebuilding and comparing, so a match is exact by
-    construction; h is the largest multiple of n seen, which yields the
+    Returns (a_plus, a_minus, b_plus, b_minus, h, base) when the term has
+    the shape build_extraction_term produces (in the variable n), so
+    extraction_value can stand in for evaluate on it.  The shape is read
+    off leniently and then confirmed by rebuilding and comparing, so a
+    match is exact by construction; h is the largest multiple of n seen, which yields the
     same term as any larger h with leading zero coefficients.
     """
     match term:
         case BinOp(
             op="mod",
             left=BinOp(op="floordiv", left=num, right=den),
-            right=BinOp(op="pow", left=Const(value=base), right=Var(name=var)),
+            right=BinOp(op="pow", left=Const(value=base), right=Var(name="n")),
         ):
             pass
         case _:
@@ -604,7 +603,7 @@ def match_extraction(term: Term) -> tuple | None:
         for j, coeff in pairs:
             tup[h - j] += coeff
         coeffs.append(tuple(tup))
-    params = (*coeffs, h, base, var)
+    params = (*coeffs, h, base)
     try:
         rebuilt = build_extraction_term(*params)
     except ValueError:

@@ -89,7 +89,7 @@ def verify_term(
 
     Stops at the first mismatch.  ``oracle`` must cover indices up to n_hi.
     A blown evaluation budget aborts the run and is reported as such rather
-    than as a mismatch.  The term's variable is n; terms in n that
+    than as a mismatch.  The term's variable is n; terms that
     match_extraction recognises are evaluated by extraction_value, all
     others by evaluate.
     """
@@ -100,10 +100,10 @@ def verify_term(
     stats = EvalStats()
     started = time.monotonic_ns()
     params = match_extraction(term)
-    if params is not None and params[-1] == "n":
+    if params is not None:
 
         def value(n: int) -> int:
-            return extraction_value(*params[:-1], n, stats=stats)
+            return extraction_value(*params, n, stats=stats)
 
     else:
 

@@ -3,7 +3,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from arithterm import synthesis
@@ -14,7 +14,10 @@ from arithterm.synthesis import (
     AllZeroSequenceError,
     BoundsCertificate,
     SynthesisError,
+    _WINDOW_CAP,
     _bound_data,
+    _digit_floor,
+    _dominated_from,
     _prepare,
     find_b1_m,
     find_b2,
@@ -275,6 +278,18 @@ def test_synthesize_forced_shift_without_proof_is_horizon_only():
     assert report.first_failure is not None and report.first_failure.n == 315
 
 
+def test_forced_shift_past_the_dominance_window_is_horizon_only():
+    # 2*100^n - 101^n is first negative at n = 70, beyond the t(0..66) that
+    # base search reads, so the unproven shift 0 is not refused but labelled
+    rec = Recurrence(2, (-201, 10100), (1, 99))
+    assert min(n for n, v in enumerate(eval_oracle(rec, 80).values) if v < 0) == 70
+    r = synthesize(rec, force_c=0)
+    assert r.report["evidence"] == "horizon-only"
+    assert r.certified_from is None
+    assert r.report["checked_to"] == 40
+    assert verify_term(eval_oracle(rec, 41).values, r.term, 0, 1, 40).ok
+
+
 def test_synthesize_force_c_too_small_is_rejected():
     with pytest.raises(SynthesisError, match="negative term"):
         synthesize(SIGNED_U, force_c=1)
@@ -340,3 +355,40 @@ def test_synthesize_random_small_batch():
         r.certificate.validate()
         assert evaluate(r.term, {"n": 5}) - r.c**6 == oracle[5]
         done += 1
+
+
+def _window_start(pipe, b):
+    return _dominated_from(pipe.den, b, pipe.t_values[: _WINDOW_CAP + pipe.h + 1], -2)
+
+
+@st.composite
+def _recurrences(draw):
+    order = draw(st.integers(1, 3))
+    coeffs = draw(st.lists(st.integers(-5, 5), min_size=order, max_size=order))
+    assume(coeffs[-1] != 0)
+    init = draw(st.lists(st.integers(-10, 10), min_size=order, max_size=order))
+    assume(any(init))
+    return Recurrence(order, tuple(coeffs), tuple(init))
+
+
+@given(_recurrences())
+def test_dominance_window_proves_every_base_it_certifies(rec):
+    # every base the window certifies, whether or not the scan accepts it,
+    # equals t(n) from max(start, 2) on; t comes from the oracle because
+    # the pipeline holds only the prefix base search reads
+    c = find_shift(rec)
+    pipe = _prepare(rec, c, 40)
+    t = [v + c ** (n + 1) for n, v in enumerate(eval_oracle(rec, 81).values)]
+    floor = _digit_floor(pipe, 40)
+    for b in range(floor, floor + 21):
+        start = _window_start(pipe, b)
+        if start is None:
+            continue
+        for n in range(max(start, 2), 81):
+            assert pipe.value(b, n) == t[n], (b, start, n)
+
+
+def test_certified_from_is_the_window_start():
+    r = synthesize(FIB)
+    start = _window_start(_prepare(FIB, r.c, r.horizon), r.b)
+    assert start is not None and r.certified_from == max(start, 2)

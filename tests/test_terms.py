@@ -286,9 +286,9 @@ def test_extraction_value_matches_evaluate(data, n):
     term = build_extraction_term(*data)
     assert extraction_value(*data, n) == evaluate(term, {"n": n})
     params = match_extraction(term)
-    assert params is not None and params[-1] == "n"
+    assert params is not None
     assert build_extraction_term(*params) == term
-    assert extraction_value(*params[:-1], n) == evaluate(term, {"n": n})
+    assert extraction_value(*params, n) == evaluate(term, {"n": n})
 
 
 def test_extraction_value_stats_and_budget(monkeypatch):
@@ -310,7 +310,7 @@ def test_extraction_value_stats_and_budget(monkeypatch):
 
 def test_match_extraction_rejects_other_shapes():
     term = build_extraction_term((0, 1), (), (1,), (0, 1, 1), 2, 3)
-    assert match_extraction(term) == ((0, 1, 0), (0, 0, 0), (1, 0, 0), (0, 1, 1), 2, 3, "n")
+    assert match_extraction(term) == ((0, 1, 0), (0, 0, 0), (1, 0, 0), (0, 1, 1), 2, 3)
     assert match_extraction(BinOp("add", term, Const(0))) is None
     assert match_extraction(parse("fl(3^(n^2 + n) / (3^(2*n) -. (3^n + 1))) % 3^m")) is None
     assert match_extraction(parse("fl(3^(n^2 + n) / (3^(2*n) -. (3^n + 3^n))) % 3^n")) is None
