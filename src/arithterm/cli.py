@@ -27,7 +27,16 @@ from .catalog import fixtures, get_fixture
 from .polys import clear_denominators
 from .recurrence import NonIntegerTermError, Recurrence, eval_oracle, generating_function, gf_shift
 from .synthesis import AllZeroSequenceError, SynthesisError, synthesize
-from .terms import BudgetExceededError, ParseError, evaluate, parse, render, term_from_json, term_to_json
+from .terms import (
+    BudgetExceededError,
+    ParseError,
+    UnboundVariableError,
+    evaluate,
+    parse,
+    render,
+    term_from_json,
+    term_to_json,
+)
 from .verify import verify_term
 
 
@@ -240,8 +249,20 @@ def main(argv=None) -> int:
     except AllZeroSequenceError as exc:
         print(f"arithterm: {exc}", file=sys.stderr)
         return 2
-    except (ParseError, NonIntegerTermError, SynthesisError, BudgetExceededError, ValueError, OSError) as exc:
+    except (
+        ParseError,
+        NonIntegerTermError,
+        SynthesisError,
+        BudgetExceededError,
+        UnboundVariableError,
+        ValueError,
+        OSError,
+    ) as exc:
         print(f"arithterm: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        # parse, evaluate and the term codecs recurse once per nesting level
+        print("arithterm: term nests too deeply", file=sys.stderr)
         return 1
 
 

@@ -375,7 +375,10 @@ def _bound_data(pipe: _Pipeline) -> BoundsCertificate:
 
 def _first_mismatch(pipe: _Pipeline, b: int, ns: range) -> int | None:
     """Least n in ns where the term with base b misses t(n), if any."""
-    return next((n for n in ns if pipe.value(b, n) != pipe.t_values[n]), None)
+    for n in ns:
+        if pipe.value(b, n) != pipe.t_values[n]:
+            return n
+    return None
 
 
 def _certified_cutoff(pipe: _Pipeline, b: int, horizon: int) -> int | None:

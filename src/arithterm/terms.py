@@ -99,54 +99,54 @@ class EvalStats:
 def evaluate(term: Term, env: Mapping[str, int] | None = None, *, stats: EvalStats | None = None) -> int:
     """Value of ``term`` under ``env``; every intermediate is a natural number.
 
-    A power or product past DEFAULT_BIT_BUDGET bits, read at call time,
-    raises BudgetExceededError instead of being built.
+    ``env`` maps names to natural ints (bool and non-int values raise
+    TypeError).  A power or product past DEFAULT_BIT_BUDGET bits, read at
+    call time, raises BudgetExceededError instead of being built.
     """
     bit_budget = DEFAULT_BIT_BUDGET
     env = env or {}
     for name, value in env.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise TypeError(f"environment value for {name!r} must be an int")
         if value < 0:
             raise ValueError(f"environment value for {name!r} must be >= 0")
 
     def go(t: Term) -> int:
-        match t:
-            case Const(value=v):
-                return v
-            case Var(name=name):
-                try:
-                    return env[name]
-                except KeyError:
-                    raise UnboundVariableError(name) from None
-            case BinOp(op=op, left=left, right=right):
-                a = go(left)
-                if op == "pow":
-                    e = go(right)
-                    if a > 1 and e * a.bit_length() > bit_budget:
-                        # e can be too long to print, so report bit lengths
-                        raise BudgetExceededError(
-                            f"power of a {a.bit_length()}-bit base to a {e.bit_length()}-bit "
-                            f"exponent exceeds the budget of {bit_budget} bits"
-                        )
-                    out = a**e
-                else:
-                    b = go(right)
-                    if op == "add":
-                        out = a + b
-                    elif op == "truncsub":
-                        out = a - b if a > b else 0
-                    elif op == "mul":
-                        if a.bit_length() + b.bit_length() > bit_budget:
-                            raise BudgetExceededError(
-                                f"product needs about {a.bit_length() + b.bit_length()} bits"
-                            )
-                        out = a * b
-                    elif op == "floordiv":
-                        out = a // b if b else 0
-                    else:  # mod
-                        out = a % b if b else a
-                if stats is not None:
-                    stats.note(out)
-                return out
+        kind = type(t)
+        if kind is BinOp:
+            op = t.op
+            a = go(t.left)
+            b = go(t.right)
+            if op == "pow":
+                if a > 1 and b * a.bit_length() > bit_budget:
+                    # b can be too long to print, so report bit lengths
+                    raise BudgetExceededError(
+                        f"power of a {a.bit_length()}-bit base to a {b.bit_length()}-bit "
+                        f"exponent exceeds the budget of {bit_budget} bits"
+                    )
+                out = a**b
+            elif op == "mul":
+                if a.bit_length() + b.bit_length() > bit_budget:
+                    raise BudgetExceededError(f"product needs about {a.bit_length() + b.bit_length()} bits")
+                out = a * b
+            elif op == "add":
+                out = a + b
+            elif op == "truncsub":
+                out = a - b if a > b else 0
+            elif op == "floordiv":
+                out = a // b if b else 0
+            else:  # mod
+                out = a % b if b else a
+            if stats is not None:
+                stats.note(out)
+            return out
+        if kind is Const:
+            return t.value
+        if kind is Var:
+            try:
+                return env[t.name]
+            except KeyError:
+                raise UnboundVariableError(t.name) from None
         raise TypeError(f"not a term: {t!r}")
 
     return go(term)
@@ -467,11 +467,14 @@ def build_extraction_term(
 
 
 def _nat_poly_at(coeffs: tuple[int, ...], h: int, x: int) -> int:
-    """sum of coeffs[i] * x^(h-i), by Horner's rule."""
+    """sum of coeffs[i] * x^(h-i), by Horner's rule; len(coeffs) <= h + 1.
+
+    An empty tuple is 0 without forming x^(h+1).
+    """
     acc = 0
-    for i in range(h + 1):
-        acc = acc * x + (coeffs[i] if i < len(coeffs) else 0)
-    return acc
+    for coeff in coeffs:
+        acc = acc * x + coeff
+    return acc * x ** (h + 1 - len(coeffs)) if acc else 0
 
 
 def extraction_value(
@@ -498,7 +501,7 @@ def extraction_value(
     """
     if base < 2 or n < 0:
         raise ValueError("need base >= 2 and n >= 0")
-    if any(len(cs) > h + 1 for cs in (a_plus, a_minus, b_plus, b_minus)):
+    if max(len(a_plus), len(a_minus), len(b_plus), len(b_minus)) > h + 1:
         raise ValueError("coefficient tuples must not be longer than h + 1")
     if n * base.bit_length() > DEFAULT_BIT_BUDGET:
         raise BudgetExceededError(

@@ -119,6 +119,22 @@ def test_eval_blown_budget_is_one_line_error(capsys):
     assert "Traceback" not in err
 
 
+def test_eval_unbound_variable_is_one_line_error(capsys):
+    code, out, err = run(capsys, "eval", "m + 1", "--n", "3")
+    assert code == 1
+    assert out == ""
+    assert err == "arithterm: unbound variable: m\n"
+
+
+def test_eval_deeply_nested_term_is_one_line_error(capsys):
+    # a left-deep sum overflows evaluate's recursion, nested parentheses the parser's
+    for src in ("+".join(["1"] * 3000), "(" * 2000 + "1" + ")" * 2000):
+        code, out, err = run(capsys, "eval", src)
+        assert code == 1
+        assert out == ""
+        assert err == "arithterm: term nests too deeply\n"
+
+
 def test_verify_fixture(capsys):
     code, out, _ = run(capsys, "verify", "--fixture", "A000045", "--to", "30")
     assert code == 0

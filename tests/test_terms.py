@@ -1,8 +1,9 @@
 import json
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from arithterm import terms
@@ -78,6 +79,13 @@ def test_variables_and_env():
         ev("n + 1")
     with pytest.raises(ValueError):
         evaluate(Var("n"), {"n": -1})
+
+
+def test_env_values_must_be_ints():
+    # a float would silently leave the naturals: n + 1 at 2.5 was 3.5
+    for bad in (2.5, 2.0, True, "2", None):
+        with pytest.raises(TypeError):
+            evaluate(parse("n + 1"), {"n": bad})
 
 
 def test_constants_are_natural():
@@ -228,6 +236,62 @@ def test_round_trip_preserves_value(t):
     except BudgetExceededError:
         return
     assert evaluate(parse(render(t)), env) == expected
+
+
+def reference_value(t, n, budget):
+    """(value, peak bits of the operator results) of t at n, straight from
+    the module docstring's conventions, with evaluate's budget rule."""
+    if isinstance(t, Const):
+        return t.value, 0
+    if isinstance(t, Var):
+        return n, 0
+    x, px = reference_value(t.left, n, budget)
+    y, py = reference_value(t.right, n, budget)
+    if t.op == "add":
+        v = x + y
+    elif t.op == "truncsub":
+        v = max(x - y, 0)
+    elif t.op == "mul":
+        if x.bit_length() + y.bit_length() > budget:
+            raise BudgetExceededError("product")
+        v = x * y
+    elif t.op == "floordiv":
+        v = 0 if y == 0 else x // y
+    elif t.op == "pow":
+        if x > 1 and y * x.bit_length() > budget:
+            raise BudgetExceededError("power")
+        v = 1 if y == 0 else x**y
+    else:
+        v = x if y == 0 else x - y * (x // y)
+    return v, max(px, py, v.bit_length())
+
+
+@st.composite
+def small_terms(draw, depth=6):
+    if depth == 0 or draw(st.integers(0, 2)) == 0:
+        if draw(st.booleans()):
+            return Const(draw(st.integers(0, 20)))
+        return Var("n")
+    op = draw(st.sampled_from(["add", "truncsub", "mul", "floordiv", "pow", "mod"]))
+    return BinOp(op, draw(small_terms(depth - 1)), draw(small_terms(depth - 1)))
+
+
+# small budgets, so that products and powers cross them often
+@settings(max_examples=400)
+@given(small_terms(), st.integers(0, 6), st.integers(4, 64))
+def test_evaluate_matches_reference(t, n, budget):
+    try:
+        expected, peak = reference_value(t, n, budget)
+    except BudgetExceededError:
+        expected = None
+    stats = EvalStats()
+    with mock.patch.object(terms, "DEFAULT_BIT_BUDGET", budget):
+        if expected is None:
+            with pytest.raises(BudgetExceededError):
+                evaluate(t, {"n": n}, stats=stats)
+            return
+        assert evaluate(t, {"n": n}, stats=stats) == expected
+    assert stats.peak_bits == peak
 
 
 def test_variables():
