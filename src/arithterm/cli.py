@@ -63,13 +63,21 @@ def _load_spec(arg: str) -> Recurrence:
         return Recurrence.from_json(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"spec is not valid JSON: {exc}") from None
+    except RecursionError:
+        # json.loads recurses once per nested array or object
+        raise ValueError("spec nests too deeply") from None
 
 
 def _cmd_synth(args) -> int:
     rec = _load_spec(args.spec)
     result = synthesize(rec, horizon=args.horizon, force_c=args.force_c, force_b=args.force_b)
     if args.format == "json":
-        print(json.dumps(result.to_json_dict(), indent=2))
+        try:
+            text = json.dumps(result.to_json_dict(), indent=2)
+        except RecursionError:
+            # json.dumps recurses twice per nesting level of term_json
+            raise BudgetExceededError("term nests too deeply") from None
+        print(text)
         return 0
     cert = result.certificate
     print(f"term: {render(result.term, args.format)}")
@@ -102,7 +110,10 @@ def _cmd_verify(args) -> int:
         n_lo = args.n_from if args.n_from is not None else fix.valid_from
     elif args.result is not None:
         with open(args.result, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except RecursionError:
+                raise ValueError("result file nests too deeply") from None
         rec = Recurrence.from_json_dict(data["recurrence"])
         term = term_from_json(data["term_json"]) if "term_json" in data else parse(data["term"])
         c = int(data["c"])
@@ -259,10 +270,6 @@ def main(argv=None) -> int:
         OSError,
     ) as exc:
         print(f"arithterm: {exc}", file=sys.stderr)
-        return 1
-    except RecursionError:
-        # parse, evaluate and the term codecs recurse once per nesting level
-        print("arithterm: term nests too deeply", file=sys.stderr)
         return 1
 
 

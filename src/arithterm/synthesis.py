@@ -19,9 +19,11 @@ generating function of t(n) = s(n) + c^(n+1).  The pipeline is:
 5. scan upward from a digit floor (no smaller base can fit t(n) into n
    digits) for the least base that validates: it direct-checks on
    [1, horizon], the dominance lemma gives a cutoff m_b past which the
-   term provably equals t(n), and the indices below m_b direct-check too;
-   after _SCAN_LIMIT probes the rest of the range up to b2 is bisected
-   instead.
+   term provably equals t(n), and the indices below m_b direct-check too.
+   After a base fails, the carry of its n = 1 digit can prove that a run
+   of larger bases fails at n = 1 as well; the scan jumps over that run,
+   so it still returns the least valid base.  After _SCAN_LIMIT probes
+   the rest of the range up to b2 is bisected instead.
 
 Everything is exact integer/Fraction arithmetic.  Certificates are only
 ever sufficient: a reported base is backed by a proof sketch (coefficient
@@ -46,7 +48,7 @@ from .recurrence import (
     is_provably_nonnegative,
     recurrence_from_denominator,
 )
-from .terms import Term, build_extraction_term, evaluate, extraction_value
+from .terms import Term, _nat_poly_at, build_extraction_term, evaluate, extraction_value
 
 _SHIFT_CAP = 64  # how far to look for the start of a growth window
 _WINDOW_CAP = 64  # how far to look for the digit-size window of a base
@@ -78,19 +80,30 @@ def radius_lower_bound(den: Polynomial) -> Fraction:
     return abs(d0) / (abs(d0) + top)
 
 
+def _coefficient_slack(den: tuple[int | Fraction, ...], base: int) -> int | Fraction:
+    """den_0 base^h - sum_{i>=1} |den_i| base^(h-i), for h = len(den) - 1.
+
+    The coefficient criterion holds at ``base`` when this is >= 0, and
+    strictly when it is > 0; strictly, den has no root in |z| <= 1/base.
+    Both only get easier as the base grows.
+    """
+    h = len(den) - 1
+    return den[0] * base**h - sum(abs(d) * base ** (h - i) for i, d in enumerate(den[1:], start=1))
+
+
 def _dominated_from(den: tuple[int | Fraction, ...], base: int, values: tuple[int, ...], offset: int) -> int | None:
     """First index of h = len(den) - 1 consecutive |v(k)| < base^(k+offset).
 
     ``values`` obey sum_i den_i v(k-i) = 0, den_0 > 0.  The coefficient
-    criterion sum_{i>=1} |den_i| base^(h-i) <= den_0 base^h carries the
-    bound from k-h..k-1 to k, so such a window proves it for every later
-    index; it also keeps a term denominator D(base^n) positive and puts
-    every root of den at modulus >= 1/base.  The shift
+    criterion (_coefficient_slack >= 0) carries the bound from k-h..k-1 to
+    k, so such a window proves it for every later index; it also keeps a
+    term denominator D(base^n) positive and puts every root of den at
+    modulus >= 1/base.  The shift
     uses it for |s(k)| < c^(k+1), base search for t(k) < b^(k-2).  None
     when the criterion fails or ``values`` hold no window.
     """
     h = len(den) - 1
-    if sum(abs(d) * base ** (h - i) for i, d in enumerate(den[1:], start=1)) > den[0] * base**h:
+    if _coefficient_slack(den, base) < 0:
         return None
     # |v| < base^(k+offset), decided in integers
     scale, pw = base ** max(-offset, 0), base ** max(offset, 0)
@@ -413,7 +426,71 @@ def _digit_floor(pipe: _Pipeline, horizon: int) -> int:
     return lo
 
 
-def _search_minimal_base(pipe: _Pipeline, b2: int, horizon: int) -> tuple[int, int, dict]:
+def _carry(pipe: _Pipeline, b: int) -> int | None:
+    """F(b) = floor(b A(b) / D(b)) - t(0) b - t(1), or None when A(b) <= 0 or
+    D(b) <= 0; the term with base b gives (t(1) + F(b)) mod b at n = 1."""
+    h = pipe.h
+    num = _nat_poly_at(pipe.a_plus, h, b) - _nat_poly_at(pipe.a_minus, h, b)
+    den = _nat_poly_at(pipe.b_plus, h, b) - _nat_poly_at(pipe.b_minus, h, b)
+    if num <= 0 or den <= 0:
+        return None
+    return b * num // den - pipe.t_values[0] * b - pipe.t_values[1]
+
+
+def _past_carry_run(pipe: _Pipeline, b: int, b2: int) -> int:
+    """The next base to probe after b < b2, for a pipeline and base at which
+    the carry lemma of _search_minimal_base applies: b + 1 unless
+    1 <= F(b) < b, else the least b' > b with F(b') = 0, clamped at b2.
+    Found by galloping b + 1, b + 2, b + 4, ... and bisecting the last
+    gap, on the invariant F(lo) >= 1.
+    """
+    f = _carry(pipe, b)
+    if f is None or not 1 <= f < b:
+        return b + 1
+
+    def carries(x: int) -> bool:
+        return (_carry(pipe, x) or 0) >= 1
+
+    lo, hi, step = b, b + 1, 1
+    while hi < b2 and carries(hi):
+        lo, step = hi, 2 * step
+        hi = min(b + step, b2)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if carries(mid):
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def _search_minimal_base(pipe: _Pipeline, b2: int, horizon: int, shift_proven: bool) -> tuple[int, int, dict]:
+    """Least base in [digit floor, b2] that _validated_cutoff accepts, with
+    its cutoff m_b and a report; report["probes"] counts _validated_cutoff
+    calls, and carry evaluations are not probes.
+
+    A base b that fails is followed by b + 1, or by a jump over bases the
+    n = 1 carry proves to fail.  With x = b, A(b) = A+(b) - A-(b) and
+    D(b) = B+(b) - B-(b) as in extraction_value, the term at n = 1 is
+    floor(b A(b) / D(b)) mod b, so with the carry F(b) of _carry it passes
+    n = 1 iff (t(1) + F(b)) mod b == t(1).  Suppose the shift is proven
+    (t(k) >= 0 for every k) and the coefficient criterion holds strictly at
+    b (_coefficient_slack > 0), so den has no root in |z| <= 1/b', and
+    D(b') > 0, for every b' >= b.  Then b' A(b') / D(b') is the convergent
+    series sum_k t(k) b'^(1-k), A(b') > 0, and
+    F(b') = floor(sum_{k>=2} t(k) b'^(1-k)) does not increase as b' grows.
+    So if 1 <= F(b) < b, every b' > b below the least b* with F(b*) = 0
+    has 1 <= F(b') <= F(b) < b', so F(b') is no multiple of b' and b'
+    fails at n = 1, and the search goes on at b*
+    (_past_carry_run).  F(b) >= b gives no jump, since a carry that is a
+    multiple of b can pass: A000129 passes at b = 3 with carry 3.  Nor does
+    an unproven shift (a forced c), whose t may turn negative past the
+    prefix.  Only bases proven to fail are skipped, so the result is still
+    the least valid base.
+
+    After _SCAN_LIMIT probes the rest of the range up to b2 is bisected,
+    which is only minimal where validity is monotone.
+    """
     lo = min(_digit_floor(pipe, horizon), b2)
     probes = 0
     b = lo
@@ -422,7 +499,10 @@ def _search_minimal_base(pipe: _Pipeline, b2: int, horizon: int) -> tuple[int, i
         m_b = _validated_cutoff(pipe, b, horizon)
         if m_b is not None:
             return b, m_b, {"strategy": "scan", "probes": probes, "scanned_from": lo}
-        b += 1
+        if shift_proven and b < b2 and _coefficient_slack(pipe.den, b) > 0:
+            b = _past_carry_run(pipe, b, b2)
+        else:
+            b += 1
     if b > b2:
         raise SynthesisError("no base up to b2 validated; bound data is inconsistent")
     # wide gap up to b2: fall back to bisection, which finds a valid base
@@ -523,7 +603,7 @@ def synthesize(
         else:
             report = {"strategy": "forced", "evidence": "horizon-only", "checked_to": horizon}
     else:
-        b, certified_from, report = _search_minimal_base(pipe, cert.b2, horizon)
+        b, certified_from, report = _search_minimal_base(pipe, cert.b2, horizon, shift_proven)
         report["evidence"] = "certified"
         report["checked_to"] = max(certified_from - 1, horizon)
     if not shift_proven:

@@ -39,6 +39,11 @@ _OPS = ("add", "truncsub", "mul", "floordiv", "pow", "mod")
 
 DEFAULT_BIT_BUDGET = 1 << 26
 
+# parse, evaluate, render and term_to_json recurse once per nesting level;
+# past the interpreter's recursion limit they raise ParseError or
+# BudgetExceededError with this message
+_TOO_DEEP = "term nests too deeply"
+
 
 class BudgetExceededError(RuntimeError):
     """Evaluation would produce an integer beyond the configured bit budget."""
@@ -149,15 +154,18 @@ def evaluate(term: Term, env: Mapping[str, int] | None = None, *, stats: EvalSta
                 raise UnboundVariableError(t.name) from None
         raise TypeError(f"not a term: {t!r}")
 
-    return go(term)
+    try:
+        return go(term)
+    except RecursionError:
+        raise BudgetExceededError(_TOO_DEEP) from None
 
 
 # --- parsing ---------------------------------------------------------------
 
 
 class ParseError(ValueError):
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
+    def __init__(self, message: str, position: int | None = None):
+        super().__init__(message if position is None else f"{message} (at position {position})")
         self.position = position
 
 
@@ -283,7 +291,10 @@ class _Parser:
 
 def parse(src: str) -> Term:
     p = _Parser(src)
-    out = p.term()
+    try:
+        out = p.term()
+    except RecursionError:
+        raise ParseError(_TOO_DEEP) from None
     tail = p.peek()
     if tail.kind != "end":
         raise ParseError(f"trailing input {tail.text!r}", tail.pos)
@@ -338,15 +349,22 @@ def _render_latex(t: Term, need: int) -> str:
     raise TypeError(f"not a term: {t!r}")
 
 
-def term_to_json(t: Term) -> dict:
+def _json_node(t: Term) -> dict:
     match t:
         case Const(value=v):
             return {"const": str(v)}
         case Var(name=name):
             return {"var": name}
         case BinOp(op=op, left=left, right=right):
-            return {"op": op, "args": [term_to_json(left), term_to_json(right)]}
+            return {"op": op, "args": [_json_node(left), _json_node(right)]}
     raise TypeError(f"not a term: {t!r}")
+
+
+def term_to_json(t: Term) -> dict:
+    try:
+        return _json_node(t)
+    except RecursionError:
+        raise BudgetExceededError(_TOO_DEEP) from None
 
 
 def term_from_json(data: dict) -> Term:
@@ -365,12 +383,16 @@ def term_from_json(data: dict) -> Term:
 
 
 def render(t: Term, fmt: str = "text") -> str:
-    if fmt == "text":
-        return _render_text(t, 0)
-    if fmt == "latex":
-        return _render_latex(t, 0)
-    if fmt == "json":
-        return json.dumps(term_to_json(t))
+    try:
+        if fmt == "text":
+            return _render_text(t, 0)
+        if fmt == "latex":
+            return _render_latex(t, 0)
+        if fmt == "json":
+            # json.dumps recurses too, twice per nesting level
+            return json.dumps(_json_node(t))
+    except RecursionError:
+        raise BudgetExceededError(_TOO_DEEP) from None
     raise ValueError(f"unknown format: {fmt!r}")
 
 
@@ -611,4 +633,8 @@ def match_extraction(term: Term) -> tuple | None:
         rebuilt = build_extraction_term(*params)
     except ValueError:
         return None
-    return params if rebuilt == term else None
+    try:
+        return params if rebuilt == term else None
+    except RecursionError:
+        # == recurses once per nesting level; evaluate reports such a term
+        return None

@@ -135,6 +135,25 @@ def test_eval_deeply_nested_term_is_one_line_error(capsys):
         assert err == "arithterm: term nests too deeply\n"
 
 
+def test_synth_json_of_a_term_too_deep_to_dump_is_one_line_error(capsys):
+    # s(n) = s(n - 520) has 520 numerator summands: term_to_json still
+    # walks the term, but json.dumps needs two levels per term level
+    order = 520
+    spec = json.dumps({"order": order, "coeffs": [0] * (order - 1) + [-1], "init": list(range(1, order + 1))})
+    code, out, err = run(capsys, "synth", spec, "--horizon", "3", "--format", "json")
+    assert (code, out, err) == (1, "", "arithterm: term nests too deeply\n")
+
+
+def test_deeply_nested_json_is_one_line_error(capsys, tmp_path):
+    # json.loads recurses once per nested array or object
+    code, out, err = run(capsys, "synth", '{"order": ' + "[" * 5000 + "]" * 5000 + "}")
+    assert (code, out, err) == (1, "", "arithterm: spec nests too deeply\n")
+    path = tmp_path / "result.json"
+    path.write_text("[" * 5000 + "]" * 5000, encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--result", str(path))
+    assert (code, out, err) == (1, "", "arithterm: result file nests too deeply\n")
+
+
 def test_verify_fixture(capsys):
     code, out, _ = run(capsys, "verify", "--fixture", "A000045", "--to", "30")
     assert code == 0

@@ -16,9 +16,12 @@ from arithterm.synthesis import (
     SynthesisError,
     _WINDOW_CAP,
     _bound_data,
+    _coefficient_slack,
     _digit_floor,
     _dominated_from,
+    _past_carry_run,
     _prepare,
+    _validated_cutoff,
     find_b1_m,
     find_b2,
     find_shift,
@@ -202,6 +205,18 @@ def test_bound_data_for_huge_initial_values_is_fast():
     assert cert.m.bit_length() == 190
 
 
+def test_synthesize_huge_initial_values():
+    # the carry at n = 1 jumps the search from the digit floor near 2^181
+    # to 2^182 + 9; one base at a time it never finished
+    rec = Recurrence(2, (-1, -1), (2**181, 2**181 + 7))
+    started = time.perf_counter()
+    r = synthesize(rec)
+    assert time.perf_counter() - started < 10
+    assert r.b == 2**182 + 9
+    assert (r.report["strategy"], r.report["evidence"]) == ("scan", "certified")
+    assert verify_term(eval_oracle(rec, 41).values, r.term, r.c, 1, 40).ok
+
+
 def test_base_search_goes_below_b1():
     assert synthesize(FIB).b == 3
     assert synthesize(Recurrence(2, (-2, 1), (2, 2))).b == 4
@@ -288,6 +303,15 @@ def test_forced_shift_past_the_dominance_window_is_horizon_only():
     assert r.certified_from is None
     assert r.report["checked_to"] == 40
     assert verify_term(eval_oracle(rec, 41).values, r.term, 0, 1, 40).ok
+
+
+def test_unproven_shift_probes_every_base():
+    # the carry lemma needs t(k) >= 0 for every k, which a forced shift
+    # without a proof does not give, so no base is jumped over
+    rec = Recurrence(2, (-201, 10100), (1, 99))
+    r = synthesize(rec, force_c=0)
+    assert r.report["evidence"] == "horizon-only"
+    assert r.report["probes"] == r.b - r.report["scanned_from"] + 1 == 9799
 
 
 def test_synthesize_force_c_too_small_is_rejected():
@@ -392,3 +416,32 @@ def test_certified_from_is_the_window_start():
     r = synthesize(FIB)
     start = _window_start(_prepare(FIB, r.c, r.horizon), r.b)
     assert start is not None and r.certified_from == max(start, 2)
+
+
+PELL = Recurrence(2, (-2, -1), (0, 1))  # passes n = 1 at b = 3 with carry 3
+
+
+@given(_recurrences())
+@example(PELL)
+@example(FIB)
+@example(Recurrence(1, (2,), (2,)))  # carries >= b that are not multiples of b
+def test_carry_jumps_skip_only_bases_that_fail_at_n1(rec):
+    c = find_shift(rec)
+    pipe = _prepare(rec, c, 40)
+    b2 = _bound_data(pipe).b2
+    floor = _digit_floor(pipe, 40)
+    skipped = set()
+    for b in range(floor, min(floor + 21, b2)):
+        if _coefficient_slack(pipe.den, b) > 0:
+            skipped.update(range(b + 1, _past_carry_run(pipe, b, b2)))
+    for b in skipped:
+        assert pipe.value(b, 1) != pipe.t_values[1], b
+
+
+@given(_recurrences())
+@example(PELL)
+def test_search_finds_the_least_base_a_full_scan_finds(rec):
+    r = synthesize(rec)
+    pipe = _prepare(rec, r.c, r.horizon)
+    assert all(_validated_cutoff(pipe, b, r.horizon) is None for b in range(_digit_floor(pipe, r.horizon), r.b))
+    assert _validated_cutoff(pipe, r.b, r.horizon) == r.certified_from

@@ -111,6 +111,21 @@ def test_power_budget_message_survives_huge_exponents():
         evaluate(parse("n^((9^82)^55)"), {"n": 3})
 
 
+def test_deep_terms_raise_budget_exceeded():
+    # a left-deep sum past the recursion limit: the parser builds it in a
+    # loop, but every walker recurses through it
+    deep = parse("+".join(["1"] * 3000))
+    for walk in (evaluate, render, term_to_json, lambda t: render(t, "latex"), lambda t: render(t, "json")):
+        with pytest.raises(BudgetExceededError, match="^term nests too deeply$"):
+            walk(deep)
+
+
+def test_deep_parentheses_raise_parse_error():
+    with pytest.raises(ParseError, match="^term nests too deeply$") as err:
+        parse("(" * 2000 + "1" + ")" * 2000)
+    assert err.value.position is None
+
+
 def test_eval_stats_track_peak():
     stats = EvalStats()
     evaluate(parse("2^10 + 1"), stats=stats)

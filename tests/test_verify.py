@@ -2,7 +2,7 @@ import pytest
 
 from arithterm.catalog import fixtures, get_fixture
 from arithterm.recurrence import eval_oracle, generating_function
-from arithterm.terms import BinOp, Const, evaluate, extraction_value, match_extraction, parse
+from arithterm.terms import BinOp, Const, build_extraction_term, evaluate, extraction_value, match_extraction, parse
 from arithterm.verify import extraction_direct, verify_catalog, verify_term
 
 FIB = get_fixture("A000045").recurrence
@@ -51,6 +51,17 @@ def test_verify_term_aborts_on_budget():
     assert report.checked == 5
     assert report.first_failure is None
     assert report.aborted is not None and report.aborted.startswith("n=5")
+
+
+def test_verify_term_aborts_on_a_term_too_deep_to_walk():
+    # a left-deep sum, and an extraction term with 1500 summands a side,
+    # which match_extraction cannot confirm by comparing with its rebuild
+    h = 1500
+    for term in (parse("+".join(["1"] * 3000)), build_extraction_term((1,) * h, (), (2,) + (1,) * h, (), h, 3)):
+        report = verify_term([0] * 3, term, 0, 0, 2)
+        assert not report.ok
+        assert report.checked == 0
+        assert report.aborted == "n=0: term nests too deeply"
 
 
 def test_fast_path_and_evaluate_agree_on_reports():
