@@ -31,6 +31,7 @@ from .terms import (
     BudgetExceededError,
     ParseError,
     UnboundVariableError,
+    dump_term_json,
     evaluate,
     parse,
     render,
@@ -68,16 +69,37 @@ def _load_spec(arg: str) -> Recurrence:
         raise ValueError("spec nests too deeply") from None
 
 
+def _load_result(path: str):
+    """Recurrence, term, shift and valid_from of a synth --format json file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            # json.load recurses once per nested array or object
+            raise ValueError("result file nests too deeply") from None
+    if not isinstance(data, dict):
+        raise ValueError("result file must be a JSON object")
+    if "term_json" in data:
+        term = term_from_json(data["term_json"])
+    elif isinstance(data.get("term"), str):
+        term = parse(data["term"])
+    else:
+        raise ValueError("result file needs a term_json object or a term string")
+    try:
+        rec = Recurrence.from_json_dict(data["recurrence"])
+        return rec, term, int(data["c"]), int(data.get("valid_from", 1))
+    except KeyError as exc:
+        raise ValueError(f"result file is missing field {exc}") from None
+    except TypeError as exc:
+        # int() of a list or null
+        raise ValueError(f"malformed result file: {exc}") from None
+
+
 def _cmd_synth(args) -> int:
     rec = _load_spec(args.spec)
     result = synthesize(rec, horizon=args.horizon, force_c=args.force_c, force_b=args.force_b)
     if args.format == "json":
-        try:
-            text = json.dumps(result.to_json_dict(), indent=2)
-        except RecursionError:
-            # json.dumps recurses twice per nesting level of term_json
-            raise BudgetExceededError("term nests too deeply") from None
-        print(text)
+        print(dump_term_json(result.to_json_dict(), indent=2))
         return 0
     cert = result.certificate
     print(f"term: {render(result.term, args.format)}")
@@ -109,15 +131,8 @@ def _cmd_verify(args) -> int:
         rec = fix.recurrence
         n_lo = args.n_from if args.n_from is not None else fix.valid_from
     elif args.result is not None:
-        with open(args.result, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except RecursionError:
-                raise ValueError("result file nests too deeply") from None
-        rec = Recurrence.from_json_dict(data["recurrence"])
-        term = term_from_json(data["term_json"]) if "term_json" in data else parse(data["term"])
-        c = int(data["c"])
-        n_lo = args.n_from if args.n_from is not None else max(int(data.get("valid_from", 1)), 1)
+        rec, term, c, valid_from = _load_result(args.result)
+        n_lo = args.n_from if args.n_from is not None else max(valid_from, 1)
     else:
         if args.spec is None or args.term is None:
             raise ValueError("verify needs SPEC and TERM, or --fixture, or --result")
@@ -171,7 +186,7 @@ def _cmd_catalog(args) -> int:
     fix = get_fixture(args.id)
     if args.json:
         print(
-            json.dumps(
+            dump_term_json(
                 {
                     "id": fix.id,
                     "recurrence": fix.recurrence.to_json_dict(),

@@ -75,17 +75,20 @@ class Recurrence:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Recurrence":
+        """Inverse of to_json_dict; malformed data raises ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError("recurrence spec must be a JSON object")
         try:
             return cls(int(data["order"]), data["coeffs"], data["init"])
         except KeyError as exc:
             raise ValueError(f"recurrence spec is missing field {exc}") from None
+        except TypeError as exc:
+            # int() of a list or null, or a coefficient that is a float or a list
+            raise ValueError(f"malformed recurrence spec: {exc}") from None
 
     @classmethod
     def from_json(cls, text: str) -> "Recurrence":
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ValueError("recurrence spec must be a JSON object")
-        return cls.from_json_dict(data)
+        return cls.from_json_dict(json.loads(text))
 
 
 @dataclass(frozen=True, slots=True)

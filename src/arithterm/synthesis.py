@@ -48,7 +48,7 @@ from .recurrence import (
     is_provably_nonnegative,
     recurrence_from_denominator,
 )
-from .terms import Term, _nat_poly_at, build_extraction_term, evaluate, extraction_value
+from .terms import Term, build_extraction_term, evaluate, extraction_fraction, extraction_value
 
 _SHIFT_CAP = 64  # how far to look for the start of a growth window
 _WINDOW_CAP = 64  # how far to look for the digit-size window of a base
@@ -429,9 +429,7 @@ def _digit_floor(pipe: _Pipeline, horizon: int) -> int:
 def _carry(pipe: _Pipeline, b: int) -> int | None:
     """F(b) = floor(b A(b) / D(b)) - t(0) b - t(1), or None when A(b) <= 0 or
     D(b) <= 0; the term with base b gives (t(1) + F(b)) mod b at n = 1."""
-    h = pipe.h
-    num = _nat_poly_at(pipe.a_plus, h, b) - _nat_poly_at(pipe.a_minus, h, b)
-    den = _nat_poly_at(pipe.b_plus, h, b) - _nat_poly_at(pipe.b_minus, h, b)
+    num, den = extraction_fraction(pipe.a_plus, pipe.a_minus, pipe.b_plus, pipe.b_minus, pipe.h, b)
     if num <= 0 or den <= 0:
         return None
     return b * num // den - pipe.t_values[0] * b - pipe.t_values[1]

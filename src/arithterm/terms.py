@@ -39,9 +39,9 @@ _OPS = ("add", "truncsub", "mul", "floordiv", "pow", "mod")
 
 DEFAULT_BIT_BUDGET = 1 << 26
 
-# parse, evaluate, render and term_to_json recurse once per nesting level;
-# past the interpreter's recursion limit they raise ParseError or
-# BudgetExceededError with this message
+# parse, term_from_json, evaluate, render, term_to_json and dump_term_json
+# recurse once per nesting level; past the interpreter's recursion limit
+# they raise ParseError or BudgetExceededError with this message
 _TOO_DEEP = "term nests too deeply"
 
 
@@ -367,19 +367,45 @@ def term_to_json(t: Term) -> dict:
         raise BudgetExceededError(_TOO_DEEP) from None
 
 
-def term_from_json(data: dict) -> Term:
+def dump_term_json(data, **kwargs) -> str:
+    """json.dumps for data that holds term_to_json output.
+
+    json.dumps recurses once or twice per term level, so a term that
+    term_to_json can still walk may be too deep to encode; that raises
+    BudgetExceededError, as term_to_json does.
+    """
+    try:
+        return json.dumps(data, **kwargs)
+    except RecursionError:
+        raise BudgetExceededError(_TOO_DEEP) from None
+
+
+def _term_node(data: dict) -> Term:
     if not isinstance(data, dict):
         raise ValueError("term JSON must be an object")
     if "const" in data:
-        return Const(int(data["const"]))
+        value = data["const"]
+        if not isinstance(value, (int, str)) or isinstance(value, bool):
+            raise ValueError(f"constant must be a decimal string or an int: {value!r}")
+        return Const(int(value))
     if "var" in data:
+        if not isinstance(data["var"], str):
+            raise ValueError(f"variable name must be a string: {data['var']!r}")
         return Var(data["var"])
     if "op" in data:
         args = data.get("args", ())
-        if len(args) != 2:
+        if not isinstance(args, (list, tuple)) or len(args) != 2:
             raise ValueError("operator node needs exactly two arguments")
-        return BinOp(data["op"], term_from_json(args[0]), term_from_json(args[1]))
+        return BinOp(data["op"], _term_node(args[0]), _term_node(args[1]))
     raise ValueError(f"unrecognized term node: {data!r}")
+
+
+def term_from_json(data: dict) -> Term:
+    """Inverse of term_to_json; malformed data raises ValueError."""
+    try:
+        return _term_node(data)
+    except RecursionError:
+        raise ParseError(_TOO_DEEP) from None
 
 
 def render(t: Term, fmt: str = "text") -> str:
@@ -389,8 +415,7 @@ def render(t: Term, fmt: str = "text") -> str:
         if fmt == "latex":
             return _render_latex(t, 0)
         if fmt == "json":
-            # json.dumps recurses too, twice per nesting level
-            return json.dumps(_json_node(t))
+            return dump_term_json(_json_node(t))
     except RecursionError:
         raise BudgetExceededError(_TOO_DEEP) from None
     raise ValueError(f"unknown format: {fmt!r}")
@@ -499,6 +524,22 @@ def _nat_poly_at(coeffs: tuple[int, ...], h: int, x: int) -> int:
     return acc * x ** (h + 1 - len(coeffs)) if acc else 0
 
 
+def extraction_fraction(
+    a_plus: tuple[int, ...],
+    a_minus: tuple[int, ...],
+    b_plus: tuple[int, ...],
+    b_minus: tuple[int, ...],
+    h: int,
+    x: int,
+) -> tuple[int, int]:
+    """(A+(x) - A-(x), B+(x) - B-(x)), the numerator and denominator of the
+    term build_extraction_term makes from the same data, at x = base^n."""
+    return (
+        _nat_poly_at(a_plus, h, x) - _nat_poly_at(a_minus, h, x),
+        _nat_poly_at(b_plus, h, x) - _nat_poly_at(b_minus, h, x),
+    )
+
+
 def extraction_value(
     a_plus: tuple[int, ...],
     a_minus: tuple[int, ...],
@@ -530,8 +571,7 @@ def extraction_value(
             f"base^n needs about {n * base.bit_length()} bits, budget is {DEFAULT_BIT_BUDGET}"
         )
     x = base**n
-    num = _nat_poly_at(a_plus, h, x) - _nat_poly_at(a_minus, h, x)
-    den = _nat_poly_at(b_plus, h, x) - _nat_poly_at(b_minus, h, x)
+    num, den = extraction_fraction(a_plus, a_minus, b_plus, b_minus, h, x)
     if num <= 0 or den <= 0:
         return 0
     modulus = den * x

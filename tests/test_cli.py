@@ -135,23 +135,73 @@ def test_eval_deeply_nested_term_is_one_line_error(capsys):
         assert err == "arithterm: term nests too deeply\n"
 
 
-def test_synth_json_of_a_term_too_deep_to_dump_is_one_line_error(capsys):
-    # s(n) = s(n - 520) has 520 numerator summands: term_to_json still
-    # walks the term, but json.dumps needs two levels per term level
+def test_synth_json_of_a_deep_term_is_a_result_or_one_line_error(capsys):
+    # s(n) = s(n - 520) has 520 numerator summands: term_to_json still walks
+    # the term, and json.dumps needs two levels per term level, which the
+    # pure-Python encoder that indent selects before Python 3.13 cannot give
     order = 520
     spec = json.dumps({"order": order, "coeffs": [0] * (order - 1) + [-1], "init": list(range(1, order + 1))})
     code, out, err = run(capsys, "synth", spec, "--horizon", "3", "--format", "json")
-    assert (code, out, err) == (1, "", "arithterm: term nests too deeply\n")
+    if code == 0:
+        blob = json.loads(out)
+        assert err == ""
+        assert parse(blob["term"]) == term_from_json(blob["term_json"])
+    else:
+        assert (code, out, err) == (1, "", "arithterm: term nests too deeply\n")
 
 
 def test_deeply_nested_json_is_one_line_error(capsys, tmp_path):
-    # json.loads recurses once per nested array or object
-    code, out, err = run(capsys, "synth", '{"order": ' + "[" * 5000 + "]" * 5000 + "}")
+    # json.loads recurses once per nested array or object; 100000 levels is
+    # past the limit of every supported interpreter, C or Python
+    depth = 100_000
+    code, out, err = run(capsys, "synth", '{"order": ' + "[" * depth + "]" * depth + "}")
     assert (code, out, err) == (1, "", "arithterm: spec nests too deeply\n")
     path = tmp_path / "result.json"
-    path.write_text("[" * 5000 + "]" * 5000, encoding="utf-8")
+    path.write_text("[" * depth + "]" * depth, encoding="utf-8")
     code, out, err = run(capsys, "verify", "--result", str(path))
     assert (code, out, err) == (1, "", "arithterm: result file nests too deeply\n")
+
+
+def test_verify_result_with_a_deep_term_json_is_one_line_error(capsys, tmp_path):
+    # about 2,200 JSON levels: json.load fails where the interpreter's C
+    # recursion limit is low, term_from_json where it is not
+    depth = 1100
+    node = '{"op": "add", "args": [' * depth + '{"const": "1"}' + ', {"const": "1"}]}' * depth
+    path = tmp_path / "result.json"
+    path.write_text(f'{{"recurrence": {FIB}, "c": 0, "term_json": {node}}}', encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--result", str(path))
+    assert (code, out) == (1, "")
+    assert err in ("arithterm: result file nests too deeply\n", "arithterm: term nests too deeply\n")
+
+
+def test_verify_malformed_result_is_one_line_error(capsys, tmp_path):
+    term_json = {"const": "0"}
+    cases = [
+        ([], "result file must be a JSON object"),
+        ({"recurrence": json.loads(FIB), "c": 0}, "result file needs a term_json object or a term string"),
+        ({"recurrence": json.loads(FIB), "term_json": term_json}, "result file is missing field 'c'"),
+        ({"c": 0, "term_json": term_json}, "result file is missing field 'recurrence'"),
+        ({"recurrence": [], "c": 0, "term_json": term_json}, "recurrence spec must be a JSON object"),
+        ({"recurrence": json.loads(FIB), "c": [], "term_json": term_json}, "malformed result file: "),
+        ({"recurrence": json.loads(FIB), "c": 0, "term_json": {"var": 1}}, "variable name must be a string: 1"),
+    ]
+    path = tmp_path / "result.json"
+    for blob, message in cases:
+        path.write_text(json.dumps(blob), encoding="utf-8")
+        code, out, err = run(capsys, "verify", "--result", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("arithterm: " + message) and err.count("\n") == 1
+
+
+def test_synth_malformed_spec_is_one_line_error(capsys):
+    for spec, message in (
+        ('{"order": [], "coeffs": [-1], "init": [1]}', "malformed recurrence spec: "),
+        ('{"order": 1, "coeffs": [0.5], "init": [1]}', "malformed recurrence spec: expected int, str or Fraction"),
+        ('{"order": 1, "coeffs": [-1], "init": [[1]]}', "malformed recurrence spec: "),
+    ):
+        code, out, err = run(capsys, "synth", spec)
+        assert (code, out) == (1, "")
+        assert err.startswith("arithterm: " + message) and err.count("\n") == 1
 
 
 def test_verify_fixture(capsys):

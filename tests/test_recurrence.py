@@ -108,6 +108,9 @@ def test_json_round_trip():
         Recurrence.from_json_dict({"order": 2})
     with pytest.raises(ValueError):
         Recurrence.from_json("[1, 2]")
+    for bad in ([], {"order": [2], "coeffs": [-1, -1], "init": [0, 1]}, {"order": 1, "coeffs": [0.5], "init": [1]}):
+        with pytest.raises(ValueError):
+            Recurrence.from_json_dict(bad)
 
 
 def test_generating_function_fibonacci():

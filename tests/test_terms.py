@@ -16,6 +16,7 @@ from arithterm.terms import (
     UnboundVariableError,
     Var,
     build_extraction_term,
+    dump_term_json,
     evaluate,
     extraction_value,
     match_extraction,
@@ -120,6 +121,21 @@ def test_deep_terms_raise_budget_exceeded():
             walk(deep)
 
 
+def test_deep_term_json_raises_typed_errors():
+    node = {"const": "1"}
+    for _ in range(3000):
+        node = {"op": "add", "args": [node, {"const": "1"}]}
+    with pytest.raises(ParseError, match="^term nests too deeply$"):
+        term_from_json(node)
+    # past the C recursion limit of every supported interpreter too
+    deep = []
+    for _ in range(100_000):
+        deep = [deep]
+    for kwargs in ({}, {"indent": 2}):
+        with pytest.raises(BudgetExceededError, match="^term nests too deeply$"):
+            dump_term_json(deep, **kwargs)
+
+
 def test_deep_parentheses_raise_parse_error():
     with pytest.raises(ParseError, match="^term nests too deeply$") as err:
         parse("(" * 2000 + "1" + ")" * 2000)
@@ -207,6 +223,9 @@ def test_json_round_trip():
         term_from_json({"op": "add", "args": [{"const": "1"}]})
     with pytest.raises(ValueError):
         term_from_json({"what": 1})
+    for bad in ({"const": [1]}, {"const": 1.5}, {"const": True}, {"var": 1}, {"op": "add", "args": 7}, [1]):
+        with pytest.raises(ValueError):
+            term_from_json(bad)
 
 
 def random_term(rng, depth=0):
