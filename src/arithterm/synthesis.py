@@ -23,7 +23,8 @@ generating function of t(n) = s(n) + c^(n+1).  The pipeline is:
    After a base fails, the carry of its n = 1 digit can prove that a run
    of larger bases fails at n = 1 as well; the scan jumps over that run,
    so it still returns the least valid base.  After _SCAN_LIMIT probes
-   the rest of the range up to b2 is bisected instead.
+   _least gallops and bisects the rest of the range up to b2 instead;
+   it also finds the shift c, the cutoff m and the end of a carry run.
 
 Everything is exact integer/Fraction arithmetic.  Certificates are only
 ever sufficient: a reported base is backed by a proof sketch (coefficient
@@ -34,6 +35,7 @@ mostly at n = 1.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -136,17 +138,47 @@ def _shift_certified(rec: Recurrence, c: int, window: tuple[int, ...]) -> bool:
     return all(window[n] + c ** (n + 1) > 0 for n in range(start + rec.order))
 
 
+def _least(pred: Callable[[int], bool], lo: int, hi: int) -> int | None:
+    """Least x in [lo, hi] with pred(x), or None when pred(hi) is false.
+
+    pred must be false-then-true on [lo, hi].  Gallops lo, lo + 1, lo + 3,
+    lo + 7, ... (clamped at hi) to the first x with pred(x), then bisects
+    the gap behind it: at most 2 log2(x - lo + 1) + 2 calls of pred.  Even
+    for a pred of any other shape, pred(x) was true for the x returned.
+    An empty range gives None without a call.
+    """
+    if lo > hi:
+        return None
+    below, step, x = lo - 1, 1, lo
+    while not pred(x):
+        if x == hi:
+            return None
+        below, step = x, 2 * step
+        x = min(lo + step - 1, hi)
+    # pred(below) is false (or below = lo - 1), pred(x) is true
+    while x - below > 1:
+        mid = (below + x) // 2
+        if pred(mid):
+            x = mid
+        else:
+            below = mid
+    return x
+
+
 def find_shift(rec: Recurrence) -> int:
-    """Least certified shift c; 0 exactly when s is provably nonnegative."""
+    """Least certified shift c; 0 exactly when s is provably nonnegative.
+
+    _least can search c because _shift_certified is monotone in c: its
+    coefficient criterion gets easier as c grows, a window for c is one for
+    every larger c, and s(n) + c^(n+1) grows with c.
+    """
     if is_provably_nonnegative(rec):
         return 0
     window = _shift_window(rec)
-    top = growth_constant(rec)
-    for c in range(1, top + 1):
-        if _shift_certified(rec, c, window):
-            return c
-    # the growth constant always passes the certificate, so this is dead
-    raise SynthesisError("no certified shift at or below the growth constant")
+    c = _least(lambda c: _shift_certified(rec, c, window), 1, growth_constant(rec))
+    if c is None:  # dead: the growth constant always passes the certificate
+        raise SynthesisError("no certified shift at or below the growth constant")
+    return c
 
 
 def _round_down(x: int, e: int, prec: int) -> tuple[int, int]:
@@ -223,8 +255,8 @@ def find_b1_m(c_t: int, rho: Fraction) -> tuple[int, int]:
     m is the least index >= 3 from which both c_t^(m+1) < b1^(m-2) and
     b1^(-m) < rho hold; past it the digit-size and radius requirements are
     met at base b1.  Both conditions are monotone in m because b1 > c_t,
-    and both eventually hold because rho > 0, so the least m is found by
-    doubling and bisecting.  Each probe decides the two inequalities
+    and both eventually hold because rho > 0, so _least finds the least m
+    from 3 on.  Each probe decides the two inequalities
     exactly with pow_lt, the second in the integer form
     floor(1/rho) < b1^m, so no power of b1 is ever built in full.
 
@@ -245,22 +277,12 @@ def find_b1_m(c_t: int, rho: Fraction) -> tuple[int, int]:
     def good(m: int) -> bool:
         return pow_lt(c_t, m + 1, b1, m - 2) and pow_lt(inv_rho, 1, b1, m)
 
-    # the last doubling is clamped to the largest m of _M_BITS_CAP bits, so
+    # _least's gallop is clamped to the largest m of _M_BITS_CAP bits, so
     # the search raises only once every such m is known to fail
-    m_max = (1 << _M_BITS_CAP) - 1
-    hi = 3
-    while not good(hi):
-        if hi == m_max:
-            raise SynthesisError(f"bound data needs a cutoff m of more than {_M_BITS_CAP} bits")
-        hi = min(2 * hi, m_max)
-    lo = 3
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if good(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return b1, lo
+    m = _least(good, 3, (1 << _M_BITS_CAP) - 1)
+    if m is None:
+        raise SynthesisError(f"bound data needs a cutoff m of more than {_M_BITS_CAP} bits")
+    return b1, m
 
 
 def find_b2(c_t: int, rho: Fraction) -> int:
@@ -439,27 +461,12 @@ def _past_carry_run(pipe: _Pipeline, b: int, b2: int) -> int:
     """The next base to probe after b < b2, for a pipeline and base at which
     the carry lemma of _search_minimal_base applies: b + 1 unless
     1 <= F(b) < b, else the least b' > b with F(b') = 0, clamped at b2.
-    Found by galloping b + 1, b + 2, b + 4, ... and bisecting the last
-    gap, on the invariant F(lo) >= 1.
+    Found by _least, since F does not increase past b.
     """
     f = _carry(pipe, b)
     if f is None or not 1 <= f < b:
         return b + 1
-
-    def carries(x: int) -> bool:
-        return (_carry(pipe, x) or 0) >= 1
-
-    lo, hi, step = b, b + 1, 1
-    while hi < b2 and carries(hi):
-        lo, step = hi, 2 * step
-        hi = min(b + step, b2)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if carries(mid):
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    return _least(lambda x: (_carry(pipe, x) or 0) < 1, b + 1, b2) or b2
 
 
 def _search_minimal_base(pipe: _Pipeline, b2: int, horizon: int, shift_proven: bool) -> tuple[int, int, dict]:
@@ -486,8 +493,10 @@ def _search_minimal_base(pipe: _Pipeline, b2: int, horizon: int, shift_proven: b
     prefix.  Only bases proven to fail are skipped, so the result is still
     the least valid base.
 
-    After _SCAN_LIMIT probes the rest of the range up to b2 is bisected,
-    which is only minimal where validity is monotone.
+    After _SCAN_LIMIT probes, _least gallops and bisects over the rest of
+    the range up to b2.  The base it returns has validated, but it is only
+    the least one where validity is false-then-true on that range, which
+    nothing proves in general.
     """
     lo = min(_digit_floor(pipe, horizon), b2)
     probes = 0
@@ -501,22 +510,12 @@ def _search_minimal_base(pipe: _Pipeline, b2: int, horizon: int, shift_proven: b
             b = _past_carry_run(pipe, b, b2)
         else:
             b += 1
-    if b > b2:
+    cutoffs: dict[int, int | None] = {}  # base -> _validated_cutoff, per fallback probe
+    found = _least(lambda x: cutoffs.setdefault(x, _validated_cutoff(pipe, x, horizon)) is not None, b, b2)
+    if found is None:
         raise SynthesisError("no base up to b2 validated; bound data is inconsistent")
-    # wide gap up to b2: fall back to bisection, which finds a valid base
-    # but skips candidates, so it is only minimal when validity is monotone
-    low, high = b, b2
-    while low < high:
-        mid = (low + high) // 2
-        probes += 1
-        if _validated_cutoff(pipe, mid, horizon) is not None:
-            high = mid
-        else:
-            low = mid + 1
-    m_b = _validated_cutoff(pipe, low, horizon)
-    if m_b is None:
-        raise SynthesisError("fallback base failed validation; bound data is inconsistent")
-    return low, m_b, {"strategy": "scan+bisect", "probes": probes, "scanned_from": lo, "scanned_to": b - 1}
+    report = {"strategy": "scan+bisect", "probes": probes + len(cutoffs), "scanned_from": lo, "scanned_to": b - 1}
+    return found, cutoffs[found], report
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction
@@ -9,18 +10,22 @@ from hypothesis import strategies as st
 from arithterm import synthesis
 from arithterm.catalog import get_fixture
 from arithterm.polys import Polynomial
-from arithterm.recurrence import Recurrence, eval_oracle
+from arithterm.recurrence import Recurrence, eval_oracle, growth_constant, is_provably_nonnegative
 from arithterm.synthesis import (
     AllZeroSequenceError,
     BoundsCertificate,
     SynthesisError,
     _WINDOW_CAP,
     _bound_data,
+    _carry,
     _coefficient_slack,
     _digit_floor,
     _dominated_from,
+    _least,
     _past_carry_run,
     _prepare,
+    _shift_certified,
+    _shift_window,
     _validated_cutoff,
     find_b1_m,
     find_b2,
@@ -61,6 +66,41 @@ def test_find_shift_result_really_clears_the_sequence():
     for rec in (SIGNED_U, SIGNED_V):
         c = find_shift(rec)
         assert all(v + c ** (n + 1) > 0 for n, v in enumerate(eval_oracle(rec, 200).values))
+
+
+def test_find_shift_is_logarithmic_in_the_shift():
+    # s(n) = (-10^6)^n needs c = 10^6, which one certificate check per c
+    # below it would take about 11 s to reach
+    started = time.perf_counter()
+    assert find_shift(Recurrence(1, (10**6,), (1,))) == 10**6
+    assert time.perf_counter() - started < 1
+
+
+@st.composite
+def _thresholds(draw):
+    lo = draw(st.integers(-(10**6), 10**6))
+    hi = lo + draw(st.integers(-2, 2**70))
+    return lo, hi, lo + draw(st.integers(0, 2**71))
+
+
+@given(_thresholds())
+@example((5, 5, 5))
+@example((5, 5, 6))
+@example((5, 4, 5))
+@example((0, 2**70, 2**70))
+def test_least_finds_a_threshold_in_logarithmic_calls(case):
+    lo, hi, threshold = case
+    calls = []
+
+    def pred(x):
+        assert lo <= x <= hi
+        calls.append(x)
+        return x >= threshold
+
+    got = _least(pred, lo, hi)
+    assert got == (threshold if threshold <= hi else None)
+    last = threshold if got is not None else hi
+    assert len(calls) <= 2 * math.log2(max(last - lo, 0) + 2) + 2
 
 
 def test_find_b1_m_fibonacci_data():
@@ -144,8 +184,8 @@ def test_find_b1_m_work_bound():
     with pytest.raises(SynthesisError):
         find_b1_m(2**4000 + 1, Fraction(1, 3))
     assert time.perf_counter() - started < 5
-    # 247 bits: the least m lies past the last doubling, 3*2^254, and is
-    # still found by the probe clamped to 2^256 - 1
+    # 247 bits: the least m lies past the last unclamped gallop probe,
+    # 2^255 + 2, and is still found by the probe clamped to 2^256 - 1
     b1, m = find_b1_m(2**246 * 16 // 10, Fraction(1, 3))
     assert 3 * 2**254 < m < 2**256
     # 248 bits: every m of 256 bits fails
@@ -287,6 +327,9 @@ def test_synthesize_forced_shift_without_proof_is_horizon_only():
     r = synthesize(rec, force_c=0)
     assert r.report["evidence"] == "horizon-only"
     assert r.certified_from is None
+    # no carry jump without a proven shift, so the scan stops after
+    # _SCAN_LIMIT probes and the fallback searches the rest up to b2
+    assert (r.b, r.report["strategy"]) == (219899, "scan+bisect")
     oracle = eval_oracle(rec, 321).values
     assert verify_term(oracle, r.term, 0, 1, 40).ok
     report = verify_term(oracle, r.term, 0, 1, 320)
@@ -303,6 +346,28 @@ def test_forced_shift_past_the_dominance_window_is_horizon_only():
     assert r.certified_from is None
     assert r.report["checked_to"] == 40
     assert verify_term(eval_oracle(rec, 41).values, r.term, 0, 1, 40).ok
+
+
+def test_proven_shift_reaches_the_fallback():
+    # c = 0 is proven, but F(b) >= b on all of [100001, 161803]: 61,803
+    # bases the carry jump cannot skip, more than _SCAN_LIMIT
+    rec = Recurrence(2, (-(10**5), 1), (1, 10**5))
+    r = synthesize(rec)
+    b = 10000099999
+    assert (r.b, r.c) == (b, 0)
+    assert (r.report["strategy"], r.report["evidence"]) == ("scan+bisect", "certified")
+    assert verify_term(eval_oracle(rec, 41).values, r.term, 0, 1, 40).ok
+    # b is the least valid base: with t(1) below every base here, n = 1
+    # passes iff the carry F(x) is a multiple of x
+    pipe = _prepare(rec, 0, r.horizon)
+    floor, b_c = _digit_floor(pipe, r.horizon), 161804
+    assert pipe.t_values[1] < floor
+    assert all(_carry(pipe, x) % x != 0 for x in range(floor, b_c))
+    # from b_c on the carry lemma holds, so F does not increase and
+    # 1 <= F(b - 1) <= F(x) <= F(b_c) < b_c <= x on [b_c, b)
+    assert is_provably_nonnegative(rec) and _coefficient_slack(pipe.den, b_c) > 0
+    assert _carry(pipe, b_c - 1) >= b_c - 1 and _carry(pipe, b_c) < b_c
+    assert _carry(pipe, b - 1) >= 1 and _carry(pipe, b) == 0
 
 
 def test_unproven_shift_probes_every_base():
@@ -416,6 +481,19 @@ def test_certified_from_is_the_window_start():
     r = synthesize(FIB)
     start = _window_start(_prepare(FIB, r.c, r.horizon), r.b)
     assert start is not None and r.certified_from == max(start, 2)
+
+
+@given(_recurrences())
+@example(SIGNED_U)
+@example(SIGNED_V)
+def test_find_shift_is_the_least_certified_shift(rec):
+    # reference: the least certified c by a linear scan
+    if is_provably_nonnegative(rec):
+        expected = 0
+    else:
+        window = _shift_window(rec)
+        expected = next(c for c in range(1, growth_constant(rec) + 1) if _shift_certified(rec, c, window))
+    assert find_shift(rec) == expected
 
 
 PELL = Recurrence(2, (-2, -1), (0, 1))  # passes n = 1 at b = 3 with carry 3
