@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -118,7 +119,7 @@ def eval_oracle(rec: Recurrence, count: int) -> SequenceWindow:
     weights = [-(a.numerator * (scale // a.denominator)) for a in reversed(rec.coeffs)]
     vals: list[int] = list(rec.init[:count])
     for n in range(len(vals), count):
-        acc = sum(w * v for w, v in zip(weights, vals[n - d : n]))
+        acc = sum(map(operator.mul, weights, vals[n - d : n]))
         if scale > 1:
             q, rem = divmod(acc, scale)
             if rem:

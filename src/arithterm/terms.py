@@ -555,12 +555,18 @@ def extraction_value(
 
     With x = base^n, A = A+(x) - A-(x) and D = B+(x) - B-(x), the term is
     fl(base^(n^2) * A / D) % x, or 0 when A <= 0 or D <= 0 (truncated
-    subtraction, then x / 0 = 0).  Since floor(N / D) mod x equals
-    (N mod D*x) // D, the power base^(n^2) is only ever needed mod D*x, so
-    every intermediate has O(h * n * log base) bits instead of the
-    O(n^2 * log base) bits of evaluate on the built term.  The largest one,
-    A times a residue mod D*x, is noted in ``stats`` and checked against
-    DEFAULT_BIT_BUDGET, the budget evaluate uses.
+    subtraction, then x / 0 = 0), and 0 at n = 0, where x = 1.  For n >= 1,
+    base^(n^2) * A = x * y with y = x^(n-1) * A, and
+
+        floor(x*y / D) mod x = x * (y mod D) // D:
+
+    write y = q*D + r with 0 <= r < D; then x*y / D = q*x + x*r / D and
+    0 <= x*r / D < x.  So the power is x^(n-1) mod D, and every
+    intermediate has O(h * n * log base) bits instead of the
+    O(n^2 * log base) bits of evaluate on the built term.  The two products
+    formed, A times a residue mod D and x times a residue mod D, are noted
+    in ``stats``; the larger of bits(A) + bits(D) and bits(x) + bits(D) is
+    checked against DEFAULT_BIT_BUDGET, the budget evaluate uses.
     """
     if base < 2 or n < 0:
         raise ValueError("need base >= 2 and n >= 0")
@@ -570,18 +576,21 @@ def extraction_value(
         raise BudgetExceededError(
             f"base^n needs about {n * base.bit_length()} bits, budget is {DEFAULT_BIT_BUDGET}"
         )
+    if n == 0:
+        return 0
     x = base**n
     num, den = extraction_fraction(a_plus, a_minus, b_plus, b_minus, h, x)
     if num <= 0 or den <= 0:
         return 0
-    modulus = den * x
-    bits = num.bit_length() + modulus.bit_length()
+    bits = max(num.bit_length(), x.bit_length()) + den.bit_length()
     if bits > DEFAULT_BIT_BUDGET:
         raise BudgetExceededError(f"product needs about {bits} bits, budget is {DEFAULT_BIT_BUDGET}")
-    prod = num * pow(base, n * n, modulus)
+    prod = num * pow(x, n - 1, den)
+    top = x * (prod % den)
     if stats is not None:
         stats.note(prod)
-    return prod % modulus // den
+        stats.note(top)
+    return top // den
 
 
 def _summand(t: Term, numerator: bool) -> tuple[int, int] | None:

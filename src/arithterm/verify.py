@@ -5,7 +5,7 @@ values over an index range and reports the first mismatch, elapsed time in
 integer nanoseconds, and the largest intermediate seen.  A term of the
 shape ``build_extraction_term`` makes (recognised exactly by
 ``match_extraction``) is replayed through ``extraction_value``, which works
-modulo D*b^n and never forms b^(n^2); any other term goes through the
+modulo D and never forms b^(n^2); any other term goes through the
 reference evaluator ``evaluate``.  Both give the same values, but
 ``peak_bits`` then measures different computations: O(h*n*log b) bits on
 the fast path against O(n^2*log b) through ``evaluate``.
@@ -42,9 +42,9 @@ class VerificationReport:
     ``checked`` counts the indices evaluated, the failing one included.
     ``peak_bits`` is the bit length of the largest intermediate of the
     evaluations: through ``extraction_value`` for terms ``match_extraction``
-    recognises, whose intermediates stay O(h*n*log b) bits, else through
-    ``evaluate``.  ``aborted`` carries the index and message of a blown bit
-    budget.
+    recognises, which works modulo D and whose intermediates stay
+    O(h*n*log b) bits, else through ``evaluate``.  ``aborted`` carries the
+    index and message of a blown bit budget.
     """
 
     n_lo: int

@@ -217,6 +217,12 @@ def test_verify_fixture_far_point(capsys):
     assert out.strip() == "ok: checked n in [7000, 7000]"
 
 
+def test_verify_fixture_far_point_at_n_10000(capsys):
+    code, out, _ = run(capsys, "verify", "--fixture", "A001081", "--from", "10000", "--to", "10000")
+    assert code == 0
+    assert out.strip() == "ok: checked n in [10000, 10000]"
+
+
 def test_verify_mismatch_exit_code(capsys):
     code, out, _ = run(capsys, "verify", FIB, "n", "--to", "10")
     assert code == 3

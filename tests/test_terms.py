@@ -18,6 +18,7 @@ from arithterm.terms import (
     build_extraction_term,
     dump_term_json,
     evaluate,
+    extraction_fraction,
     extraction_value,
     match_extraction,
     parse,
@@ -404,6 +405,39 @@ def test_extraction_value_stats_and_budget(monkeypatch):
         extraction_value(*fib[:-1], 1, 5)
     with pytest.raises(ValueError):
         extraction_value((0, 1, 0, 0), (), (1,), (0, 1, 1), 2, 3, 5)
+
+
+@pytest.mark.parametrize(
+    "data, larger",
+    [
+        # h = 1 and A = 1 < x = 3^n: x times the residue mod D is the larger
+        # product (build_extraction_term would reject this constant numerator
+        # summand, yet extraction_value's identity holds for any A)
+        (((0, 1), (), (1,), (0, 1), 1, 3), "x"),
+        # A = x^2 > x: A times the residue mod D is the larger product
+        (((1,), (), (1,), (0, 1, 1), 2, 3), "A"),
+    ],
+)
+def test_extraction_value_budget_covers_both_products(monkeypatch, data, larger):
+    base, n = data[5], 40
+    x = base**n
+    num, den = extraction_fraction(*data[:5], x)
+    need = {"A": num.bit_length() + den.bit_length(), "x": x.bit_length() + den.bit_length()}
+    assert need[larger] == max(need.values()) > min(need.values())
+    expected = base ** (n * n) * num // den % x
+    products = (num * (x ** (n - 1) % den), x * (num * x ** (n - 1) % den))
+
+    monkeypatch.setattr(terms, "DEFAULT_BIT_BUDGET", need[larger])
+    stats = EvalStats()
+    assert extraction_value(*data, n, stats=stats) == expected
+    assert stats.peak_bits == max(p.bit_length() for p in products)
+    zero = EvalStats()
+    assert extraction_value(*data, 0, stats=zero) == 0
+    assert zero.peak_bits == 0
+
+    monkeypatch.setattr(terms, "DEFAULT_BIT_BUDGET", need[larger] - 1)
+    with pytest.raises(BudgetExceededError, match="product"):
+        extraction_value(*data, n)
 
 
 def test_match_extraction_rejects_other_shapes():

@@ -130,3 +130,16 @@ def test_extraction_value_far_points(fid):
     params = match_extraction(term)
     for n in (200, 400):
         assert extraction_value(*params, n) == evaluate(term, {"n": n})
+
+
+MATCHED = sorted({fix.id for fix in fixtures()} - NOT_EXTRACTION_SHAPED)
+
+
+@pytest.mark.parametrize(
+    "fid, n", [(fid, 2000) for fid in MATCHED] + [(fid, 10**4) for fid in ("A000045", "A088137", "A001081")]
+)
+def test_extraction_value_matches_the_oracle_far_out(fid, n):
+    # evaluate cannot reach these n: the built term forms base^(n^2)
+    fix = get_fixture(fid)
+    value = extraction_value(*match_extraction(fix.term), n)
+    assert value - fix.shift ** (n + 1) == eval_oracle(fix.recurrence, n + 1).values[n]
