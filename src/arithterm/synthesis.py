@@ -16,15 +16,15 @@ generating function of t(n) = s(n) + c^(n+1).  The pipeline is:
    of convergence) giving a base b2 that is always valid from n = 1 on,
    plus a witness (b1, m) whose inequalities in powers of b1 are decided
    exactly by pow_lt from rounded interval powers, never built in full;
-5. scan upward from a digit floor (no smaller base can fit t(n) into n
+5. walk upward from a digit floor (no smaller base can fit t(n) into n
    digits) for the least base that validates: it direct-checks on
    [1, horizon], the dominance lemma gives a cutoff m_b past which the
    term provably equals t(n), and the indices below m_b direct-check too.
-   After a base fails, the carry of its n = 1 digit can prove that a run
-   of larger bases fails at n = 1 as well; the scan jumps over that run,
-   so it still returns the least valid base.  After _SCAN_LIMIT probes
-   _least gallops and bisects the rest of the range up to b2 instead;
-   it also finds the shift c, the cutoff m and the end of a carry run.
+   A base that fails the coefficient criterion, or whose n = 1 carry F(b)
+   is no multiple of b, fails too and is never probed; for a proven shift
+   F does not increase once the criterion holds, so _least jumps from one
+   base the carry leaves to the next.  _least also finds the shift c and
+   the cutoff m.
 
 Everything is exact integer/Fraction arithmetic.  Certificates are only
 ever sufficient: a reported base is backed by a proof sketch (coefficient
@@ -54,7 +54,6 @@ from .terms import Term, build_extraction_term, evaluate, extraction_fraction, e
 
 _SHIFT_CAP = 64  # how far to look for the start of a growth window
 _WINDOW_CAP = 64  # how far to look for the digit-size window of a base
-_SCAN_LIMIT = 20000  # candidates tried in ascending order before bisecting
 _M_BITS_CAP = 256  # longest cutoff m find_b1_m probes, in bits
 
 
@@ -457,65 +456,59 @@ def _carry(pipe: _Pipeline, b: int) -> int | None:
     return b * num // den - pipe.t_values[0] * b - pipe.t_values[1]
 
 
-def _past_carry_run(pipe: _Pipeline, b: int, b2: int) -> int:
-    """The next base to probe after b < b2, for a pipeline and base at which
-    the carry lemma of _search_minimal_base applies: b + 1 unless
-    1 <= F(b) < b, else the least b' > b with F(b') = 0, clamped at b2.
-    Found by _least, since F does not increase past b.
+def _n1_candidate(pipe: _Pipeline, b: int, b2: int) -> int | None:
+    """Least base in [b, b2] that the n = 1 carry leaves to probe, or None.
+
+    Gallops past the bases where the coefficient criterion fails.  At a
+    base x with _coefficient_slack > 0 and carry F(x) (_carry) no multiple
+    of x, it goes on at the x' > x that _least finds with F(x') <= k x',
+    k = F(x) // x; bases with slack 0 or no carry are returned as they are.
     """
-    f = _carry(pipe, b)
-    if f is None or not 1 <= f < b:
-        return b + 1
-    return _least(lambda x: (_carry(pipe, x) or 0) < 1, b + 1, b2) or b2
+    b = _least(lambda x: _coefficient_slack(pipe.den, x) >= 0, b, b2)
+    while b is not None and _coefficient_slack(pipe.den, b) > 0:
+        f = _carry(pipe, b)
+        if f is None or f % b == 0:
+            return b
+        k = f // b
+        b = _least(lambda x: (g := _carry(pipe, x)) is None or g <= k * x, b + 1, b2)
+    return b
 
 
-def _search_minimal_base(pipe: _Pipeline, b2: int, horizon: int, shift_proven: bool) -> tuple[int, int, dict]:
+def _search_minimal_base(pipe: _Pipeline, b2: int, horizon: int) -> tuple[int, int, dict]:
     """Least base in [digit floor, b2] that _validated_cutoff accepts, with
     its cutoff m_b and a report; report["probes"] counts _validated_cutoff
-    calls, and carry evaluations are not probes.
+    calls, not carry evaluations.
 
-    A base b that fails is followed by b + 1, or by a jump over bases the
-    n = 1 carry proves to fail.  With x = b, A(b) = A+(b) - A-(b) and
-    D(b) = B+(b) - B-(b) as in extraction_value, the term at n = 1 is
-    floor(b A(b) / D(b)) mod b, so with the carry F(b) of _carry it passes
-    n = 1 iff (t(1) + F(b)) mod b == t(1).  Suppose the shift is proven
-    (t(k) >= 0 for every k) and the coefficient criterion holds strictly at
-    b (_coefficient_slack > 0), so den has no root in |z| <= 1/b', and
-    D(b') > 0, for every b' >= b.  Then b' A(b') / D(b') is the convergent
-    series sum_k t(k) b'^(1-k), A(b') > 0, and
-    F(b') = floor(sum_{k>=2} t(k) b'^(1-k)) does not increase as b' grows.
-    So if 1 <= F(b) < b, every b' > b below the least b* with F(b*) = 0
-    has 1 <= F(b') <= F(b) < b', so F(b') is no multiple of b' and b'
-    fails at n = 1, and the search goes on at b*
-    (_past_carry_run).  F(b) >= b gives no jump, since a carry that is a
-    multiple of b can pass: A000129 passes at b = 3 with carry 3.  Nor does
-    an unproven shift (a forced c), whose t may turn negative past the
-    prefix.  Only bases proven to fail are skipped, so the result is still
-    the least valid base.
+    Only the bases _n1_candidate returns are probed.  With A(b) and D(b)
+    as in extraction_value at x = b, the term at n = 1 is
+    floor(b A(b) / D(b)) mod b = (t(1) + F(b)) mod b for the carry F(b) of
+    _carry, so b passes n = 1 iff b divides F(b), as t(1) < b above the
+    digit floor.  Bases below the coefficient criterion fail in
+    _dominated_from.  Suppose the shift is proven (t(k) >= 0 for every k)
+    and _coefficient_slack(den, b) > 0, so D(b') > 0 and den has no root in
+    |z| <= 1/b' for every b' >= b.  Then F(b') is
+    floor(sum_{k>=2} t(k) b'^(1-k)) >= 0 and does not increase in b', so
+    g_k(x) = F(x) - k x strictly decreases for every k >= 1 and does not
+    increase for k = 0.  Lemma, for every k >= 0: if k = F(b) // b and F(b)
+    is no multiple of b, each b' > b with g_k(b') > 0 fails at n = 1, since
+    k b' < F(b') <= F(b) < (k + 1) b < (k + 1) b'; these are exactly the
+    bases before the least b* with g_k(b*) <= 0, where b* passes or k
+    drops.  Only failing bases are skipped, so the result is the least
+    valid base.
 
-    After _SCAN_LIMIT probes, _least gallops and bisects over the rest of
-    the range up to b2.  The base it returns has validated, but it is only
-    the least one where validity is false-then-true on that range, which
-    nothing proves in general.
+    A forced shift without a proof runs the same walk, but t may turn
+    negative past the checked prefix, so F need not be monotone and a
+    skipped base might validate: synthesize reports minimal_proven False.
     """
-    lo = min(_digit_floor(pipe, horizon), b2)
+    lo = b = min(_digit_floor(pipe, horizon), b2)
     probes = 0
-    b = lo
-    while b <= b2 and probes < _SCAN_LIMIT:
+    while (b := _n1_candidate(pipe, b, b2)) is not None:
         probes += 1
         m_b = _validated_cutoff(pipe, b, horizon)
         if m_b is not None:
             return b, m_b, {"strategy": "scan", "probes": probes, "scanned_from": lo}
-        if shift_proven and b < b2 and _coefficient_slack(pipe.den, b) > 0:
-            b = _past_carry_run(pipe, b, b2)
-        else:
-            b += 1
-    cutoffs: dict[int, int | None] = {}  # base -> _validated_cutoff, per fallback probe
-    found = _least(lambda x: cutoffs.setdefault(x, _validated_cutoff(pipe, x, horizon)) is not None, b, b2)
-    if found is None:
-        raise SynthesisError("no base up to b2 validated; bound data is inconsistent")
-    report = {"strategy": "scan+bisect", "probes": probes + len(cutoffs), "scanned_from": lo, "scanned_to": b - 1}
-    return found, cutoffs[found], report
+        b += 1
+    raise SynthesisError("no base up to b2 validated; bound data is inconsistent")
 
 
 @dataclass(frozen=True, slots=True)
@@ -566,7 +559,8 @@ def synthesize(
     to the horizon, and rejected with the first failing index otherwise.
     A forced shift without a proof that s(n) + c^(n+1) >= 0 for every n
     (is_provably_nonnegative, or the certificate find_shift uses) leaves
-    the result horizon-only, with certified_from None.
+    the result horizon-only, with certified_from None, and a searched base
+    with report["minimal_proven"] False.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -600,7 +594,8 @@ def synthesize(
         else:
             report = {"strategy": "forced", "evidence": "horizon-only", "checked_to": horizon}
     else:
-        b, certified_from, report = _search_minimal_base(pipe, cert.b2, horizon, shift_proven)
+        b, certified_from, report = _search_minimal_base(pipe, cert.b2, horizon)
+        report["minimal_proven"] = shift_proven
         report["evidence"] = "certified"
         report["checked_to"] = max(certified_from - 1, horizon)
     if not shift_proven:

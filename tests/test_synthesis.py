@@ -7,7 +7,6 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from arithterm import synthesis
 from arithterm.catalog import get_fixture
 from arithterm.polys import Polynomial
 from arithterm.recurrence import Recurrence, eval_oracle, growth_constant, is_provably_nonnegative
@@ -22,7 +21,7 @@ from arithterm.synthesis import (
     _digit_floor,
     _dominated_from,
     _least,
-    _past_carry_run,
+    _n1_candidate,
     _prepare,
     _shift_certified,
     _shift_window,
@@ -263,17 +262,6 @@ def test_base_search_goes_below_b1():
     assert synthesize(Recurrence(2, (-2, -1), (0, 1))).b == 3
 
 
-def test_scan_then_bisect_fallback(monkeypatch):
-    # FIB's digit floor is 2 and its least base 3, so one scanned probe
-    # leaves the rest of [3, b2] to bisection
-    monkeypatch.setattr(synthesis, "_SCAN_LIMIT", 1)
-    r = synthesize(FIB)
-    assert r.report["strategy"] == "scan+bisect"
-    assert r.report["scanned_to"] == 2
-    oracle = eval_oracle(FIB, r.horizon + 1).values
-    assert verify_term(oracle, r.term, r.c, 1, r.horizon).ok
-
-
 def test_synthesize_fibonacci():
     r = synthesize(FIB)
     assert (r.b, r.c, r.valid_from) == (3, 0, 1)
@@ -284,6 +272,7 @@ def test_synthesize_fibonacci():
     assert (r.certificate.b1, r.certificate.m, r.certificate.b2) == (6, 29, 15626)
     assert r.certified_from is not None and r.certified_from >= 2
     assert r.report["strategy"] == "scan"
+    assert r.report["minimal_proven"] is True
 
 
 def test_synthesize_signed_sequences_use_shifts():
@@ -327,9 +316,10 @@ def test_synthesize_forced_shift_without_proof_is_horizon_only():
     r = synthesize(rec, force_c=0)
     assert r.report["evidence"] == "horizon-only"
     assert r.certified_from is None
-    # no carry jump without a proven shift, so the scan stops after
-    # _SCAN_LIMIT probes and the fallback searches the rest up to b2
-    assert (r.b, r.report["strategy"]) == (219899, "scan+bisect")
+    # the carry walk runs without a proof of monotone carries, so the base
+    # is not proven least
+    assert (r.b, r.report["strategy"]) == (219899, "scan")
+    assert r.report["minimal_proven"] is False
     oracle = eval_oracle(rec, 321).values
     assert verify_term(oracle, r.term, 0, 1, 40).ok
     report = verify_term(oracle, r.term, 0, 1, 320)
@@ -348,14 +338,14 @@ def test_forced_shift_past_the_dominance_window_is_horizon_only():
     assert verify_term(eval_oracle(rec, 41).values, r.term, 0, 1, 40).ok
 
 
-def test_proven_shift_reaches_the_fallback():
-    # c = 0 is proven, but F(b) >= b on all of [100001, 161803]: 61,803
-    # bases the carry jump cannot skip, more than _SCAN_LIMIT
+def test_proven_shift_walks_past_a_long_carry_run():
+    # c = 0 is proven, and F(b) >= b on all of [100001, 161803]: 61,803
+    # bases the walk passes over by steps with k = F // b >= 1
     rec = Recurrence(2, (-(10**5), 1), (1, 10**5))
     r = synthesize(rec)
     b = 10000099999
     assert (r.b, r.c) == (b, 0)
-    assert (r.report["strategy"], r.report["evidence"]) == ("scan+bisect", "certified")
+    assert (r.report["strategy"], r.report["evidence"]) == ("scan", "certified")
     assert verify_term(eval_oracle(rec, 41).values, r.term, 0, 1, 40).ok
     # b is the least valid base: with t(1) below every base here, n = 1
     # passes iff the carry F(x) is a multiple of x
@@ -370,13 +360,36 @@ def test_proven_shift_reaches_the_fallback():
     assert _carry(pipe, b - 1) >= 1 and _carry(pipe, b) == 0
 
 
-def test_unproven_shift_probes_every_base():
+def test_unproven_shift_base_is_not_proven_least():
     # the carry lemma needs t(k) >= 0 for every k, which a forced shift
-    # without a proof does not give, so no base is jumped over
+    # without a proof does not give: the same walk runs, but its base is
+    # not proven least
     rec = Recurrence(2, (-201, 10100), (1, 99))
     r = synthesize(rec, force_c=0)
     assert r.report["evidence"] == "horizon-only"
-    assert r.report["probes"] == r.b - r.report["scanned_from"] + 1 == 9799
+    assert r.b == 9898
+    assert r.report["minimal_proven"] is False
+    assert r.report["probes"] <= 2
+
+
+@pytest.mark.parametrize(
+    ("rec", "force_c", "b"),
+    [
+        (Recurrence(2, (-(10**5), 1), (1, 10**5)), None, 10000099999),
+        (Recurrence(2, (-(10**6), 1), (1, 10**6)), None, 1000000999999),
+        (Recurrence(2, (-(10**6), 1), (0, 1)), None, 2000000),
+        (Recurrence(1, (-(10**6),), (1,)), None, 1000001000001),
+        (Recurrence(2, (-201, 10100), (22, 2199)), 0, 219899),
+    ],
+)
+def test_long_carry_runs_cost_at_most_two_probes(rec, force_c, b):
+    # runs of carries F >= b more than 20,000 bases long, the last
+    # under an unproven forced shift: carry steps pass over them unprobed
+    started = time.perf_counter()
+    r = synthesize(rec, force_c=force_c)
+    assert time.perf_counter() - started < 1
+    assert r.b == b
+    assert r.report["probes"] <= 2
 
 
 def test_synthesize_force_c_too_small_is_rejected():
@@ -503,17 +516,23 @@ PELL = Recurrence(2, (-2, -1), (0, 1))  # passes n = 1 at b = 3 with carry 3
 @example(PELL)
 @example(FIB)
 @example(Recurrence(1, (2,), (2,)))  # carries >= b that are not multiples of b
+@example(Recurrence(2, (-5, 5), (0, 1)))  # the criterion fails at the digit floor 4 and at 5
 def test_carry_jumps_skip_only_bases_that_fail_at_n1(rec):
+    # walk the candidates from the digit floor as base search does, but on
+    # past every one; each base passed over fails the coefficient criterion
+    # (the first gallop) or n = 1 (a step of any k)
     c = find_shift(rec)
     pipe = _prepare(rec, c, 40)
     b2 = _bound_data(pipe).b2
-    floor = _digit_floor(pipe, 40)
-    skipped = set()
-    for b in range(floor, min(floor + 21, b2)):
-        if _coefficient_slack(pipe.den, b) > 0:
-            skipped.update(range(b + 1, _past_carry_run(pipe, b, b2)))
-    for b in skipped:
-        assert pipe.value(b, 1) != pipe.t_values[1], b
+    b = _digit_floor(pipe, 40)
+    for _ in range(20):
+        candidate = _n1_candidate(pipe, b, b2)
+        assert candidate is not None
+        for x in range(b, candidate):
+            assert _coefficient_slack(pipe.den, x) < 0 or pipe.value(x, 1) != pipe.t_values[1], x
+        if candidate == b2:
+            break
+        b = candidate + 1
 
 
 @given(_recurrences())
