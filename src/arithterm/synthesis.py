@@ -25,6 +25,10 @@ generating function of t(n) = s(n) + c^(n+1).  The pipeline is:
    F does not increase once the criterion holds, so _least jumps from one
    base the carry leaves to the next.  _least also finds the shift c and
    the cutoff m.
+   The term is then built from the data the direct checks ran on, and
+   read_extraction must read exactly that data back off it.  It reads every
+   node, so such a term equals extraction_value of that data at every n,
+   and the direct checks cover the term without it being evaluated.
 
 Everything is exact integer/Fraction arithmetic.  Certificates are only
 ever sufficient: a reported base is backed by a proof sketch (coefficient
@@ -50,7 +54,7 @@ from .recurrence import (
     is_provably_nonnegative,
     recurrence_from_denominator,
 )
-from .terms import Term, build_extraction_term, evaluate, extraction_fraction, extraction_value
+from .terms import Term, build_extraction_term, evaluate, extraction_fraction, extraction_value, read_extraction
 
 _SHIFT_CAP = 64  # how far to look for the start of a growth window
 _WINDOW_CAP = 64  # how far to look for the digit-size window of a base
@@ -364,9 +368,9 @@ def _prepare(rec: Recurrence, c: int, horizon: int) -> _Pipeline:
     """Pipeline for shift c, with t(0..depth-1).
 
     depth covers every index base search reads: the dominance window reads
-    t(0.._WINDOW_CAP + h), its start is at most _WINDOW_CAP + 1, so the
-    direct checks stop at max(_WINDOW_CAP, horizon), and the final replay
-    reads t(horizon).
+    t(0.._WINDOW_CAP + h), and its start is at most _WINDOW_CAP + 1, so the
+    direct checks, on [1, horizon] and below the cutoff, stop at
+    max(_WINDOW_CAP, horizon).
     """
     gf_t = gf_shift(generating_function(rec), c)
     if gf_t.is_zero():
@@ -561,6 +565,12 @@ def synthesize(
     (is_provably_nonnegative, or the certificate find_shift uses) leaves
     the result horizon-only, with certified_from None, and a searched base
     with report["minimal_proven"] False.
+
+    The direct checks run extraction_value on the data the term is built
+    from.  Instead of replaying the term through evaluate, synthesize reads
+    that data back off it with read_extraction, which proves the term equals
+    extraction_value of it at every n; a mismatch raises SynthesisError
+    "internal: ...".  evaluate runs once, at n = 0, for valid_at_zero.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -604,12 +614,12 @@ def synthesize(
         report["evidence"] = "horizon-only"
         certified_from = None
 
-    term = build_extraction_term(pipe.a_plus, pipe.a_minus, pipe.b_plus, pipe.b_minus, pipe.h, b)
-
-    for n in range(1, horizon + 1):
-        if evaluate(term, {"n": n}) != pipe.t_values[n]:
-            raise SynthesisError(f"internal: built term disagrees with sequence at n={n}")
+    data = (pipe.a_plus, pipe.a_minus, pipe.b_plus, pipe.b_minus)
+    term = build_extraction_term(*data, pipe.h, b)
     valid_at_zero = evaluate(term, {"n": 0}) - c == rec.init[0]
+    padded = tuple(t + (0,) * (pipe.h + 1 - len(t)) for t in data)
+    if read_extraction(term) != (*padded, pipe.h, b):
+        raise SynthesisError("internal: built term does not read back as the data base search checked")
 
     return SynthesisResult(
         recurrence=rec,

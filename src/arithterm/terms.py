@@ -593,29 +593,36 @@ def extraction_value(
     return top // den
 
 
-def _summand(t: Term, numerator: bool) -> tuple[int, int] | None:
-    """(j, coeff) of coeff*base^(n^2 + j*n) in a numerator, or of
-    coeff*base^(j*n) or a constant (j = 0) in a denominator.
+_N_SQUARED = BinOp("pow", Var("n"), Const(2))
 
-    Only the positions that carry j and coeff are read; match_extraction's
-    rebuild checks everything else.
+
+def _summand(t: Term, base: int, numerator: bool) -> tuple[int, int] | None:
+    """(j, coeff) when t is coeff*base^(n^2 + j*n) in a numerator, or
+    coeff*base^(j*n) or the constant coeff (j = 0) in a denominator; else None.
+
+    Every node is read, so t has that value at every n: coeff is an optional
+    Const factor on the left of a mul, j*n is n (j = 1) or Const(j)*n, and
+    j = 0 drops the j*n of a numerator exponent.  Each == compares a
+    subterm with one of two levels, so it recurses at most that deep.
     """
     coeff = 1
     if isinstance(t, BinOp) and t.op == "mul" and isinstance(t.left, Const):
         coeff, t = t.left.value, t.right
-    if isinstance(t, Const):
+    if isinstance(t, Const) and not numerator:
         return 0, coeff * t.value
-    if not (isinstance(t, BinOp) and t.op == "pow"):
+    if not (isinstance(t, BinOp) and t.op == "pow" and t.left == Const(base)):
         return None
     expo = t.right
     if numerator:
-        if not (isinstance(expo, BinOp) and expo.op == "add"):
-            return 0, coeff  # base^(n^2)
+        if expo == _N_SQUARED:
+            return 0, coeff
+        if not (isinstance(expo, BinOp) and expo.op == "add" and expo.left == _N_SQUARED):
+            return None
         expo = expo.right
     match expo:
-        case Var():
+        case Var(name="n"):
             return 1, coeff
-        case BinOp(op="mul", left=Const(value=j)):
+        case BinOp(op="mul", left=Const(value=j), right=Var(name="n")):
             return j, coeff
     return None
 
@@ -637,6 +644,62 @@ def _summands(t: Term | None) -> list[Term]:
     return out[::-1]
 
 
+def _read_pairs(term: Term) -> tuple[list[list[tuple[int, int]]], int] | None:
+    """The (j, coeff) pairs of a_plus, a_minus, b_plus and b_minus in a term
+    of build_extraction_term's shape, and its base; None for other terms.
+
+    A loop walks each sum and _summand reads each summand, which nests a
+    fixed number of levels, so no call recurses once per nesting level.
+    """
+    match term:
+        case BinOp(
+            op="mod",
+            left=BinOp(op="floordiv", left=num, right=den),
+            right=BinOp(op="pow", left=Const(value=base), right=Var(name="n")),
+        ) if base >= 2:
+            pass
+        case _:
+            return None
+    sides = []
+    for side, numerator in ((num, True), (den, False)):
+        for part in _signed_sides(side):
+            pairs = [_summand(s, base, numerator) for s in _summands(part)]
+            if None in pairs:
+                return None
+            sides.append(pairs)
+    return sides, base
+
+
+def _dense(sides: list[list[tuple[int, int]]], h: int, base: int) -> tuple:
+    """(a_plus, a_minus, b_plus, b_minus, h, base) with tuples of length h + 1."""
+    coeffs = []
+    for pairs in sides:
+        tup = [0] * (h + 1)
+        for j, coeff in pairs:
+            tup[h - j] += coeff
+        coeffs.append(tuple(tup))
+    return (*coeffs, h, base)
+
+
+def read_extraction(term: Term) -> tuple | None:
+    """(a_plus, a_minus, b_plus, b_minus, h, base) read off a term of
+    build_extraction_term's shape in the variable n, or None.
+
+    h is the largest multiple of n seen, and each tuple is padded with zeros
+    to length h + 1.  Every node is read (see _summand), so the term equals
+    extraction_value of the result at every n, but the shape is read
+    leniently: summands may come in any order, repeat or carry a factor 1
+    or 0.  match_extraction also demands the exact build.  Nothing recurses
+    once per nesting level, but the tuples are built at length h + 1 for
+    any h; match_extraction caps h before building them.
+    """
+    read = _read_pairs(term)
+    if read is None:
+        return None
+    sides, base = read
+    return _dense(sides, max(j for pairs in sides for j, _ in pairs), base)
+
+
 # the matched coefficients are dense tuples of length h + 1; a term whose
 # multiples of n go past this is left to evaluate
 _MAX_MATCHED_H = 1 << 12
@@ -645,39 +708,21 @@ _MAX_MATCHED_H = 1 << 12
 def match_extraction(term: Term) -> tuple | None:
     """Arguments of build_extraction_term that rebuild ``term`` exactly, or None.
 
-    Returns (a_plus, a_minus, b_plus, b_minus, h, base) when the term has
-    the shape build_extraction_term produces (in the variable n), so
-    extraction_value can stand in for evaluate on it.  The shape is read
-    off leniently and then confirmed by rebuilding and comparing, so a
-    match is exact by construction; h is the largest multiple of n seen, which yields the
-    same term as any larger h with leading zero coefficients.
+    Returns read_extraction(term) when rebuilding it gives ``term``, so
+    extraction_value can stand in for evaluate on it and the match is exact
+    by construction; h is the largest multiple of n seen, which yields the
+    same term as any larger h with leading zero coefficients.  A term with h
+    past _MAX_MATCHED_H, or too deep for the == of the rebuild, which
+    recurses once per nesting level, gives None.
     """
-    match term:
-        case BinOp(
-            op="mod",
-            left=BinOp(op="floordiv", left=num, right=den),
-            right=BinOp(op="pow", left=Const(value=base), right=Var(name="n")),
-        ):
-            pass
-        case _:
-            return None
-    sides = []
-    for side, numerator in ((num, True), (den, False)):
-        for part in _signed_sides(side):
-            pairs = [_summand(s, numerator) for s in _summands(part)]
-            if None in pairs:
-                return None
-            sides.append(pairs)
-    h = max((j for pairs in sides for j, _ in pairs), default=0)
+    read = _read_pairs(term)
+    if read is None:
+        return None
+    sides, base = read
+    h = max(j for pairs in sides for j, _ in pairs)
     if h > _MAX_MATCHED_H:
         return None
-    coeffs = []
-    for pairs in sides:
-        tup = [0] * (h + 1)
-        for j, coeff in pairs:
-            tup[h - j] += coeff
-        coeffs.append(tuple(tup))
-    params = (*coeffs, h, base)
+    params = _dense(sides, h, base)
     try:
         rebuilt = build_extraction_term(*params)
     except ValueError:
@@ -685,5 +730,5 @@ def match_extraction(term: Term) -> tuple | None:
     try:
         return params if rebuilt == term else None
     except RecursionError:
-        # == recurses once per nesting level; evaluate reports such a term
+        # evaluate reports such a term
         return None

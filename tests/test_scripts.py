@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -19,3 +20,14 @@ def test_catalog_script_verifies_every_fixture(name, capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", [f"{name}.py", "--horizon", "20"])
     assert _load(name).main() == 0
     assert "23/23" in capsys.readouterr().out
+
+
+def test_dump_results_prints_one_json_line_per_input(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["dump_results.py", "--count", "3", "--seed", "1"])
+    assert _load("dump_results").main() == 0
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(lines) == 23 + 3
+    assert lines[0]["id"] == "A000045" and (lines[0]["b"], lines[0]["c"]) == (3, 0)
+    assert [line["id"] for line in lines[23:]] == ["random:1:0", "random:1:1", "random:1:2"]
+    for line in lines:
+        assert "error" in line or ("probes" not in line["report"] and "term" in line)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from arithterm import synthesis
 from arithterm.catalog import get_fixture
 from arithterm.polys import Polynomial
 from arithterm.recurrence import Recurrence, eval_oracle, growth_constant, is_provably_nonnegative
@@ -33,7 +34,7 @@ from arithterm.synthesis import (
     radius_lower_bound,
     synthesize,
 )
-from arithterm.terms import evaluate, render
+from arithterm.terms import evaluate, read_extraction, render
 from arithterm.verify import verify_term
 
 FIB = Recurrence(2, (-1, -1), (0, 1))
@@ -488,6 +489,59 @@ def test_dominance_window_proves_every_base_it_certifies(rec):
             continue
         for n in range(max(start, 2), 81):
             assert pipe.value(b, n) == t[n], (b, start, n)
+
+
+def _padded_data(pipe, b):
+    data = (pipe.a_plus, pipe.a_minus, pipe.b_plus, pipe.b_minus)
+    return (*(t + (0,) * (pipe.h + 1 - len(t)) for t in data), pipe.h, b)
+
+
+@given(_recurrences())
+@example(FIB)
+@example(SIGNED_U)
+def test_synthesized_term_matches_the_oracle_and_reads_back_as_its_data(rec):
+    # synthesize never evaluates its term past n = 0: evaluate it at every n
+    # up to 40 here, and read back the data base search direct-checked
+    r = synthesize(rec)
+    oracle = eval_oracle(rec, 41).values
+    for n in range(1, 41):
+        assert evaluate(r.term, {"n": n}) - r.c ** (n + 1) == oracle[n], n
+    assert read_extraction(r.term) == _padded_data(_prepare(rec, r.c, r.horizon), r.b)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda a_plus, a_minus, b_plus, b_minus, h, b: (a_plus, a_minus, b_plus, b_minus, h, b + 1),
+        # drops the summand 3^n of FIB's 3^(2*n) -. (3^n + 1)
+        lambda a_plus, a_minus, b_plus, b_minus, h, b: (a_plus, a_minus, b_plus, (0, 0, *b_minus[2:]), h, b),
+    ],
+    ids=["base+1", "drop-summand"],
+)
+def test_a_term_built_from_other_data_is_an_internal_error(monkeypatch, mutate):
+    build = synthesis.build_extraction_term
+    monkeypatch.setattr(synthesis, "build_extraction_term", lambda *data: build(*mutate(*data)))
+    with pytest.raises(SynthesisError, match="internal"):
+        synthesize(FIB)
+
+
+def test_synthesize_evaluates_its_term_only_at_zero(monkeypatch):
+    calls = []
+    evaluate_ = synthesis.evaluate
+    monkeypatch.setattr(synthesis, "evaluate", lambda term, env: calls.append(env) or evaluate_(term, env))
+    synthesize(FIB)
+    assert calls == [{"n": 0}]
+
+
+def test_synthesize_reads_back_a_term_too_deep_to_compare():
+    # s(n) = s(n - 520): the rebuild-and-compare of match_extraction can
+    # recurse past the interpreter's limit on this term; the read-back
+    # synthesize runs walks each sum in a loop
+    order = 520
+    rec = Recurrence(order, (0,) * (order - 1) + (-1,), tuple(range(1, order + 1)))
+    r = synthesize(rec, horizon=3)
+    assert read_extraction(r.term) == _padded_data(_prepare(rec, r.c, 3), r.b)
+    assert r.valid_at_zero is False and r.report["evidence"] == "certified"
 
 
 def test_certified_from_is_the_window_start():

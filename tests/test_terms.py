@@ -22,6 +22,7 @@ from arithterm.terms import (
     extraction_value,
     match_extraction,
     parse,
+    read_extraction,
     render,
     term_from_json,
     term_to_json,
@@ -451,3 +452,46 @@ def test_match_extraction_rejects_other_shapes():
     # a valid shape, but its dense coefficient tuples would have 10,000 entries
     assert match_extraction(parse("fl(2^(n^2 + 9999*n) / (2^(9999*n) + 1)) % 2^n")) is None
     assert match_extraction(parse("2^2^2^n")) is None
+
+
+def test_read_extraction_reads_every_node():
+    fib = ((0, 1, 0), (0, 0, 0), (1, 0, 0), (0, 1, 1), 2, 3)
+    # order, repeats and factors 1 or 0 are read leniently, and the value
+    # stays extraction_value of what is read
+    for src in (
+        "fl(3^(n^2 + n) / (3^(2*n) -. (3^n + 1))) % 3^n",
+        "fl(1*3^(n^2 + 1*n) / (3^(2*n) -. (1 + 3^n + 0*3^(2*n)))) % 3^n",
+    ):
+        term = parse(src)
+        assert read_extraction(term) == fib
+        for n in range(12):
+            assert extraction_value(*fib, n) == evaluate(term, {"n": n})
+    assert read_extraction(parse("fl(3^(n^2 + n) / (3^n + 3^n + 3^(2*n))) % 3^n")) == (
+        (0, 1, 0),
+        (0, 0, 0),
+        (1, 2, 0),
+        (0, 0, 0),
+        2,
+        3,
+    )
+    # every other node must be the one build_extraction_term writes
+    for src in (
+        "fl(3^(n^2 + n) / (2^(2*n) -. (3^n + 1))) % 3^n",  # a summand in another base
+        "fl(3^(n^2 + n) + 1 / (3^(2*n) -. (3^n + 1))) % 3^n",  # a constant numerator summand
+        "fl(3^(n^3 + n) / (3^(2*n) -. (3^n + 1))) % 3^n",
+        "fl(3^(n^2 + n*2) / (3^(2*n) -. (3^n + 1))) % 3^n",
+        "fl(3^(n^2 + n) / (3^(2*m) -. (3^n + 1))) % 3^n",
+        "fl(3^(n^2 + n) / (3^(2*n) -. (3^n -. 1))) % 3^n",
+        "fl(n^(n^2 + n) / (n^(2*n) -. (n^n + 1))) % n^n",
+        "fl(1^(n^2 + n) / (1^(2*n) -. (1^n + 1))) % 1^n",
+    ):
+        assert read_extraction(parse(src)) is None, src
+        assert match_extraction(parse(src)) is None, src
+
+
+def test_read_extraction_walks_a_deep_sum_in_a_loop():
+    # 3,000 numerator summands nest past the default recursion limit
+    h = 3000
+    data = ((1,) * h, (), (1,), (0,) * h + (1,), h, 2)
+    padded = ((1,) * h + (0,), (0,) * (h + 1), (1,) + (0,) * h, (0,) * h + (1,), h, 2)
+    assert read_extraction(build_extraction_term(*data)) == padded
