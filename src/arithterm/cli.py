@@ -24,8 +24,8 @@ import json
 import sys
 
 from .catalog import fixtures, get_fixture
-from .polys import clear_denominators
-from .recurrence import NonIntegerTermError, Recurrence, eval_oracle, generating_function, gf_shift
+from .polys import format_poly
+from .recurrence import NonIntegerTermError, Recurrence, eval_oracle, shifted_gf_int
 from .synthesis import AllZeroSequenceError, SynthesisError, synthesize
 from .terms import (
     BudgetExceededError,
@@ -157,9 +157,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_gf(args) -> int:
     rec = _load_spec(args.spec)
-    f = gf_shift(generating_function(rec), args.shift)
-    num, den = clear_denominators(f)
-    num_str, den_str = str(num), str(den)
+    num, den = shifted_gf_int(rec, args.shift)
+    num_str, den_str = format_poly(num), format_poly(den)
     if " " in num_str:
         num_str = f"({num_str})"
     if " " in den_str:

@@ -9,6 +9,11 @@ stripped, so the zero polynomial is the empty tuple and ``degree()`` returns
 A ``RationalFunction`` keeps a reduced numerator/denominator pair.  The
 denominator is normalized so that its lowest-order nonzero coefficient is +1,
 which makes equality structural and keeps power series extraction stable.
+
+The same dense layout with plain ``int`` tuples is Z[z]: ``int_poly_gcd``
+and ``reduce_int_fraction`` reduce a fraction of integer polynomials
+without leaving the integers, to the pair ``clear_denominators`` gives for
+the same quotient.
 """
 
 from __future__ import annotations
@@ -32,16 +37,21 @@ def _coerce(value: Coeff) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
+def _trim(p: Iterable[Coeff]) -> tuple:
+    """The coefficients without trailing zeros."""
+    cs = list(p)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
 class Polynomial:
     """Immutable dense polynomial with Fraction coefficients."""
 
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[Coeff] = ()):
-        cs = [_coerce(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self._coeffs = tuple(cs)
+        self._coeffs = _trim(_coerce(c) for c in coeffs)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -162,28 +172,32 @@ class Polynomial:
         return f"Polynomial({list(self._coeffs)!r})"
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts: list[str] = []
-        for k, c in enumerate(self._coeffs):
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else "+"
-            mag = -c if c < 0 else c
-            if k == 0:
-                body = _coeff_str(mag)
-            elif mag == 1:
-                body = _var_str(k)
-            else:
-                body = f"{_coeff_str(mag)}{_var_str(k)}"
-            if not parts:
-                parts.append(body if sign == "+" else f"-{body}")
-            else:
-                parts.append(f" {sign} {body}")
-        return "".join(parts)
+        return format_poly(self._coeffs)
 
 
-def _coeff_str(c: Fraction) -> str:
+def format_poly(coeffs: Iterable[Coeff]) -> str:
+    """Coefficients in ascending order written as a polynomial in z, such
+    as ``1 - z - (1/2)z^2``; ints and Fractions of equal value print alike."""
+    parts: list[str] = []
+    for k, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        sign = "-" if c < 0 else "+"
+        mag = -c if c < 0 else c
+        if k == 0:
+            body = _coeff_str(mag)
+        elif mag == 1:
+            body = _var_str(k)
+        else:
+            body = f"{_coeff_str(mag)}{_var_str(k)}"
+        if not parts:
+            parts.append(body if sign == "+" else f"-{body}")
+        else:
+            parts.append(f" {sign} {body}")
+    return "".join(parts) or "0"
+
+
+def _coeff_str(c: Coeff) -> str:
     return str(c.numerator) if c.denominator == 1 else f"({c.numerator}/{c.denominator})"
 
 
@@ -353,3 +367,87 @@ def split_signs(p: Polynomial) -> tuple[Polynomial, Polynomial]:
     plus = Polynomial(c if c > 0 else Fraction(0) for c in p.coeffs)
     minus = Polynomial(-c if c < 0 else Fraction(0) for c in p.coeffs)
     return plus, minus
+
+
+def _int_primitive(p: tuple[int, ...]) -> tuple[int, ...]:
+    """p over its content, with a positive leading coefficient; p != ()."""
+    g = gcd(*p)
+    if p[-1] < 0:
+        g = -g
+    return tuple(c // g for c in p)
+
+
+def _int_prem(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """A pseudo-remainder of a by b: lead(b)^k a - q b for some k >= 0 and
+    q in Z[z], of degree below b's; deg a >= deg b."""
+    r, lead, db = list(a), b[-1], len(b) - 1
+    while len(r) > db:
+        top, shift = r.pop(), len(r) - db
+        r = [c * lead for c in r]
+        for j in range(db):
+            r[shift + j] -= top * b[j]
+        while r and r[-1] == 0:
+            r.pop()
+    return tuple(r)
+
+
+def _int_divexact(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """a / b for a b that divides a in Z[z]."""
+    r, lead, db = list(a), b[-1], len(b) - 1
+    quot = [0] * max(len(r) - db, 0)
+    for k in range(len(r) - 1, db - 1, -1):
+        q, rem = divmod(r[k], lead)
+        if rem:
+            raise AlgebraError("inexact polynomial division")
+        quot[k - db] = q
+        if q:
+            for j in range(db + 1):
+                r[k - db + j] -= q * b[j]
+    if any(r):
+        raise AlgebraError("inexact polynomial division")
+    return tuple(quot)
+
+
+def int_poly_gcd(a: Iterable[int], b: Iterable[int]) -> tuple[int, ...]:
+    """Primitive greatest common divisor in Z[z], leading coefficient > 0.
+
+    Euclid on primitive parts (Knuth, TAOCP vol. 2, 4.6.1): each step
+    replaces (a, b) by (b, primitive part of the pseudo-remainder of a by
+    b), so every number stays an integer and the coefficients stay small.
+    The result is the monic poly_gcd of a and b scaled to a primitive
+    integer polynomial; the integer content of the gcd is left out.
+    """
+    a, b = _trim(a), _trim(b)
+    if not a and not b:
+        raise AlgebraError("gcd(0, 0) is undefined")
+    if len(a) < len(b):
+        a, b = b, a
+    a = _int_primitive(a)
+    while b:
+        b = _int_primitive(b)
+        a, b = b, _int_prem(a, b)
+    return a
+
+
+def reduce_int_fraction(num: Iterable[int], den: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The pair clear_denominators(RationalFunction(num, den)) gives, as int
+    tuples, computed in Z[z].
+
+    Divides both by int_poly_gcd, then by the content of the two together,
+    and fixes the sign so that the lowest-order nonzero coefficient of the
+    denominator is positive.  Two integer pairs for one quotient differ by
+    a rational factor, which these two steps fix, so the result is the
+    unique such representative.  A zero numerator gives ((), (1,)).
+    """
+    num, den = _trim(num), _trim(den)
+    if not den:
+        raise AlgebraError("rational function with zero denominator")
+    if not num:
+        return (), (1,)
+    g = int_poly_gcd(num, den)
+    if len(g) > 1:
+        num, den = _int_divexact(num, g), _int_divexact(den, g)
+    content = gcd(*num, *den)
+    if next(c for c in den if c) < 0:
+        content = -content
+    return tuple(c // content for c in num), tuple(c // content for c in den)

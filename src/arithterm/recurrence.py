@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .polys import Polynomial, RationalFunction
+from .polys import Polynomial, RationalFunction, reduce_int_fraction
 
 Coeff = int | Fraction | str
 
@@ -155,6 +155,35 @@ def gf_shift(f: RationalFunction, c: int) -> RationalFunction:
     if c == 0:
         return f
     return f + RationalFunction(Polynomial([c]), Polynomial([1, -c]))
+
+
+def shifted_gf_int(rec: Recurrence, c: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(num, den) of the generating function of n -> s(n) + c^(n+1), in Z[z].
+
+    Equals clear_denominators(gf_shift(generating_function(rec), c)) with
+    the Polynomials as int tuples, but never leaves the integers: with
+    scale the lcm of the coefficient denominators, den = scale * (1,
+    *coeffs) and num_k = sum_{i<=k} den_i s(k-i) for k < d give the
+    generating function of s; for c > 0 the pair becomes
+    (num (1 - cz) + c den, den (1 - cz)).  reduce_int_fraction then makes
+    it the unique primitive reduced representative with den[0] > 0.  A zero
+    sequence gives ((), (1,)).
+    """
+    if c < 0:
+        raise ValueError("shift must be a natural number")
+    d = rec.order
+    scale = math.lcm(*(a.denominator for a in rec.coeffs))
+    den = (scale, *(a.numerator * (scale // a.denominator) for a in rec.coeffs))
+    num = [sum(den[i] * rec.init[k - i] for i in range(k + 1)) for k in range(d)]
+    if c:
+        # num/den + c/(1 - cz) = (num (1 - cz) + c den) / (den (1 - cz))
+        num = [x + c * y for x, y in zip(_times_1_minus_cz(num, c), den)]
+        den = _times_1_minus_cz(den, c)
+    return reduce_int_fraction(num, den)
+
+
+def _times_1_minus_cz(p: Sequence[int], c: int) -> list[int]:
+    return [x - c * y for x, y in zip((*p, 0), (0, *p))]
 
 
 def recurrence_from_denominator(den: Polynomial, init: Sequence[int]) -> Recurrence:

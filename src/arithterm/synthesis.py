@@ -9,7 +9,8 @@ where E encodes base-b digit extraction from the power series of the
 generating function of t(n) = s(n) + c^(n+1).  The pipeline is:
 
 1. pick a shift c making t provably nonnegative (c = 0 when s itself is);
-2. form the generating function of t and clear it to integer coefficients;
+2. form the generating function of t as a reduced fraction of integer
+   polynomials (shifted_gf_int, which never leaves Z[z]);
 3. split numerator and denominator into positive and negative parts, which
    become the truncated subtractions inside the term;
 4. derive bound data (growth constant of t, a lower bound for the radius
@@ -30,7 +31,8 @@ generating function of t(n) = s(n) + c^(n+1).  The pipeline is:
    node, so such a term equals extraction_value of that data at every n,
    and the direct checks cover the term without it being evaluated.
 
-Everything is exact integer/Fraction arithmetic.  Certificates are only
+Everything is exact integer arithmetic, apart from the radius bound rho,
+a Fraction of two integers.  Certificates are only
 ever sufficient: a reported base is backed by a proof sketch (coefficient
 dominance + a window of digit-size checks), and nearly every base rejected
 during the search passes that certificate but fails the direct check,
@@ -39,20 +41,17 @@ mostly at n = 1.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polys import Polynomial, RationalFunction, clear_denominators, split_signs
 from .recurrence import (
     Recurrence,
     eval_oracle,
     floor_root,
-    generating_function,
-    gf_shift,
     growth_constant,
     is_provably_nonnegative,
-    recurrence_from_denominator,
+    shifted_gf_int,
 )
 from .terms import Term, build_extraction_term, evaluate, extraction_fraction, extraction_value, read_extraction
 
@@ -69,20 +68,22 @@ class SynthesisError(RuntimeError):
     """Synthesis could not produce or validate a representation."""
 
 
-def radius_lower_bound(den: Polynomial) -> Fraction:
+def radius_lower_bound(den: Sequence[int | Fraction]) -> Fraction:
     """Positive lower bound for the distance from 0 to the nearest root.
 
-    Uses the Cauchy-type estimate |z| >= |d0| / (|d0| + max_{i>=1} |di|)
-    for any root z of the polynomial.  A constant denominator has no roots
-    and gets the bound 1, which is all the later inequalities need.
+    den is the coefficient sequence of a polynomial in ascending order, an
+    int tuple or a Polynomial.  Uses the Cauchy-type estimate
+    |z| >= |d0| / (|d0| + max_{i>=1} |di|) for any root z of the
+    polynomial.  A constant denominator has no roots and gets the bound 1,
+    which is all the later inequalities need.
     """
-    d0 = den[0]
-    if d0 == 0:
+    coeffs = tuple(den)
+    if not coeffs or coeffs[0] == 0:
         raise ValueError("denominator must not vanish at 0")
-    if den.degree() < 1:
+    if len(coeffs) < 2:
         return Fraction(1)
-    top = max(abs(den[i]) for i in range(1, den.degree() + 1))
-    return abs(d0) / (abs(d0) + top)
+    d0, top = abs(coeffs[0]), max(abs(d) for d in coeffs[1:])
+    return Fraction(d0, d0 + top)
 
 
 def _coefficient_slack(den: tuple[int | Fraction, ...], base: int) -> int | Fraction:
@@ -258,17 +259,27 @@ def find_b1_m(c_t: int, rho: Fraction) -> tuple[int, int]:
     m is the least index >= 3 from which both c_t^(m+1) < b1^(m-2) and
     b1^(-m) < rho hold; past it the digit-size and radius requirements are
     met at base b1.  Both conditions are monotone in m because b1 > c_t,
-    and both eventually hold because rho > 0, so _least finds the least m
-    from 3 on.  Each probe decides the two inequalities
+    and both eventually hold because rho > 0, so _least finds the least m.
+    Each probe decides the two inequalities
     exactly with pow_lt, the second in the integer form
     floor(1/rho) < b1^m, so no power of b1 is ever built in full.
+
+    Lemma: with c = c_t and b1 = c + 1, every m with c^(m+1) < b1^(m-2)
+    has m - 2 > 3 c ln c.  Taking logarithms, 3 ln c < (m - 2) ln(1 + 1/c)
+    < (m - 2) / c.  Since ln 2 > 0.693147 and log2(c) >= (L - 1) / 64 for
+    the bit length L of c^64, X = 3 c 0.693147 (L - 1) / 64 <= 3 c ln c,
+    so every m below lo = 3 + floor(X) fails, and the search starts there.
+    lo is 3 for c = 1 and never less.
 
     The work is bounded: the search raises SynthesisError rather than probe
     an m of more than _M_BITS_CAP bits, and only after every m of at most
     _M_BITS_CAP bits has failed.  The least m exceeds 3*c_t*ln(c_t) > c_t,
     so a c_t longer than the cap is rejected before the first probe.  The
     slowest accepted inputs have c_t of about 247 bits and m of 255-256
-    bits, and take about 2 s on a 2-vCPU x86-64 host.
+    bits, and take about 2.7 s on a 2-vCPU x86-64 host: lo is within a
+    factor 1 + 2^-15 of m there, so every probe lies near the threshold,
+    where pow_lt needs its widest precision (from m = 3 they took 2.1 s).
+    For c_t = 141 the search starts at 2092 and m is 2103.
     """
     if c_t < 1 or rho <= 0:
         raise ValueError("need c_t >= 1 and rho > 0")
@@ -280,9 +291,11 @@ def find_b1_m(c_t: int, rho: Fraction) -> tuple[int, int]:
     def good(m: int) -> bool:
         return pow_lt(c_t, m + 1, b1, m - 2) and pow_lt(inv_rho, 1, b1, m)
 
-    # _least's gallop is clamped to the largest m of _M_BITS_CAP bits, so
-    # the search raises only once every such m is known to fail
-    m = _least(good, 3, (1 << _M_BITS_CAP) - 1)
+    # the lemma's lower bound, in integers; _least's gallop is clamped to the
+    # largest m of _M_BITS_CAP bits, so the search raises only once every
+    # such m is known to fail (at once when lo is past it)
+    lo = 3 + 3 * c_t * 693147 * ((c_t**64).bit_length() - 1) // (64 * 10**6)
+    m = _least(good, lo, (1 << _M_BITS_CAP) - 1)
     if m is None:
         raise SynthesisError(f"bound data needs a cutoff m of more than {_M_BITS_CAP} bits")
     return b1, m
@@ -350,7 +363,6 @@ class _Pipeline:
     """Everything derived from (rec, c) that base search needs."""
 
     c: int
-    gf_t: RationalFunction
     den: tuple[int, ...]
     a_plus: tuple[int, ...]
     a_minus: tuple[int, ...]
@@ -372,11 +384,10 @@ def _prepare(rec: Recurrence, c: int, horizon: int) -> _Pipeline:
     direct checks, on [1, horizon] and below the cutoff, stop at
     max(_WINDOW_CAP, horizon).
     """
-    gf_t = gf_shift(generating_function(rec), c)
-    if gf_t.is_zero():
+    num, den = shifted_gf_int(rec, c)
+    if not num:
         raise SynthesisError("shifted sequence is identically zero")
-    num_int, den_int = clear_denominators(gf_t)
-    h = den_int.degree()
+    h = len(den) - 1
     if h < 1:
         raise SynthesisError("shifted sequence is eventually zero; no proper pole")
     depth = max(_WINDOW_CAP + h + 1, horizon + 1)
@@ -385,16 +396,14 @@ def _prepare(rec: Recurrence, c: int, horizon: int) -> _Pipeline:
     for n, v in enumerate(t):
         if v < 0:
             raise SynthesisError(f"shift {c} leaves a negative term at n={n}")
-    a_plus, a_minus = split_signs(num_int)
-    b_plus, b_minus = split_signs(den_int)
+    # plus - minus with natural parts; zero entries build no summand
     return _Pipeline(
         c=c,
-        gf_t=gf_t,
-        den=den_int.int_coeffs(),
-        a_plus=a_plus.int_coeffs(),
-        a_minus=a_minus.int_coeffs(),
-        b_plus=b_plus.int_coeffs(),
-        b_minus=b_minus.int_coeffs(),
+        den=den,
+        a_plus=tuple(max(x, 0) for x in num),
+        a_minus=tuple(max(-x, 0) for x in num),
+        b_plus=tuple(max(x, 0) for x in den),
+        b_minus=tuple(max(-x, 0) for x in den),
         h=h,
         t_values=t,
     )
@@ -402,9 +411,10 @@ def _prepare(rec: Recurrence, c: int, horizon: int) -> _Pipeline:
 
 def _bound_data(pipe: _Pipeline) -> BoundsCertificate:
     """Validated bound data for the shifted sequence of a prepared pipeline."""
-    den = Polynomial(pipe.den)
-    c_t = growth_constant(recurrence_from_denominator(den, pipe.t_values[: pipe.h]))
-    rho = radius_lower_bound(den)
+    d0 = pipe.den[0]
+    rec_t = Recurrence(pipe.h, tuple(Fraction(x, d0) for x in pipe.den[1:]), pipe.t_values[: pipe.h])
+    c_t = growth_constant(rec_t)
+    rho = radius_lower_bound(pipe.den)
     b1, m = find_b1_m(c_t, rho)
     cert = BoundsCertificate(c=pipe.c, c_t=c_t, rho=rho, b1=b1, m=m, b2=find_b2(c_t, rho))
     cert.validate()
@@ -526,7 +536,6 @@ class SynthesisResult:
     valid_from: int
     valid_at_zero: bool
     certificate: BoundsCertificate
-    gf_t: RationalFunction
     certified_from: int | None
     horizon: int
     report: dict
@@ -629,7 +638,6 @@ def synthesize(
         valid_from=1,
         valid_at_zero=valid_at_zero,
         certificate=cert,
-        gf_t=pipe.gf_t,
         certified_from=certified_from,
         horizon=horizon,
         report=report,

@@ -691,18 +691,27 @@ def read_extraction(term: Term) -> tuple | None:
     leniently: summands may come in any order, repeat or carry a factor 1
     or 0.  match_extraction also demands the exact build.  Nothing recurses
     once per nesting level, but the tuples are built at length h + 1 for
-    any h; match_extraction caps h before building them.
+    any h; match_extraction and verify_term cap h before building them.
     """
-    read = _read_pairs(term)
-    if read is None:
-        return None
-    sides, base = read
-    return _dense(sides, max(j for pairs in sides for j, _ in pairs), base)
+    return _read_capped(term, None)
 
 
 # the matched coefficients are dense tuples of length h + 1; a term whose
 # multiples of n go past this is left to evaluate
 _MAX_MATCHED_H = 1 << 12
+
+
+def _read_capped(term: Term, cap: int | None = _MAX_MATCHED_H) -> tuple | None:
+    """read_extraction(term), or None when h exceeds cap, which is checked
+    before the tuples are built; cap None reads any h."""
+    read = _read_pairs(term)
+    if read is None:
+        return None
+    sides, base = read
+    h = max(j for pairs in sides for j, _ in pairs)
+    if cap is not None and h > cap:
+        return None
+    return _dense(sides, h, base)
 
 
 def match_extraction(term: Term) -> tuple | None:
@@ -715,14 +724,9 @@ def match_extraction(term: Term) -> tuple | None:
     past _MAX_MATCHED_H, or too deep for the == of the rebuild, which
     recurses once per nesting level, gives None.
     """
-    read = _read_pairs(term)
-    if read is None:
+    params = _read_capped(term)
+    if params is None:
         return None
-    sides, base = read
-    h = max(j for pairs in sides for j, _ in pairs)
-    if h > _MAX_MATCHED_H:
-        return None
-    params = _dense(sides, h, base)
     try:
         rebuilt = build_extraction_term(*params)
     except ValueError:

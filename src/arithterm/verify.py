@@ -2,13 +2,14 @@
 
 ``verify_term`` compares term values (minus the shift part) against oracle
 values over an index range and reports the first mismatch, elapsed time in
-integer nanoseconds, and the largest intermediate seen.  A term of the
-shape ``build_extraction_term`` makes (recognised exactly by
-``match_extraction``) is replayed through ``extraction_value``, which works
-modulo D and never forms b^(n^2); any other term goes through the
-reference evaluator ``evaluate``.  Both give the same values, but
-``peak_bits`` then measures different computations: O(h*n*log b) bits on
-the fast path against O(n^2*log b) through ``evaluate``.
+integer nanoseconds, and the largest intermediate seen.  A term that
+``read_extraction`` reads as extraction data, with h at most the cap
+``match_extraction`` keeps, is replayed through ``extraction_value``, which
+works modulo D and never forms b^(n^2); any other term goes through the
+reference evaluator ``evaluate``.  read_extraction reads every node, so
+both give the same values, but ``peak_bits`` then measures different
+computations: O(h*n*log b) bits on the fast path against O(n^2*log b)
+through ``evaluate``.
 ``verify_catalog`` replays every catalog fixture.  ``extraction_direct``
 recomputes the digit extraction through exact Fraction arithmetic on the
 generating function, completely bypassing both term evaluators, for
@@ -25,7 +26,7 @@ from typing import Sequence
 from .catalog import fixtures
 from .polys import RationalFunction
 from .recurrence import eval_oracle
-from .terms import BudgetExceededError, EvalStats, Term, evaluate, extraction_value, match_extraction
+from .terms import BudgetExceededError, EvalStats, Term, _read_capped, evaluate, extraction_value
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,10 +42,10 @@ class VerificationReport:
 
     ``checked`` counts the indices evaluated, the failing one included.
     ``peak_bits`` is the bit length of the largest intermediate of the
-    evaluations: through ``extraction_value`` for terms ``match_extraction``
-    recognises, which works modulo D and whose intermediates stay
-    O(h*n*log b) bits, else through ``evaluate``.  ``aborted`` carries the
-    index and message of a blown bit budget.
+    evaluations: through ``extraction_value`` for terms ``read_extraction``
+    reads with h at most _MAX_MATCHED_H, which works modulo D and whose
+    intermediates stay O(h*n*log b) bits, else through ``evaluate``.
+    ``aborted`` carries the index and message of a blown bit budget.
     """
 
     n_lo: int
@@ -90,8 +91,9 @@ def verify_term(
     Stops at the first mismatch.  ``oracle`` must cover indices up to n_hi.
     A blown evaluation budget aborts the run and is reported as such rather
     than as a mismatch.  The term's variable is n; terms that
-    match_extraction recognises are evaluated by extraction_value, all
-    others by evaluate.
+    read_extraction reads, with h at most _MAX_MATCHED_H, are evaluated by
+    extraction_value, all others by evaluate.  The cap is checked before
+    the coefficient tuples are built.
     """
     if n_lo < 0 or n_hi < n_lo:
         raise ValueError("need 0 <= n_lo <= n_hi")
@@ -99,7 +101,7 @@ def verify_term(
         raise ValueError(f"oracle covers {len(oracle)} values, need {n_hi + 1}")
     stats = EvalStats()
     started = time.monotonic_ns()
-    params = match_extraction(term)
+    params = _read_capped(term)
     if params is not None:
 
         def value(n: int) -> int:

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,10 @@ from arithterm.polys import (
     Polynomial,
     RationalFunction,
     clear_denominators,
+    format_poly,
+    int_poly_gcd,
     poly_gcd,
+    reduce_int_fraction,
     series_coefficients,
     split_signs,
 )
@@ -187,3 +191,42 @@ def test_split_signs_round_trip():
 def test_split_signs_needs_integers():
     with pytest.raises(AlgebraError):
         split_signs(Polynomial([Fraction(1, 2)]))
+
+
+int_polys = st.lists(st.integers(-9, 9), min_size=0, max_size=5)
+
+
+@given(int_polys, int_polys, int_polys)
+def test_int_poly_gcd_is_the_primitive_form_of_poly_gcd(a, b, g):
+    # a common factor g makes nontrivial gcds common
+    a, b = Polynomial(a) * Polynomial(g), Polynomial(b) * Polynomial(g)
+    if a.is_zero() and b.is_zero():
+        with pytest.raises(AlgebraError):
+            int_poly_gcd(a.int_coeffs(), b.int_coeffs())
+        return
+    got = int_poly_gcd(a.int_coeffs(), b.int_coeffs())
+    assert Polynomial(got).monic() == poly_gcd(a, b)
+    assert got[-1] > 0 and math.gcd(*got) == 1
+
+
+@given(int_polys, int_polys.filter(any), int_polys.filter(any))
+def test_reduce_int_fraction_matches_clear_denominators(num, den, g):
+    num, den = Polynomial(num) * Polynomial(g), Polynomial(den) * Polynomial(g)
+    ref_num, ref_den = clear_denominators(RationalFunction(num, den))
+    assert reduce_int_fraction(num.int_coeffs(), den.int_coeffs()) == (ref_num.int_coeffs(), ref_den.int_coeffs())
+
+
+def test_reduce_int_fraction_edge_cases():
+    assert reduce_int_fraction((0, 0), (-4, 6)) == ((), (1,))
+    # lowest nonzero denominator coefficient made positive, trailing zeros cut
+    assert reduce_int_fraction((2, 0), (0, -4, 0)) == ((-1,), (0, 2))
+    with pytest.raises(AlgebraError):
+        reduce_int_fraction((1,), (0,))
+
+
+@given(st.lists(coeff, min_size=0, max_size=6))
+def test_format_poly_is_the_polynomial_string(cs):
+    p = Polynomial(cs)
+    assert format_poly(p.coeffs) == str(p)
+    if p.is_integral():
+        assert format_poly(p.int_coeffs()) == str(p)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from arithterm.polys import Polynomial, RationalFunction, series_coefficients
+from arithterm.polys import Polynomial, RationalFunction, clear_denominators, series_coefficients
 from arithterm.recurrence import (
     NonIntegerTermError,
     Recurrence,
@@ -15,6 +15,7 @@ from arithterm.recurrence import (
     growth_constant,
     is_provably_nonnegative,
     recurrence_from_denominator,
+    shifted_gf_int,
 )
 
 FIB = Recurrence(2, (-1, -1), (0, 1))
@@ -167,6 +168,54 @@ def test_gf_shift_series(rec, c):
     base = eval_oracle(rec, 12).values
     shifted = series_coefficients(gf_shift(generating_function(rec), c), 12)
     assert shifted == [v + c ** (n + 1) for n, v in enumerate(base)]
+
+
+def _fraction_reference(rec, c):
+    num, den = clear_denominators(gf_shift(generating_function(rec), c))
+    return num.int_coeffs(), den.int_coeffs()
+
+
+@st.composite
+def _rational_recurrences(draw):
+    order = draw(st.integers(1, 4))
+    coeffs = draw(
+        st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=6), min_size=order, max_size=order)
+    )
+    if coeffs[-1] == 0:
+        coeffs[-1] = Fraction(draw(st.sampled_from((-3, -1, 1, 2))), draw(st.integers(1, 6)))
+    init = draw(st.lists(st.integers(-10, 10), min_size=order, max_size=order))
+    return Recurrence(order, tuple(coeffs), tuple(init))
+
+
+@given(st.one_of(small_recurrences(), _rational_recurrences()), st.sampled_from((0, 1, 2, 3, 7)))
+def test_shifted_gf_int_is_the_cleared_fraction_reference(rec, c):
+    num, den = shifted_gf_int(rec, c)
+    assert (num, den) == _fraction_reference(rec, c)
+    assert all(type(x) is int for x in num + den)
+
+
+@pytest.mark.parametrize(
+    "rec, c, expected",
+    [
+        # s(n) = 1 for all n: (1 - 3z + 2z^2) = (1 - z)(1 - 2z) loses 1 - 2z
+        (Recurrence(2, (-3, 2), (1, 1)), 0, ((1,), (1, -1))),
+        # t(n) = 2: the shift adds the same pole 1 - z
+        (Recurrence(2, (-3, 2), (1, 1)), 1, ((2,), (1, -1))),
+        # t(n) = 1 + 2^(n+1): keeps 1 - z and 1 - 2z, the pole of the shift
+        (Recurrence(2, (-3, 2), (1, 1)), 2, ((3, -4), (1, -3, 2))),
+        # s(n) = -2^(n+1), so t = 0
+        (Recurrence(1, (-2,), (-2,)), 2, ((), (1,))),
+        # rational coefficients with a common factor in the numerator
+        (Recurrence(2, ("-1/2", "1/3"), (3, 6)), 3, ((36, -36, -75), (6, -21, 11, -6))),
+    ],
+)
+def test_shifted_gf_int_reduces_common_factors(rec, c, expected):
+    assert shifted_gf_int(rec, c) == expected == _fraction_reference(rec, c)
+
+
+def test_shifted_gf_int_rejects_a_negative_shift():
+    with pytest.raises(ValueError, match="natural"):
+        shifted_gf_int(FIB, -1)
 
 
 def test_growth_constant_known_values():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from arithterm import synthesis
 from arithterm.catalog import get_fixture
-from arithterm.polys import Polynomial
+from arithterm.polys import Polynomial, RationalFunction
 from arithterm.recurrence import Recurrence, eval_oracle, growth_constant, is_provably_nonnegative
 from arithterm.synthesis import (
     AllZeroSequenceError,
@@ -178,19 +178,60 @@ def test_find_b1_m_validation():
         find_b1_m(3, Fraction(0))
 
 
-def test_find_b1_m_work_bound():
+def test_find_b1_m_work_bound(monkeypatch):
     # c_t longer than the cap on m's bits: rejected before the first probe
     started = time.perf_counter()
     with pytest.raises(SynthesisError):
         find_b1_m(2**4000 + 1, Fraction(1, 3))
     assert time.perf_counter() - started < 5
-    # 247 bits: the least m lies past the last unclamped gallop probe,
-    # 2^255 + 2, and is still found by the probe clamped to 2^256 - 1
+    # 247 bits: the least m has 256 bits, and is the one the gallop from
+    # m = 3 found before the search started at the lemma's lower bound
     b1, m = find_b1_m(2**246 * 16 // 10, Fraction(1, 3))
     assert 3 * 2**254 < m < 2**256
-    # 248 bits: every m of 256 bits fails
+    assert m == 92806026130937562503138543400760945528442590675579533653881477185615673941126
+    # 248 bits: every m of 256 bits fails, since the lemma's lower bound
+    # is past 2^256 - 1, which rejects it without a probe
+    calls = []
+    monkeypatch.setattr(synthesis, "pow_lt", lambda *args: calls.append(args) or pow_lt(*args))
     with pytest.raises(SynthesisError, match="more than 256 bits"):
         find_b1_m(2**247, Fraction(1, 3))
+    assert calls == []
+
+
+def _reference_find_b1_m(c_t, rho):
+    # the search as it ran before the lower bound: a gallop from m = 3
+    b1 = c_t + 1
+    inv_rho = rho.denominator // rho.numerator
+
+    def good(m):
+        return pow_lt(c_t, m + 1, b1, m - 2) and pow_lt(inv_rho, 1, b1, m)
+
+    return b1, _least(good, 3, (1 << 256) - 1), good
+
+
+@given(st.integers(1, 2**40), st.integers(1, 10**12), st.integers(1, 10**12))
+@example(1, 1, 1)
+@example(2, 1, 3**20)
+@example(141, 1, 2)
+@example(2**40, 10**12, 1)
+def test_find_b1_m_starts_at_a_bound_no_smaller_m_passes(c_t, p, q):
+    rho = Fraction(p, q)
+    b1, m, good = _reference_find_b1_m(c_t, rho)
+    starts = []
+    least = synthesis._least
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(synthesis, "_least", lambda pred, lo, hi: starts.append(lo) or least(pred, lo, hi))
+        assert find_b1_m(c_t, rho) == (b1, m)
+    (lo,) = starts
+    assert lo >= 3 and not good(lo - 1)
+
+
+def test_find_b1_m_lower_bound_saves_probes(monkeypatch):
+    # c_t = 141: the least m is 2103 and the search starts at 2092
+    calls = []
+    monkeypatch.setattr(synthesis, "pow_lt", lambda *args: calls.append(args) or pow_lt(*args))
+    assert find_b1_m(141, Fraction(1, 2)) == (142, 2103)
+    assert len(calls) <= 12
 
 
 def test_find_b2_values():
@@ -288,6 +329,24 @@ def test_synthesize_rejects_zero_sequence():
         synthesize(Recurrence(1, (2,), (0,)))
     with pytest.raises(AllZeroSequenceError):
         synthesize(Recurrence(2, (-1, -1), (0, 0)))
+
+
+def test_synthesize_rejects_a_shift_that_cancels_the_sequence():
+    # s(n) = -2^(n+1): the forced shift 2 leaves t = 0
+    with pytest.raises(SynthesisError, match="^shifted sequence is identically zero$"):
+        synthesize(Recurrence(1, (-2,), (-2,)), force_c=2)
+
+
+def test_synthesis_builds_no_fraction_polynomial(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Fraction polynomial was built")
+
+    # s(n) = 2^n from a rational recurrence whose gf loses the factor 1 - z/2
+    recs = (FIB, SIGNED_U, Recurrence(2, ("-5/2", 1), (1, 2)), get_fixture("A001629").recurrence)
+    monkeypatch.setattr(Polynomial, "__init__", refuse)
+    monkeypatch.setattr(RationalFunction, "__init__", refuse)
+    for rec in recs:
+        synthesize(rec)
 
 
 def test_synthesize_force_b_invalid_base_reports_first_failure():

@@ -1,9 +1,21 @@
 import pytest
 
 from arithterm.catalog import fixtures, get_fixture
-from arithterm.recurrence import eval_oracle, generating_function
-from arithterm.terms import BinOp, Const, build_extraction_term, evaluate, extraction_value, match_extraction, parse
-from arithterm.verify import extraction_direct, verify_catalog, verify_term
+from arithterm import verify
+from arithterm.recurrence import Recurrence, eval_oracle, generating_function
+from arithterm.synthesis import synthesize
+from arithterm.terms import (
+    _MAX_MATCHED_H,
+    BinOp,
+    Const,
+    build_extraction_term,
+    evaluate,
+    extraction_value,
+    match_extraction,
+    parse,
+    read_extraction,
+)
+from arithterm.verify import Failure, extraction_direct, verify_catalog, verify_term
 
 FIB = get_fixture("A000045").recurrence
 
@@ -54,14 +66,25 @@ def test_verify_term_aborts_on_budget():
 
 
 def test_verify_term_aborts_on_a_term_too_deep_to_walk():
-    # a left-deep sum, and an extraction term with 1500 summands a side,
-    # which match_extraction cannot confirm by comparing with its rebuild
-    h = 1500
+    # a left-deep sum, and an extraction term whose h is past the cap of
+    # the fast path, so evaluate walks it
+    h = _MAX_MATCHED_H + 1
     for term in (parse("+".join(["1"] * 3000)), build_extraction_term((1,) * h, (), (2,) + (1,) * h, (), h, 3)):
         report = verify_term([0] * 3, term, 0, 0, 2)
         assert not report.ok
         assert report.checked == 0
         assert report.aborted == "n=0: term nests too deeply"
+
+
+def test_verify_term_reads_a_deep_extraction_term_without_rebuilding_it():
+    # 1500 summands a side: match_extraction cannot confirm this term by
+    # comparing it with its rebuild, but read_extraction reads it, so the
+    # replay runs through extraction_value and reaches n = 1
+    h = 1500
+    data = ((1,) * h, (), (2,) + (1,) * h, (), h, 3)
+    report = verify_term([0] * 3, build_extraction_term(*data), 0, 0, 2)
+    assert report.aborted is None and report.checked == 2
+    assert report.first_failure == Failure(n=1, expected=0, got=extraction_value(*data, 1))
 
 
 def test_fast_path_and_evaluate_agree_on_reports():
@@ -122,6 +145,26 @@ def test_match_extraction_on_the_catalog():
         assert params[5] == fix.base
         for n in range(61):
             assert extraction_value(*params, n) == evaluate(fix.term, {"n": n}), (fix.id, n)
+
+
+def test_both_readers_agree_on_the_catalog():
+    # so verify_term takes the same path on every fixture as when it used
+    # match_extraction
+    for fix in fixtures():
+        assert read_extraction(fix.term) == match_extraction(fix.term), fix.id
+
+
+def test_verify_term_replays_the_order_520_result_without_evaluate(monkeypatch):
+    # s(n) = s(n - 520): match_extraction cannot confirm the term synthesize
+    # returns on every Python version, read_extraction reads it
+    order = 520
+    rec = Recurrence(order, (0,) * (order - 1) + (-1,), tuple(range(1, order + 1)))
+    r = synthesize(rec, horizon=3)
+    monkeypatch.setattr(verify, "evaluate", lambda *args, **kwargs: pytest.fail("replayed through evaluate"))
+    report = verify_term(eval_oracle(rec, 41).values, r.term, r.c, 1, 40)
+    assert report.ok and report.checked == 40
+    # evaluate would build b^(n^2 + 520n) at n = 40
+    assert report.peak_bits < (r.b ** (40**2 + order * 40)).bit_length()
 
 
 @pytest.mark.parametrize("fid", ["A000045", "A088137", "A001081"])
