@@ -70,7 +70,7 @@ def _load_spec(arg: str) -> Recurrence:
 
 
 def _load_result(path: str):
-    """Recurrence, term, shift and valid_from of a synth --format json file."""
+    """Recurrence, term and shift of a synth --format json file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -87,7 +87,7 @@ def _load_result(path: str):
         raise ValueError("result file needs a term_json object or a term string")
     try:
         rec = Recurrence.from_json_dict(data["recurrence"])
-        return rec, term, int(data["c"]), int(data.get("valid_from", 1))
+        return rec, term, int(data["c"])
     except KeyError as exc:
         raise ValueError(f"result file is missing field {exc}") from None
     except TypeError as exc:
@@ -105,7 +105,6 @@ def _cmd_synth(args) -> int:
     print(f"term: {render(result.term, args.format)}")
     print(f"b: {result.b}")
     print(f"c: {result.c}")
-    print(f"valid_from: {result.valid_from}")
     print(f"valid_at_zero: {'true' if result.valid_at_zero else 'false'}")
     print(f"certificate: c_t={cert.c_t} rho={cert.rho} b1={cert.b1} m={cert.m} b2={cert.b2}")
     print(f"verified: n in [1, {result.report['checked_to']}]")
@@ -125,21 +124,18 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    n_lo = 1
     if args.fixture is not None:
         fix = get_fixture(args.fixture)
-        term, c = fix.term, fix.shift
-        rec = fix.recurrence
-        n_lo = args.n_from if args.n_from is not None else fix.valid_from
+        rec, term, c, n_lo = fix.recurrence, fix.term, fix.shift, fix.valid_from
     elif args.result is not None:
-        rec, term, c, valid_from = _load_result(args.result)
-        n_lo = args.n_from if args.n_from is not None else max(valid_from, 1)
+        rec, term, c = _load_result(args.result)
     else:
         if args.spec is None or args.term is None:
             raise ValueError("verify needs SPEC and TERM, or --fixture, or --result")
-        rec = _load_spec(args.spec)
-        term = parse(args.term)
-        c = args.shift
-        n_lo = args.n_from if args.n_from is not None else 1
+        rec, term, c = _load_spec(args.spec), parse(args.term), args.shift
+    if args.n_from is not None:
+        n_lo = args.n_from
     n_hi = args.n_to
     oracle = eval_oracle(rec, n_hi + 1).values
     report = verify_term(oracle, term, c, n_lo, n_hi)

@@ -11,13 +11,11 @@ generating function of t(n) = s(n) + c^(n+1).  The pipeline is:
 1. pick a shift c making t provably nonnegative (c = 0 when s itself is);
 2. form the generating function of t as a reduced fraction of integer
    polynomials (shifted_gf_int, which never leaves Z[z]);
-3. split numerator and denominator into positive and negative parts, which
-   become the truncated subtractions inside the term;
-4. derive bound data (growth constant of t, a lower bound for the radius
+3. derive bound data (growth constant of t, a lower bound for the radius
    of convergence) giving a base b2 that is always valid from n = 1 on,
    plus a witness (b1, m) whose inequalities in powers of b1 are decided
    exactly by pow_lt from rounded interval powers, never built in full;
-5. walk upward from a digit floor (no smaller base can fit t(n) into n
+4. walk upward from a digit floor (no smaller base can fit t(n) into n
    digits) for the least base that validates: it direct-checks on
    [1, horizon], the dominance lemma gives a cutoff m_b past which the
    term provably equals t(n), and the indices below m_b direct-check too.
@@ -26,10 +24,12 @@ generating function of t(n) = s(n) + c^(n+1).  The pipeline is:
    F does not increase once the criterion holds, so _least jumps from one
    base the carry leaves to the next.  _least also finds the shift c and
    the cutoff m.
-   The term is then built from the data the direct checks ran on, and
-   read_extraction must read exactly that data back off it.  It reads every
-   node, so such a term equals extraction_value of that data at every n,
-   and the direct checks cover the term without it being evaluated.
+   The term is then built from the signed (num, den, b) the direct checks
+   ran on, and read_extraction must read exactly that data back off it.
+   It reads every node, so such a term equals extraction_value of that
+   data at every n, and the direct checks cover the term without it being
+   evaluated.  Only build_extraction_term splits num and den into the
+   positive and negative parts the term's truncated subtractions need.
 
 Everything is exact integer arithmetic, apart from the radius bound rho,
 a Fraction of two integers.  Certificates are only
@@ -53,7 +53,7 @@ from .recurrence import (
     is_provably_nonnegative,
     shifted_gf_int,
 )
-from .terms import Term, build_extraction_term, evaluate, extraction_fraction, extraction_value, read_extraction
+from .terms import Term, build_extraction_term, extraction_fraction, extraction_value, read_extraction
 
 _SHIFT_CAP = 64  # how far to look for the start of a growth window
 _WINDOW_CAP = 64  # how far to look for the digit-size window of a base
@@ -363,17 +363,13 @@ class _Pipeline:
     """Everything derived from (rec, c) that base search needs."""
 
     c: int
+    num: tuple[int, ...]
     den: tuple[int, ...]
-    a_plus: tuple[int, ...]
-    a_minus: tuple[int, ...]
-    b_plus: tuple[int, ...]
-    b_minus: tuple[int, ...]
-    h: int
     t_values: tuple[int, ...]
 
     def value(self, b: int, n: int) -> int:
         """Value at n of the extraction term with base b."""
-        return extraction_value(self.a_plus, self.a_minus, self.b_plus, self.b_minus, self.h, b, n)
+        return extraction_value(self.num, self.den, b, n)
 
 
 def _prepare(rec: Recurrence, c: int, horizon: int) -> _Pipeline:
@@ -396,23 +392,13 @@ def _prepare(rec: Recurrence, c: int, horizon: int) -> _Pipeline:
     for n, v in enumerate(t):
         if v < 0:
             raise SynthesisError(f"shift {c} leaves a negative term at n={n}")
-    # plus - minus with natural parts; zero entries build no summand
-    return _Pipeline(
-        c=c,
-        den=den,
-        a_plus=tuple(max(x, 0) for x in num),
-        a_minus=tuple(max(-x, 0) for x in num),
-        b_plus=tuple(max(x, 0) for x in den),
-        b_minus=tuple(max(-x, 0) for x in den),
-        h=h,
-        t_values=t,
-    )
+    return _Pipeline(c=c, num=num, den=den, t_values=t)
 
 
 def _bound_data(pipe: _Pipeline) -> BoundsCertificate:
     """Validated bound data for the shifted sequence of a prepared pipeline."""
-    d0 = pipe.den[0]
-    rec_t = Recurrence(pipe.h, tuple(Fraction(x, d0) for x in pipe.den[1:]), pipe.t_values[: pipe.h])
+    d0, h = pipe.den[0], len(pipe.den) - 1
+    rec_t = Recurrence(h, tuple(Fraction(x, d0) for x in pipe.den[1:]), pipe.t_values[:h])
     c_t = growth_constant(rec_t)
     rho = radius_lower_bound(pipe.den)
     b1, m = find_b1_m(c_t, rho)
@@ -439,7 +425,7 @@ def _certified_cutoff(pipe: _Pipeline, b: int, horizon: int) -> int | None:
     both from m_b = max(start, 2) on: the coefficient criterion puts every
     pole at modulus >= 1/b > b^(-n), and the window proves t(k) < b^(k-2).
     """
-    start = _dominated_from(pipe.den, b, pipe.t_values[: _WINDOW_CAP + pipe.h + 1], -2)
+    start = _dominated_from(pipe.den, b, pipe.t_values[: _WINDOW_CAP + len(pipe.den)], -2)
     if start is None:
         return None
     m_b = max(start, 2)
@@ -464,7 +450,7 @@ def _digit_floor(pipe: _Pipeline, horizon: int) -> int:
 def _carry(pipe: _Pipeline, b: int) -> int | None:
     """F(b) = floor(b A(b) / D(b)) - t(0) b - t(1), or None when A(b) <= 0 or
     D(b) <= 0; the term with base b gives (t(1) + F(b)) mod b at n = 1."""
-    num, den = extraction_fraction(pipe.a_plus, pipe.a_minus, pipe.b_plus, pipe.b_minus, pipe.h, b)
+    num, den = extraction_fraction(pipe.num, pipe.den, b)
     if num <= 0 or den <= 0:
         return None
     return b * num // den - pipe.t_values[0] * b - pipe.t_values[1]
@@ -533,7 +519,6 @@ class SynthesisResult:
     term: Term
     b: int
     c: int
-    valid_from: int
     valid_at_zero: bool
     certificate: BoundsCertificate
     certified_from: int | None
@@ -549,7 +534,6 @@ class SynthesisResult:
             "term_json": term_to_json(self.term),
             "b": self.b,
             "c": self.c,
-            "valid_from": self.valid_from,
             "valid_at_zero": self.valid_at_zero,
             "certificate": self.certificate.to_json_dict(),
             "certified_from": self.certified_from,
@@ -575,11 +559,12 @@ def synthesize(
     the result horizon-only, with certified_from None, and a searched base
     with report["minimal_proven"] False.
 
-    The direct checks run extraction_value on the data the term is built
-    from.  Instead of replaying the term through evaluate, synthesize reads
-    that data back off it with read_extraction, which proves the term equals
+    The direct checks run extraction_value on the signed (num, den, b) the
+    term is built from.  synthesize never evaluates the term: it reads that
+    data back off it with read_extraction, which proves the term equals
     extraction_value of it at every n; a mismatch raises SynthesisError
-    "internal: ...".  evaluate runs once, at n = 0, for valid_at_zero.
+    "internal: ...".  The term is 0 at n = 0, so valid_at_zero is
+    s(0) + c == 0.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -623,11 +608,9 @@ def synthesize(
         report["evidence"] = "horizon-only"
         certified_from = None
 
-    data = (pipe.a_plus, pipe.a_minus, pipe.b_plus, pipe.b_minus)
-    term = build_extraction_term(*data, pipe.h, b)
-    valid_at_zero = evaluate(term, {"n": 0}) - c == rec.init[0]
-    padded = tuple(t + (0,) * (pipe.h + 1 - len(t)) for t in data)
-    if read_extraction(term) != (*padded, pipe.h, b):
+    term = build_extraction_term(pipe.num, pipe.den, b)
+    padded = pipe.num + (0,) * (len(pipe.den) - len(pipe.num))
+    if read_extraction(term) != (padded, pipe.den, b):
         raise SynthesisError("internal: built term does not read back as the data base search checked")
 
     return SynthesisResult(
@@ -635,8 +618,8 @@ def synthesize(
         term=term,
         b=b,
         c=c,
-        valid_from=1,
-        valid_at_zero=valid_at_zero,
+        # every extraction term is 0 at n = 0, where it reduces mod b^0 = 1
+        valid_at_zero=rec.init[0] + c == 0,
         certificate=cert,
         certified_from=certified_from,
         horizon=horizon,

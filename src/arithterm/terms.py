@@ -465,58 +465,46 @@ def _sum_terms(parts: Iterator[Term]) -> Term | None:
     return acc
 
 
-def build_extraction_term(
-    a_plus: tuple[int, ...],
-    a_minus: tuple[int, ...],
-    b_plus: tuple[int, ...],
-    b_minus: tuple[int, ...],
-    h: int,
-    base: int,
-) -> Term:
-    """Assemble fl(numerator / denominator) % base^n from split coefficients.
+def _degree(coeffs: tuple[int, ...]) -> int:
+    """Largest index of a nonzero coefficient, or -1."""
+    return max((i for i, coeff in enumerate(coeffs) if coeff), default=-1)
 
-    Coefficient tuples are ascending in i, all entries natural.  ``h`` must
-    equal the degree of (b_plus - b_minus), the numerator difference must
-    have degree below h, and exponents are formed as n^2 + (h-i)n on the
-    numerator side and (h-i)n on the denominator side, so all stay natural.
+
+def build_extraction_term(num: tuple[int, ...], den: tuple[int, ...], base: int) -> Term:
+    """Assemble fl(base^(n^2) * N(x) / D(x)) % x, x = base^n, from signed data.
+
+    ``num`` and ``den`` are int tuples ascending in i; coefficient i
+    multiplies x^(h-i) for h = len(den) - 1.  den must have degree exactly
+    h (den[h] != 0) and num degree below h.  Exponents are formed as
+    n^2 + (h-i)n in the numerator and (h-i)n in the denominator, so all
+    stay natural.  The term language has truncated subtraction only, so
+    each side is written as its positive part -. its negative part, and
+    each positive part must be nonzero.
     """
     if base < 2:
         raise ValueError("base must be at least 2")
-    if any(c < 0 for c in a_plus + a_minus + b_plus + b_minus):
-        raise ValueError("split coefficients must be natural")
+    h = len(den) - 1
+    if _degree(den) != h:
+        raise ValueError("den must have degree len(den) - 1")
+    if _degree(num) >= h:
+        raise ValueError("numerator degree must be below h")
 
-    def deg(plus: tuple[int, ...], minus: tuple[int, ...]) -> int:
-        top = -1
-        for i in range(max(len(plus), len(minus))):
-            p = plus[i] if i < len(plus) else 0
-            m = minus[i] if i < len(minus) else 0
-            if p != m:
-                top = i
-        return top
-
-    if deg(b_plus, b_minus) != h:
-        raise ValueError("h must be the degree of the denominator difference")
-    if deg(a_plus, a_minus) >= h:
-        raise ValueError("numerator difference degree must be below h")
-
-    num_plus = _sum_terms(_nat_terms(a_plus, h, base, True))
-    num_minus = _sum_terms(_nat_terms(a_minus, h, base, True))
-    den_plus = _sum_terms(_nat_terms(b_plus, h, base, False))
-    den_minus = _sum_terms(_nat_terms(b_minus, h, base, False))
-    if num_plus is None or den_plus is None:
-        raise ValueError("positive parts must be nonzero")
-
-    num = num_plus if num_minus is None else BinOp("truncsub", num_plus, num_minus)
-    den = den_plus if den_minus is None else BinOp("truncsub", den_plus, den_minus)
-    quot = BinOp("floordiv", num, den)
+    sides = []
+    for coeffs, square in ((num, True), (den, False)):
+        plus = _sum_terms(_nat_terms(tuple(max(x, 0) for x in coeffs), h, base, square))
+        minus = _sum_terms(_nat_terms(tuple(max(-x, 0) for x in coeffs), h, base, square))
+        if plus is None:
+            raise ValueError("positive parts must be nonzero")
+        sides.append(plus if minus is None else BinOp("truncsub", plus, minus))
+    quot = BinOp("floordiv", *sides)
     modulus = BinOp("pow", Const(base), Var("n"))
     return BinOp("mod", quot, modulus)
 
 
-def _nat_poly_at(coeffs: tuple[int, ...], h: int, x: int) -> int:
+def _poly_at(coeffs: tuple[int, ...], h: int, x: int) -> int:
     """sum of coeffs[i] * x^(h-i), by Horner's rule; len(coeffs) <= h + 1.
 
-    An empty tuple is 0 without forming x^(h+1).
+    A tuple of zeros is 0 without forming x^(h+1).
     """
     acc = 0
     for coeff in coeffs:
@@ -524,28 +512,16 @@ def _nat_poly_at(coeffs: tuple[int, ...], h: int, x: int) -> int:
     return acc * x ** (h + 1 - len(coeffs)) if acc else 0
 
 
-def extraction_fraction(
-    a_plus: tuple[int, ...],
-    a_minus: tuple[int, ...],
-    b_plus: tuple[int, ...],
-    b_minus: tuple[int, ...],
-    h: int,
-    x: int,
-) -> tuple[int, int]:
-    """(A+(x) - A-(x), B+(x) - B-(x)), the numerator and denominator of the
-    term build_extraction_term makes from the same data, at x = base^n."""
-    return (
-        _nat_poly_at(a_plus, h, x) - _nat_poly_at(a_minus, h, x),
-        _nat_poly_at(b_plus, h, x) - _nat_poly_at(b_minus, h, x),
-    )
+def extraction_fraction(num: tuple[int, ...], den: tuple[int, ...], x: int) -> tuple[int, int]:
+    """(N(x), D(x)), the numerator and denominator of the term
+    build_extraction_term makes from the same data, at x = base^n."""
+    h = len(den) - 1
+    return _poly_at(num, h, x), _poly_at(den, h, x)
 
 
 def extraction_value(
-    a_plus: tuple[int, ...],
-    a_minus: tuple[int, ...],
-    b_plus: tuple[int, ...],
-    b_minus: tuple[int, ...],
-    h: int,
+    num: tuple[int, ...],
+    den: tuple[int, ...],
     base: int,
     n: int,
     *,
@@ -553,9 +529,10 @@ def extraction_value(
 ) -> int:
     """Value at n of the term build_extraction_term makes from the same data.
 
-    With x = base^n, A = A+(x) - A-(x) and D = B+(x) - B-(x), the term is
-    fl(base^(n^2) * A / D) % x, or 0 when A <= 0 or D <= 0 (truncated
-    subtraction, then x / 0 = 0), and 0 at n = 0, where x = 1.  For n >= 1,
+    With x = base^n, A = N(x) and D = D(x) (extraction_fraction), the term
+    is fl(base^(n^2) * A / D) % x, or 0 when A <= 0 or D <= 0 (the sides
+    are positive -. negative parts, so truncated subtraction gives 0, then
+    x / 0 = 0), and 0 at n = 0, where x = 1.  For n >= 1,
     base^(n^2) * A = x * y with y = x^(n-1) * A, and
 
         floor(x*y / D) mod x = x * (y mod D) // D:
@@ -570,8 +547,8 @@ def extraction_value(
     """
     if base < 2 or n < 0:
         raise ValueError("need base >= 2 and n >= 0")
-    if max(len(a_plus), len(a_minus), len(b_plus), len(b_minus)) > h + 1:
-        raise ValueError("coefficient tuples must not be longer than h + 1")
+    if len(num) > len(den):
+        raise ValueError("num must not be longer than den")
     if n * base.bit_length() > DEFAULT_BIT_BUDGET:
         raise BudgetExceededError(
             f"base^n needs about {n * base.bit_length()} bits, budget is {DEFAULT_BIT_BUDGET}"
@@ -579,18 +556,18 @@ def extraction_value(
     if n == 0:
         return 0
     x = base**n
-    num, den = extraction_fraction(a_plus, a_minus, b_plus, b_minus, h, x)
-    if num <= 0 or den <= 0:
+    a, d = extraction_fraction(num, den, x)
+    if a <= 0 or d <= 0:
         return 0
-    bits = max(num.bit_length(), x.bit_length()) + den.bit_length()
+    bits = max(a.bit_length(), x.bit_length()) + d.bit_length()
     if bits > DEFAULT_BIT_BUDGET:
         raise BudgetExceededError(f"product needs about {bits} bits, budget is {DEFAULT_BIT_BUDGET}")
-    prod = num * pow(x, n - 1, den)
-    top = x * (prod % den)
+    prod = a * pow(x, n - 1, d)
+    top = x * (prod % d)
     if stats is not None:
         stats.note(prod)
         stats.note(top)
-    return top // den
+    return top // d
 
 
 _N_SQUARED = BinOp("pow", Var("n"), Const(2))
@@ -645,8 +622,9 @@ def _summands(t: Term | None) -> list[Term]:
 
 
 def _read_pairs(term: Term) -> tuple[list[list[tuple[int, int]]], int] | None:
-    """The (j, coeff) pairs of a_plus, a_minus, b_plus and b_minus in a term
-    of build_extraction_term's shape, and its base; None for other terms.
+    """The (j, coeff) pairs of the numerator's positive and negative parts
+    and the denominator's, in a term of build_extraction_term's shape, and
+    its base; None for other terms.
 
     A loop walks each sum and _summand reads each summand, which nests a
     fixed number of levels, so no call recurses once per nesting level.
@@ -671,32 +649,33 @@ def _read_pairs(term: Term) -> tuple[list[list[tuple[int, int]]], int] | None:
 
 
 def _dense(sides: list[list[tuple[int, int]]], h: int, base: int) -> tuple:
-    """(a_plus, a_minus, b_plus, b_minus, h, base) with tuples of length h + 1."""
+    """(num, den, base), each side plus minus minus as a tuple of length h + 1."""
     coeffs = []
-    for pairs in sides:
+    for plus, minus in (sides[:2], sides[2:]):
         tup = [0] * (h + 1)
-        for j, coeff in pairs:
-            tup[h - j] += coeff
+        for pairs, sign in ((plus, 1), (minus, -1)):
+            for j, coeff in pairs:
+                tup[h - j] += sign * coeff
         coeffs.append(tuple(tup))
-    return (*coeffs, h, base)
+    return (*coeffs, base)
 
 
 def read_extraction(term: Term) -> tuple | None:
-    """(a_plus, a_minus, b_plus, b_minus, h, base) read off a term of
-    build_extraction_term's shape in the variable n, or None.
+    """(num, den, base) read off a term of build_extraction_term's shape in
+    the variable n, or None.
 
-    h is the largest multiple of n seen, and each tuple is padded with zeros
-    to length h + 1.  Every node is read (see _summand), so the term equals
-    extraction_value of the result at every n, but the shape is read
+    h is the largest multiple of n seen, and num and den are padded with
+    zeros to length h + 1.  Every node is read (see _summand), so the term
+    equals extraction_value of the result at every n, but the shape is read
     leniently: summands may come in any order, repeat or carry a factor 1
-    or 0.  match_extraction also demands the exact build.  Nothing recurses
-    once per nesting level, but the tuples are built at length h + 1 for
-    any h; match_extraction and verify_term cap h before building them.
+    or 0, and build_extraction_term need not give the term back.  Nothing
+    recurses once per nesting level, but the tuples are built at length
+    h + 1 for any h; verify_term caps h before building them.
     """
     return _read_capped(term, None)
 
 
-# the matched coefficients are dense tuples of length h + 1; a term whose
+# the read coefficients are dense tuples of length h + 1; a term whose
 # multiples of n go past this is left to evaluate
 _MAX_MATCHED_H = 1 << 12
 
@@ -712,27 +691,3 @@ def _read_capped(term: Term, cap: int | None = _MAX_MATCHED_H) -> tuple | None:
     if cap is not None and h > cap:
         return None
     return _dense(sides, h, base)
-
-
-def match_extraction(term: Term) -> tuple | None:
-    """Arguments of build_extraction_term that rebuild ``term`` exactly, or None.
-
-    Returns read_extraction(term) when rebuilding it gives ``term``, so
-    extraction_value can stand in for evaluate on it and the match is exact
-    by construction; h is the largest multiple of n seen, which yields the
-    same term as any larger h with leading zero coefficients.  A term with h
-    past _MAX_MATCHED_H, or too deep for the == of the rebuild, which
-    recurses once per nesting level, gives None.
-    """
-    params = _read_capped(term)
-    if params is None:
-        return None
-    try:
-        rebuilt = build_extraction_term(*params)
-    except ValueError:
-        return None
-    try:
-        return params if rebuilt == term else None
-    except RecursionError:
-        # evaluate reports such a term
-        return None

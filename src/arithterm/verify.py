@@ -3,10 +3,10 @@
 ``verify_term`` compares term values (minus the shift part) against oracle
 values over an index range and reports the first mismatch, elapsed time in
 integer nanoseconds, and the largest intermediate seen.  A term that
-``read_extraction`` reads as extraction data, with h at most the cap
-``match_extraction`` keeps, is replayed through ``extraction_value``, which
-works modulo D and never forms b^(n^2); any other term goes through the
-reference evaluator ``evaluate``.  read_extraction reads every node, so
+``read_extraction`` reads as extraction data (num, den, base), with h at
+most 4096, is replayed through ``extraction_value``, which works modulo D
+and never forms b^(n^2); any other term goes through the reference
+evaluator ``evaluate``.  read_extraction reads every node, so
 both give the same values, but ``peak_bits`` then measures different
 computations: O(h*n*log b) bits on the fast path against O(n^2*log b)
 through ``evaluate``.
@@ -43,8 +43,9 @@ class VerificationReport:
     ``checked`` counts the indices evaluated, the failing one included.
     ``peak_bits`` is the bit length of the largest intermediate of the
     evaluations: through ``extraction_value`` for terms ``read_extraction``
-    reads with h at most _MAX_MATCHED_H, which works modulo D and whose
-    intermediates stay O(h*n*log b) bits, else through ``evaluate``.
+    reads with h at most 4096 (the cap _read_capped keeps, so that the
+    dense data stays small), which works modulo D and whose intermediates
+    stay O(h*n*log b) bits, else through ``evaluate``.
     ``aborted`` carries the index and message of a blown bit budget.
     """
 

@@ -25,7 +25,7 @@ def test_synth_text_output(capsys):
     assert lines[0] == f"term: {FIB_TERM}"
     assert "b: 3" in lines
     assert "c: 0" in lines
-    assert "valid_from: 1" in lines
+    assert not any(line.startswith("valid_from") for line in lines)
     assert "valid_at_zero: true" in lines
     assert any(line.startswith("certificate: c_t=") for line in lines)
     assert "verified: n in [1, 40]" in lines
@@ -44,6 +44,7 @@ def test_synth_json_then_verify_result(capsys, tmp_path):
     blob = json.loads(out)
     assert blob["b"] == 3
     assert blob["c"] == 0
+    assert "valid_from" not in blob
     assert parse(blob["term"]) == term_from_json(blob["term_json"])
 
     path = tmp_path / "result.json"

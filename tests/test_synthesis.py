@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from arithterm import synthesis
+from arithterm import synthesis, terms
 from arithterm.catalog import get_fixture
 from arithterm.polys import Polynomial, RationalFunction
 from arithterm.recurrence import Recurrence, eval_oracle, growth_constant, is_provably_nonnegative
@@ -306,7 +306,7 @@ def test_base_search_goes_below_b1():
 
 def test_synthesize_fibonacci():
     r = synthesize(FIB)
-    assert (r.b, r.c, r.valid_from) == (3, 0, 1)
+    assert (r.b, r.c) == (3, 0)
     assert r.valid_at_zero
     assert render(r.term) == "fl(3^(n^2 + n) / (3^(2*n) -. (3^n + 1))) % 3^n"
     assert r.certificate.c_t == 5
@@ -473,8 +473,7 @@ def test_valid_at_zero_flag():
 
 def test_result_json_shape():
     data = synthesize(FIB).to_json_dict()
-    for key in ("recurrence", "term", "term_json", "b", "c", "valid_from",
-                "valid_at_zero", "certificate", "certified_from", "horizon", "report"):
+    for key in ("recurrence", "term", "term_json", "b", "c", "valid_at_zero", "certificate", "certified_from", "horizon", "report"):
         assert key in data
     assert data["certificate"]["rho"] == "1/2"
 
@@ -520,7 +519,7 @@ def test_synthesize_random_small_batch():
 
 
 def _window_start(pipe, b):
-    return _dominated_from(pipe.den, b, pipe.t_values[: _WINDOW_CAP + pipe.h + 1], -2)
+    return _dominated_from(pipe.den, b, pipe.t_values[: _WINDOW_CAP + len(pipe.den)], -2)
 
 
 @st.composite
@@ -551,8 +550,7 @@ def test_dominance_window_proves_every_base_it_certifies(rec):
 
 
 def _padded_data(pipe, b):
-    data = (pipe.a_plus, pipe.a_minus, pipe.b_plus, pipe.b_minus)
-    return (*(t + (0,) * (pipe.h + 1 - len(t)) for t in data), pipe.h, b)
+    return pipe.num + (0,) * (len(pipe.den) - len(pipe.num)), pipe.den, b
 
 
 @given(_recurrences())
@@ -565,15 +563,18 @@ def test_synthesized_term_matches_the_oracle_and_reads_back_as_its_data(rec):
     oracle = eval_oracle(rec, 41).values
     for n in range(1, 41):
         assert evaluate(r.term, {"n": n}) - r.c ** (n + 1) == oracle[n], n
+    # the term is 0 at n = 0, which valid_at_zero relies on
+    assert evaluate(r.term, {"n": 0}) == 0
+    assert r.valid_at_zero == (r.c == -oracle[0])
     assert read_extraction(r.term) == _padded_data(_prepare(rec, r.c, r.horizon), r.b)
 
 
 @pytest.mark.parametrize(
     "mutate",
     [
-        lambda a_plus, a_minus, b_plus, b_minus, h, b: (a_plus, a_minus, b_plus, b_minus, h, b + 1),
+        lambda num, den, b: (num, den, b + 1),
         # drops the summand 3^n of FIB's 3^(2*n) -. (3^n + 1)
-        lambda a_plus, a_minus, b_plus, b_minus, h, b: (a_plus, a_minus, b_plus, (0, 0, *b_minus[2:]), h, b),
+        lambda num, den, b: (num, (den[0], 0, *den[2:]), b),
     ],
     ids=["base+1", "drop-summand"],
 )
@@ -585,17 +586,20 @@ def test_a_term_built_from_other_data_is_an_internal_error(monkeypatch, mutate):
 
 
 def test_synthesize_evaluates_its_term_only_at_zero(monkeypatch):
+    # not even at zero: every extraction term is 0 there, so valid_at_zero
+    # is read off s(0) + c
+    assert not hasattr(synthesis, "evaluate")
     calls = []
-    evaluate_ = synthesis.evaluate
-    monkeypatch.setattr(synthesis, "evaluate", lambda term, env: calls.append(env) or evaluate_(term, env))
-    synthesize(FIB)
-    assert calls == [{"n": 0}]
+    evaluate_ = terms.evaluate
+    monkeypatch.setattr(terms, "evaluate", lambda *args, **kwargs: calls.append(args) or evaluate_(*args, **kwargs))
+    r = synthesize(FIB)
+    assert calls == [] and r.valid_at_zero
 
 
 def test_synthesize_reads_back_a_term_too_deep_to_compare():
-    # s(n) = s(n - 520): the rebuild-and-compare of match_extraction can
-    # recurse past the interpreter's limit on this term; the read-back
-    # synthesize runs walks each sum in a loop
+    # s(n) = s(n - 520): comparing this term with its rebuild can recurse
+    # past the interpreter's limit; the read-back synthesize runs walks
+    # each sum in a loop
     order = 520
     rec = Recurrence(order, (0,) * (order - 1) + (-1,), tuple(range(1, order + 1)))
     r = synthesize(rec, horizon=3)

@@ -20,7 +20,6 @@ from arithterm.terms import (
     evaluate,
     extraction_fraction,
     extraction_value,
-    match_extraction,
     parse,
     read_extraction,
     render,
@@ -339,16 +338,19 @@ def test_variables():
 # --- extraction term construction -------------------------------------------
 
 
+FIB = ((0, 1), (1, -1, -1), 3)  # z / (1 - z - z^2) at base 3
+
+
 def test_build_extraction_term_fibonacci_shape():
-    t = build_extraction_term((0, 1), (), (1,), (0, 1, 1), 2, 3)
+    t = build_extraction_term(*FIB)
     assert render(t) == "fl(3^(n^2 + n) / (3^(2*n) -. (3^n + 1))) % 3^n"
     for n, f in enumerate([0, 1, 1, 2, 3, 5, 8, 13]):
         assert evaluate(t, {"n": n}) == f
 
 
 def test_build_extraction_term_without_minus_parts():
-    # naturals: A = z, B = (1 - z)^2 has plus side (1, 0, 1) and minus (0, 2)
-    t = build_extraction_term((0, 1), (), (1, 0, 1), (0, 2), 2, 4)
+    # naturals: A = z, B = (1 - z)^2 = 1 - 2z + z^2
+    t = build_extraction_term((0, 1), (1, -2, 1), 4)
     assert render(t) == "fl(4^(n^2 + n) / (4^(2*n) + 1 -. 2*4^n)) % 4^n"
     assert parse("fl(4^(n^2 + n) / ((4^(2*n) + 1) -. 2*4^n)) % 4^n") == t
     assert evaluate(t, {"n": 9}) == 9
@@ -356,56 +358,55 @@ def test_build_extraction_term_without_minus_parts():
 
 def test_build_extraction_term_validation():
     with pytest.raises(ValueError):
-        build_extraction_term((0, 1), (), (1,), (0, 1, 1), 2, 1)  # base too small
+        build_extraction_term((0, 1), (1, -1, -1), 1)  # base too small
     with pytest.raises(ValueError):
-        build_extraction_term((0, 1), (), (1,), (0, 1, 1), 3, 3)  # wrong h
+        build_extraction_term((0, 1), (1, -1, -1, 0), 3)  # den not of degree len(den) - 1
     with pytest.raises(ValueError):
-        build_extraction_term((0, 0, 1), (), (1,), (0, 1), 1, 3)  # numerator too deep
+        build_extraction_term((0, 0, 1), (1, -1), 3)  # numerator too deep
     with pytest.raises(ValueError):
-        build_extraction_term((-1,), (), (1,), (0, 1), 1, 3)  # signed coefficient
+        build_extraction_term((-1,), (1, -1), 3)  # numerator without a positive part
     with pytest.raises(ValueError):
-        build_extraction_term((), (), (1,), (0, 1), 1, 3)  # empty numerator
+        build_extraction_term((), (1, -1), 3)  # empty numerator
+    with pytest.raises(ValueError):
+        build_extraction_term((1,), (-1, -1), 3)  # denominator without a positive part
 
 
 @st.composite
 def extraction_data(draw):
-    """Valid build_extraction_term arguments, with coefficients of both signs."""
+    """Valid build_extraction_term arguments (num, den, base), with
+    coefficients of both signs; num[0] or den[0] is nonzero, so the term
+    has a summand with the largest multiple h = len(den) - 1 of n."""
     h = draw(st.integers(1, 3))
-    nat = st.integers(0, 6)
-    b_plus = draw(st.lists(nat, min_size=h + 1, max_size=h + 1))
-    b_minus = draw(st.lists(nat, min_size=h + 1, max_size=h + 1))
-    a_plus = draw(st.lists(nat, min_size=h, max_size=h))
-    a_minus = draw(st.lists(nat, min_size=h, max_size=h))
-    assume(b_plus[h] != b_minus[h] and any(a_plus) and any(b_plus))
+    coeff = st.integers(-6, 6)
+    den = draw(st.lists(coeff, min_size=h + 1, max_size=h + 1))
+    num = draw(st.lists(coeff, min_size=h, max_size=h))
+    assume(den[h] != 0 and (num[0] or den[0]) and max(num) > 0 and max(den) > 0)
     base = draw(st.integers(2, 50))
-    return tuple(a_plus), tuple(a_minus), tuple(b_plus), tuple(b_minus), h, base
+    return tuple(num), tuple(den), base
 
 
 @given(extraction_data(), st.integers(0, 25))
 def test_extraction_value_matches_evaluate(data, n):
+    num, den, base = data
     term = build_extraction_term(*data)
     assert extraction_value(*data, n) == evaluate(term, {"n": n})
-    params = match_extraction(term)
-    assert params is not None
-    assert build_extraction_term(*params) == term
-    assert extraction_value(*params, n) == evaluate(term, {"n": n})
+    assert read_extraction(term) == (num + (0,) * (len(den) - len(num)), den, base)
 
 
 def test_extraction_value_stats_and_budget(monkeypatch):
-    fib = ((0, 1), (), (1,), (0, 1, 1), 2, 3)
     stats = EvalStats()
-    assert extraction_value(*fib, 50, stats=stats) == 12586269025
+    assert extraction_value(*FIB, 50, stats=stats) == 12586269025
     # the term itself builds 3^2550; the fast path stays near 3 * 3^50
     assert 0 < stats.peak_bits < 400
     with pytest.raises(BudgetExceededError):
-        extraction_value(*fib, 10**8)
+        extraction_value(*FIB, 10**8)
     monkeypatch.setattr(terms, "DEFAULT_BIT_BUDGET", 20000)
     with pytest.raises(BudgetExceededError, match="product"):
-        extraction_value(*fib, 5000)
+        extraction_value(*FIB, 5000)
     with pytest.raises(ValueError):
-        extraction_value(*fib[:-1], 1, 5)
+        extraction_value(*FIB[:2], 1, 5)
     with pytest.raises(ValueError):
-        extraction_value((0, 1, 0, 0), (), (1,), (0, 1, 1), 2, 3, 5)
+        extraction_value((0, 1, 0, 0), (1, -1, -1), 3, 5)
 
 
 @pytest.mark.parametrize(
@@ -414,15 +415,15 @@ def test_extraction_value_stats_and_budget(monkeypatch):
         # h = 1 and A = 1 < x = 3^n: x times the residue mod D is the larger
         # product (build_extraction_term would reject this constant numerator
         # summand, yet extraction_value's identity holds for any A)
-        (((0, 1), (), (1,), (0, 1), 1, 3), "x"),
+        (((0, 1), (1, -1), 3), "x"),
         # A = x^2 > x: A times the residue mod D is the larger product
-        (((1,), (), (1,), (0, 1, 1), 2, 3), "A"),
+        (((1,), (1, -1, -1), 3), "A"),
     ],
 )
 def test_extraction_value_budget_covers_both_products(monkeypatch, data, larger):
-    base, n = data[5], 40
+    base, n = data[2], 40
     x = base**n
-    num, den = extraction_fraction(*data[:5], x)
+    num, den = extraction_fraction(*data[:2], x)
     need = {"A": num.bit_length() + den.bit_length(), "x": x.bit_length() + den.bit_length()}
     assert need[larger] == max(need.values()) > min(need.values())
     expected = base ** (n * n) * num // den % x
@@ -441,21 +442,19 @@ def test_extraction_value_budget_covers_both_products(monkeypatch, data, larger)
         extraction_value(*data, n)
 
 
-def test_match_extraction_rejects_other_shapes():
-    term = build_extraction_term((0, 1), (), (1,), (0, 1, 1), 2, 3)
-    assert match_extraction(term) == ((0, 1, 0), (0, 0, 0), (1, 0, 0), (0, 1, 1), 2, 3)
-    assert match_extraction(BinOp("add", term, Const(0))) is None
-    assert match_extraction(parse("fl(3^(n^2 + n) / (3^(2*n) -. (3^n + 1))) % 3^m")) is None
-    assert match_extraction(parse("fl(3^(n^2 + n) / (3^(2*n) -. (3^n + 3^n))) % 3^n")) is None
-    assert match_extraction(parse("fl(1*3^(n^2 + n) / (3^(2*n) -. (3^n + 1))) % 3^n")) is None
-    assert match_extraction(parse("fl(3^(n^2 + n) / 3^(2*n)) % 3^(2*n)")) is None
+def test_read_extraction_rejects_other_shapes():
+    term = build_extraction_term(*FIB)
+    assert read_extraction(term) == ((0, 1, 0), (1, -1, -1), 3)
+    assert read_extraction(BinOp("add", term, Const(0))) is None
+    assert read_extraction(parse("fl(3^(n^2 + n) / (3^(2*n) -. (3^n + 1))) % 3^m")) is None
+    assert read_extraction(parse("fl(3^(n^2 + n) / 3^(2*n)) % 3^(2*n)")) is None
     # a valid shape, but its dense coefficient tuples would have 10,000 entries
-    assert match_extraction(parse("fl(2^(n^2 + 9999*n) / (2^(9999*n) + 1)) % 2^n")) is None
-    assert match_extraction(parse("2^2^2^n")) is None
+    assert terms._read_capped(parse("fl(2^(n^2 + 9999*n) / (2^(9999*n) + 1)) % 2^n")) is None
+    assert read_extraction(parse("2^2^2^n")) is None
 
 
 def test_read_extraction_reads_every_node():
-    fib = ((0, 1, 0), (0, 0, 0), (1, 0, 0), (0, 1, 1), 2, 3)
+    fib = ((0, 1, 0), (1, -1, -1), 3)
     # order, repeats and factors 1 or 0 are read leniently, and the value
     # stays extraction_value of what is read
     for src in (
@@ -466,14 +465,7 @@ def test_read_extraction_reads_every_node():
         assert read_extraction(term) == fib
         for n in range(12):
             assert extraction_value(*fib, n) == evaluate(term, {"n": n})
-    assert read_extraction(parse("fl(3^(n^2 + n) / (3^n + 3^n + 3^(2*n))) % 3^n")) == (
-        (0, 1, 0),
-        (0, 0, 0),
-        (1, 2, 0),
-        (0, 0, 0),
-        2,
-        3,
-    )
+    assert read_extraction(parse("fl(3^(n^2 + n) / (3^n + 3^n + 3^(2*n))) % 3^n")) == ((0, 1, 0), (1, 2, 0), 3)
     # every other node must be the one build_extraction_term writes
     for src in (
         "fl(3^(n^2 + n) / (2^(2*n) -. (3^n + 1))) % 3^n",  # a summand in another base
@@ -486,12 +478,10 @@ def test_read_extraction_reads_every_node():
         "fl(1^(n^2 + n) / (1^(2*n) -. (1^n + 1))) % 1^n",
     ):
         assert read_extraction(parse(src)) is None, src
-        assert match_extraction(parse(src)) is None, src
 
 
 def test_read_extraction_walks_a_deep_sum_in_a_loop():
     # 3,000 numerator summands nest past the default recursion limit
     h = 3000
-    data = ((1,) * h, (), (1,), (0,) * h + (1,), h, 2)
-    padded = ((1,) * h + (0,), (0,) * (h + 1), (1,) + (0,) * h, (0,) * h + (1,), h, 2)
-    assert read_extraction(build_extraction_term(*data)) == padded
+    den = (1,) + (0,) * (h - 1) + (-1,)
+    assert read_extraction(build_extraction_term((1,) * h, den, 2)) == ((1,) * h + (0,), den, 2)

@@ -11,7 +11,6 @@ from arithterm.terms import (
     build_extraction_term,
     evaluate,
     extraction_value,
-    match_extraction,
     parse,
     read_extraction,
 )
@@ -69,7 +68,7 @@ def test_verify_term_aborts_on_a_term_too_deep_to_walk():
     # a left-deep sum, and an extraction term whose h is past the cap of
     # the fast path, so evaluate walks it
     h = _MAX_MATCHED_H + 1
-    for term in (parse("+".join(["1"] * 3000)), build_extraction_term((1,) * h, (), (2,) + (1,) * h, (), h, 3)):
+    for term in (parse("+".join(["1"] * 3000)), build_extraction_term((1,) * h, (2,) + (1,) * h, 3)):
         report = verify_term([0] * 3, term, 0, 0, 2)
         assert not report.ok
         assert report.checked == 0
@@ -77,11 +76,11 @@ def test_verify_term_aborts_on_a_term_too_deep_to_walk():
 
 
 def test_verify_term_reads_a_deep_extraction_term_without_rebuilding_it():
-    # 1500 summands a side: match_extraction cannot confirm this term by
-    # comparing it with its rebuild, but read_extraction reads it, so the
-    # replay runs through extraction_value and reaches n = 1
+    # 1500 summands a side: comparing this term with its rebuild would
+    # recurse past the interpreter's limit, but read_extraction reads it in
+    # a loop, so the replay runs through extraction_value and reaches n = 1
     h = 1500
-    data = ((1,) * h, (), (2,) + (1,) * h, (), h, 3)
+    data = ((1,) * h, (2,) + (1,) * h, 3)
     report = verify_term([0] * 3, build_extraction_term(*data), 0, 0, 2)
     assert report.aborted is None and report.checked == 2
     assert report.first_failure == Failure(n=1, expected=0, got=extraction_value(*data, 1))
@@ -92,7 +91,7 @@ def test_fast_path_and_evaluate_agree_on_reports():
     oracle = eval_oracle(FIB, 41).values
     for fid, c, lo in (("A000045", 0, 0), ("A000129", 0, 0), ("A001045", 0, 3)):
         term = get_fixture(fid).term
-        assert match_extraction(term) is not None
+        assert read_extraction(term) is not None
         fast = verify_term(oracle, term, c, lo, 40)
         slow = verify_term(oracle, BinOp("add", term, Const(0)), c, lo, 40)
         assert (fast.checked, fast.first_failure) == (slow.checked, slow.first_failure)
@@ -136,27 +135,30 @@ def test_extraction_direct_validation():
 NOT_EXTRACTION_SHAPED = {"A000032", "A001080", "A001629", "FibConv2", "FibConv3", "FibConv4", "A103469"}
 
 
-def test_match_extraction_on_the_catalog():
+def test_read_extraction_rebuilds_the_catalog():
+    # every fixture term read_extraction reads is exactly the term
+    # build_extraction_term writes from what it reads
     for fix in fixtures():
-        params = match_extraction(fix.term)
+        params = read_extraction(fix.term)
         assert (params is None) == (fix.id in NOT_EXTRACTION_SHAPED), fix.id
-        if params is None:
-            continue
-        assert params[5] == fix.base
+        if params is not None:
+            assert build_extraction_term(*params) == fix.term, fix.id
+
+
+def test_extraction_value_matches_evaluate_on_the_catalog():
+    # so verify_term's fast path replays every fixture it reads exactly
+    for fid in MATCHED:
+        fix = get_fixture(fid)
+        params = read_extraction(fix.term)
+        assert params[2] == fix.base
         for n in range(61):
-            assert extraction_value(*params, n) == evaluate(fix.term, {"n": n}), (fix.id, n)
-
-
-def test_both_readers_agree_on_the_catalog():
-    # so verify_term takes the same path on every fixture as when it used
-    # match_extraction
-    for fix in fixtures():
-        assert read_extraction(fix.term) == match_extraction(fix.term), fix.id
+            assert extraction_value(*params, n) == evaluate(fix.term, {"n": n}), (fid, n)
 
 
 def test_verify_term_replays_the_order_520_result_without_evaluate(monkeypatch):
-    # s(n) = s(n - 520): match_extraction cannot confirm the term synthesize
-    # returns on every Python version, read_extraction reads it
+    # s(n) = s(n - 520): comparing the term synthesize returns with its
+    # rebuild can recurse past the interpreter's limit; read_extraction
+    # reads it in a loop
     order = 520
     rec = Recurrence(order, (0,) * (order - 1) + (-1,), tuple(range(1, order + 1)))
     r = synthesize(rec, horizon=3)
@@ -170,7 +172,7 @@ def test_verify_term_replays_the_order_520_result_without_evaluate(monkeypatch):
 @pytest.mark.parametrize("fid", ["A000045", "A088137", "A001081"])
 def test_extraction_value_far_points(fid):
     term = get_fixture(fid).term
-    params = match_extraction(term)
+    params = read_extraction(term)
     for n in (200, 400):
         assert extraction_value(*params, n) == evaluate(term, {"n": n})
 
@@ -184,5 +186,5 @@ MATCHED = sorted({fix.id for fix in fixtures()} - NOT_EXTRACTION_SHAPED)
 def test_extraction_value_matches_the_oracle_far_out(fid, n):
     # evaluate cannot reach these n: the built term forms base^(n^2)
     fix = get_fixture(fid)
-    value = extraction_value(*match_extraction(fix.term), n)
+    value = extraction_value(*read_extraction(fix.term), n)
     assert value - fix.shift ** (n + 1) == eval_oracle(fix.recurrence, n + 1).values[n]
