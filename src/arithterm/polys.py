@@ -360,15 +360,6 @@ def clear_denominators(f: RationalFunction) -> tuple[Polynomial, Polynomial]:
     return num, den
 
 
-def split_signs(p: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """Write an integral polynomial as plus - minus with natural coefficients."""
-    if not p.is_integral():
-        raise AlgebraError("sign split needs integer coefficients")
-    plus = Polynomial(c if c > 0 else Fraction(0) for c in p.coeffs)
-    minus = Polynomial(-c if c < 0 else Fraction(0) for c in p.coeffs)
-    return plus, minus
-
-
 def _int_primitive(p: tuple[int, ...]) -> tuple[int, ...]:
     """p over its content, with a positive leading coefficient; p != ()."""
     g = gcd(*p)

@@ -13,8 +13,9 @@ generating function of t(n) = s(n) + c^(n+1).  The pipeline is:
    polynomials (shifted_gf_int, which never leaves Z[z]);
 3. derive bound data (growth constant of t, a lower bound for the radius
    of convergence) giving a base b2 that is always valid from n = 1 on,
-   plus a witness (b1, m) whose inequalities in powers of b1 are decided
-   exactly by pow_lt from rounded interval powers, never built in full;
+   plus a witness (b1, m): integer bounds on logarithms bracket the least
+   cutoff m within two indices, and pow_lt decides its inequalities in
+   powers of b1 exactly from rounded interval powers, never built in full;
 4. walk upward from a digit floor (no smaller base can fit t(n) into n
    digits) for the least base that validates: it direct-checks on
    [1, horizon], the dominance lemma gives a cutoff m_b past which the
@@ -200,20 +201,22 @@ def _round_up(x: int, e: int, prec: int) -> tuple[int, int]:
 def _pow_bounds(a: int, p: int, prec: int) -> tuple[tuple[int, int], tuple[int, int]]:
     """(lo, lo_exp), (hi, hi_exp) with lo * 2^lo_exp <= a^p <= hi * 2^hi_exp.
 
-    Left-to-right square-and-multiply on both bounds at once, each product
-    truncated to about prec bits in its own direction.  Every intermediate
-    is a^k with k <= p, so once prec covers the bit length of a^p nothing is
-    truncated and both bounds equal a^p.
+    Left-to-right square-and-multiply on both bounds at once; each exponent
+    bit's square (times a, for a one bit) is truncated once, to about prec
+    bits in its own direction.  Every intermediate is a^k with k <= p, so
+    once prec covers the bit length of a^p nothing is truncated and both
+    bounds equal a^p.
     """
-    a_lo, a_hi = _round_down(a, 0, prec), _round_up(a, 0, prec)
-    lo, hi = (1, 0), (1, 0)
+    (a_lo, a_lo_exp), (a_hi, a_hi_exp) = _round_down(a, 0, prec), _round_up(a, 0, prec)
+    lo, lo_exp, hi, hi_exp = 1, 0, 1, 0
     for bit in bin(p)[2:]:
-        lo = _round_down(lo[0] * lo[0], 2 * lo[1], prec)
-        hi = _round_up(hi[0] * hi[0], 2 * hi[1], prec)
         if bit == "1":
-            lo = _round_down(lo[0] * a_lo[0], lo[1] + a_lo[1], prec)
-            hi = _round_up(hi[0] * a_hi[0], hi[1] + a_hi[1], prec)
-    return lo, hi
+            lo, lo_exp = _round_down(lo * lo * a_lo, 2 * lo_exp + a_lo_exp, prec)
+            hi, hi_exp = _round_up(hi * hi * a_hi, 2 * hi_exp + a_hi_exp, prec)
+        else:
+            lo, lo_exp = _round_down(lo * lo, 2 * lo_exp, prec)
+            hi, hi_exp = _round_up(hi * hi, 2 * hi_exp, prec)
+    return (lo, lo_exp), (hi, hi_exp)
 
 
 def _scaled_lt(x: tuple[int, int], y: tuple[int, int]) -> bool:
@@ -253,49 +256,88 @@ def pow_lt(a: int, p: int, b: int, q: int) -> bool:
         prec *= 2
 
 
+def _size_bracket(c: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= hi: c^(m+1) < (c+1)^(m-2) fails for every m < lo
+    and holds for every m >= hi, for c >= 1 (see find_b1_m)."""
+    bits = c.bit_length()
+    n, prec = 1 << (bits + 2), 2 * bits + 16
+    # a <= log2(c^n) < b, from the bit lengths of bounds on c^n
+    (lo_m, lo_exp), (hi_m, hi_exp) = _pow_bounds(c, n, prec)
+    a, b = lo_m.bit_length() + lo_exp - 1, hi_m.bit_length() + hi_exp
+    # ln 2 = sum_{k>=1} 1/(k 2^k): the first prec terms, each cut by less
+    # than 2^-prec, and a tail below 2^-prec put ln 2 in
+    # [ln2 / 2^prec, (ln2 + prec + 1) / 2^prec)
+    ln2 = sum((1 << (prec - k)) // k for k in range(1, prec + 1))
+    scale = n << prec
+    lo = 3 + 6 * a * ln2 * c * (c + 1) // (scale * (2 * c + 1))
+    hi = 3 + 3 * b * (ln2 + prec + 1) * (2 * c + 1) // (2 * scale)
+    return lo, hi
+
+
 def find_b1_m(c_t: int, rho: Fraction) -> tuple[int, int]:
     """Base b1 just above the growth constant, and a cutoff m for it.
 
     m is the least index >= 3 from which both c_t^(m+1) < b1^(m-2) and
     b1^(-m) < rho hold; past it the digit-size and radius requirements are
     met at base b1.  Both conditions are monotone in m because b1 > c_t,
-    and both eventually hold because rho > 0, so _least finds the least m.
-    Each probe decides the two inequalities
-    exactly with pow_lt, the second in the integer form
-    floor(1/rho) < b1^m, so no power of b1 is ever built in full.
+    and both eventually hold because rho > 0, so _least finds the least m
+    in a bracket [lo, hi] that logarithms prove.  Each probe decides the
+    two inequalities exactly with pow_lt, the second in the integer form
+    floor(1/rho) < b1^m, so no power b1^m is built in full; the
+    logarithms only narrow the range.
 
-    Lemma: with c = c_t and b1 = c + 1, every m with c^(m+1) < b1^(m-2)
-    has m - 2 > 3 c ln c.  Taking logarithms, 3 ln c < (m - 2) ln(1 + 1/c)
-    < (m - 2) / c.  Since ln 2 > 0.693147 and log2(c) >= (L - 1) / 64 for
-    the bit length L of c^64, X = 3 c 0.693147 (L - 1) / 64 <= 3 c ln c,
-    so every m below lo = 3 + floor(X) fails, and the search starts there.
-    lo is 3 for c = 1 and never less.
+    Lemma: with c = c_t and b1 = c + 1, the size condition is
+    (m - 2) ln(1 + 1/c) > 3 ln c, and 2/(2c + 1) < ln(1 + 1/c)
+    < (2c + 1)/(2c(c + 1)).  So every m with
+    m - 2 > 3 ln c (2c + 1)/2 passes, and every m with
+    m - 2 <= 3 ln c 2c(c + 1)/(2c + 1) fails.  _size_bracket puts ln c
+    between integer fractions: log2(c) within 1/n of the bit lengths of
+    bounds on c^n, n = 2^(bitlen(c) + 2), from _pow_bounds, and ln 2 from
+    its series.  The two limits differ by about 3 ln c/(4c) <= 0.26 plus
+    3c ln 2 (b - a)/n < 0.52 (b - a), where b - a = 1 unless a power of two
+    lies between the bounds on c^n, so hi - lo <= 1 and the size condition
+    takes at most two probes (three in that rare case).  The radius
+    condition holds exactly from the least m_rho with
+    b1^m_rho > floor(1/rho), which binary powering finds in integers with
+    O(log log_b1(1/rho)) products of at most twice the bits of
+    floor(1/rho) (one step for the data _bound_data passes, where
+    floor(1/rho) <= c_t < b1), and the search runs on
+    [max(lo, m_rho), max(hi, m_rho)].
 
     The work is bounded: the search raises SynthesisError rather than probe
     an m of more than _M_BITS_CAP bits, and only after every m of at most
     _M_BITS_CAP bits has failed.  The least m exceeds 3*c_t*ln(c_t) > c_t,
     so a c_t longer than the cap is rejected before the first probe.  The
     slowest accepted inputs have c_t of about 247 bits and m of 255-256
-    bits, and take about 2.7 s on a 2-vCPU x86-64 host: lo is within a
-    factor 1 + 2^-15 of m there, so every probe lies near the threshold,
-    where pow_lt needs its widest precision (from m = 3 they took 2.1 s).
-    For c_t = 141 the search starts at 2092 and m is 2103.
+    bits; one or two probes decide them, in about 6 ms on a 2-vCPU x86-64
+    host.
+    For c_t = 141 the bracket is [2103, 2103] and m is 2103.
     """
     if c_t < 1 or rho <= 0:
         raise ValueError("need c_t >= 1 and rho > 0")
     if c_t.bit_length() > _M_BITS_CAP:
         raise SynthesisError(f"c_t has {c_t.bit_length()} bits, so m would exceed {_M_BITS_CAP} bits")
-    b1 = max(c_t + 1, 2)
+    b1 = c_t + 1
     inv_rho = rho.denominator // rho.numerator
 
     def good(m: int) -> bool:
         return pow_lt(c_t, m + 1, b1, m - 2) and pow_lt(inv_rho, 1, b1, m)
 
-    # the lemma's lower bound, in integers; _least's gallop is clamped to the
-    # largest m of _M_BITS_CAP bits, so the search raises only once every
-    # such m is known to fail (at once when lo is past it)
-    lo = 3 + 3 * c_t * 693147 * ((c_t**64).bit_length() - 1) // (64 * 10**6)
-    m = _least(good, lo, (1 << _M_BITS_CAP) - 1)
+    lo, hi = _size_bracket(c_t)
+    # the largest m_rho with b1^m_rho <= floor(1/rho) (0 when there is
+    # none), bit by bit from b1^(2^i); the radius condition holds from
+    # m_rho + 1 on and fails below
+    squares = [b1]
+    while squares[-1] <= inv_rho:
+        squares.append(squares[-1] ** 2)
+    m_rho, power = 0, 1
+    for i in reversed(range(len(squares))):
+        if power * squares[i] <= inv_rho:
+            m_rho, power = m_rho + (1 << i), power * squares[i]
+    m_rho += 1
+    # clamped to the largest m of _M_BITS_CAP bits, so the search raises
+    # only once every such m is known to fail (at once when lo is past it)
+    m = _least(good, max(lo, m_rho), min(max(hi, m_rho), (1 << _M_BITS_CAP) - 1))
     if m is None:
         raise SynthesisError(f"bound data needs a cutoff m of more than {_M_BITS_CAP} bits")
     return b1, m

@@ -514,7 +514,11 @@ def _poly_at(coeffs: tuple[int, ...], h: int, x: int) -> int:
 
 def extraction_fraction(num: tuple[int, ...], den: tuple[int, ...], x: int) -> tuple[int, int]:
     """(N(x), D(x)), the numerator and denominator of the term
-    build_extraction_term makes from the same data, at x = base^n."""
+    build_extraction_term makes from the same data, at x = base^n.
+
+    Raises ValueError when num is longer than den."""
+    if len(num) > len(den):
+        raise ValueError("num must not be longer than den")
     h = len(den) - 1
     return _poly_at(num, h, x), _poly_at(den, h, x)
 
@@ -547,17 +551,13 @@ def extraction_value(
     """
     if base < 2 or n < 0:
         raise ValueError("need base >= 2 and n >= 0")
-    if len(num) > len(den):
-        raise ValueError("num must not be longer than den")
     if n * base.bit_length() > DEFAULT_BIT_BUDGET:
         raise BudgetExceededError(
             f"base^n needs about {n * base.bit_length()} bits, budget is {DEFAULT_BIT_BUDGET}"
         )
-    if n == 0:
-        return 0
     x = base**n
     a, d = extraction_fraction(num, den, x)
-    if a <= 0 or d <= 0:
+    if n == 0 or a <= 0 or d <= 0:
         return 0
     bits = max(a.bit_length(), x.bit_length()) + d.bit_length()
     if bits > DEFAULT_BIT_BUDGET:

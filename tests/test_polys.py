@@ -15,7 +15,6 @@ from arithterm.polys import (
     poly_gcd,
     reduce_int_fraction,
     series_coefficients,
-    split_signs,
 )
 
 coeff = st.one_of(
@@ -176,21 +175,6 @@ def test_clear_denominators_strips_common_content():
     f = RationalFunction(Polynomial([4]), Polynomial([2, -6]))
     num, den = clear_denominators(f)
     assert num == Polynomial([2]) and den == Polynomial([1, -3])
-
-
-def test_split_signs_round_trip():
-    p = Polynomial([1, -3, 0, 2])
-    plus, minus = split_signs(p)
-    assert plus - minus == p
-    assert all(c >= 0 for c in plus.coeffs)
-    assert all(c >= 0 for c in minus.coeffs)
-    assert plus == Polynomial([1, 0, 0, 2])
-    assert minus == Polynomial([0, 3])
-
-
-def test_split_signs_needs_integers():
-    with pytest.raises(AlgebraError):
-        split_signs(Polynomial([Fraction(1, 2)]))
 
 
 int_polys = st.lists(st.integers(-9, 9), min_size=0, max_size=5)

@@ -23,6 +23,7 @@ from arithterm.synthesis import (
     _dominated_from,
     _least,
     _n1_candidate,
+    _pow_bounds,
     _prepare,
     _shift_certified,
     _shift_window,
@@ -118,6 +119,9 @@ def test_find_b1_m_respects_rho():
     b1, m = find_b1_m(2, Fraction(1, 3**20))
     assert b1 == 3
     assert 3**m > 3**20 >= 3 ** (m - 1)
+    # a radius bound of 100,000 bits: m = 63,093 from a few squarings
+    rho = Fraction(1, 2**100000)
+    assert find_b1_m(2, rho) == _reference_find_b1_m(2, rho)[:2] == (3, 63093)
 
 
 @given(st.integers(0, 300), st.integers(0, 80), st.integers(0, 300), st.integers(0, 80))
@@ -148,6 +152,23 @@ def test_pow_lt_equal_large_powers(x, j, k):
     assert not pow_lt(x**j, k, x**k, j)
     assert pow_lt(x**j, k, x**k + 1, j)
     assert not pow_lt(x**k + 1, j, x**j, k)
+
+
+@given(st.integers(0, 10**30), st.integers(0, 300), st.integers(1, 200))
+@example(0, 0, 1)
+@example(2**64, 5, 1)
+@example(10**30, 300, 64)
+def test_pow_bounds_bracket_the_power(a, p, prec):
+    (lo, lo_exp), (hi, hi_exp) = _pow_bounds(a, p, prec)
+    power = a**p
+
+    def value(m, e):
+        return Fraction(m) * Fraction(2) ** e
+
+    assert value(lo, lo_exp) <= power <= value(hi, hi_exp)
+    # at a precision that covers a^p nothing is cut
+    (lo, lo_exp), (hi, hi_exp) = _pow_bounds(a, p, max(prec, power.bit_length()))
+    assert value(lo, lo_exp) == power == value(hi, hi_exp)
 
 
 def test_pow_lt_rejects_negative_operands():
@@ -184,18 +205,19 @@ def test_find_b1_m_work_bound(monkeypatch):
     with pytest.raises(SynthesisError):
         find_b1_m(2**4000 + 1, Fraction(1, 3))
     assert time.perf_counter() - started < 5
-    # 247 bits: the least m has 256 bits, and is the one the gallop from
-    # m = 3 found before the search started at the lemma's lower bound
+    # 247 bits: the least m has 256 bits, the one a gallop from m = 3 finds
+    probes, calls = _count_probes(monkeypatch)
     b1, m = find_b1_m(2**246 * 16 // 10, Fraction(1, 3))
     assert 3 * 2**254 < m < 2**256
     assert m == 92806026130937562503138543400760945528442590675579533653881477185615673941126
-    # 248 bits: every m of 256 bits fails, since the lemma's lower bound
+    assert len(probes) <= 2 and len(calls) <= 4
+    # 248 bits: every m of 256 bits fails, since the bracket's lower end
     # is past 2^256 - 1, which rejects it without a probe
-    calls = []
-    monkeypatch.setattr(synthesis, "pow_lt", lambda *args: calls.append(args) or pow_lt(*args))
+    probes.clear()
+    calls.clear()
     with pytest.raises(SynthesisError, match="more than 256 bits"):
         find_b1_m(2**247, Fraction(1, 3))
-    assert calls == []
+    assert probes == [] and calls == []
 
 
 def _reference_find_b1_m(c_t, rho):
@@ -217,21 +239,43 @@ def _reference_find_b1_m(c_t, rho):
 def test_find_b1_m_starts_at_a_bound_no_smaller_m_passes(c_t, p, q):
     rho = Fraction(p, q)
     b1, m, good = _reference_find_b1_m(c_t, rho)
-    starts = []
+    ranges = []
     least = synthesis._least
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(synthesis, "_least", lambda pred, lo, hi: starts.append(lo) or least(pred, lo, hi))
+        mp.setattr(synthesis, "_least", lambda pred, lo, hi: ranges.append((lo, hi)) or least(pred, lo, hi))
         assert find_b1_m(c_t, rho) == (b1, m)
-    (lo,) = starts
+    ((lo, hi),) = ranges
     assert lo >= 3 and not good(lo - 1)
+    assert good(hi)
+
+
+def _count_probes(monkeypatch):
+    # good probes and pow_lt calls of the find_b1_m calls that follow
+    probes, calls = [], []
+    least = synthesis._least
+    monkeypatch.setattr(synthesis, "pow_lt", lambda *args: calls.append(args) or pow_lt(*args))
+    monkeypatch.setattr(
+        synthesis, "_least", lambda pred, lo, hi: least(lambda m: probes.append(m) or pred(m), lo, hi)
+    )
+    return probes, calls
+
+
+def test_find_b1_m_bracket_takes_at_most_two_probes(monkeypatch):
+    probes, calls = _count_probes(monkeypatch)
+    for rho in (Fraction(1), Fraction(1, 3), Fraction(1, 10**9)):
+        for c_t in range(1, 2001):
+            probes.clear()
+            calls.clear()
+            find_b1_m(c_t, rho)
+            assert len(probes) <= 2 and len(calls) <= 4, (c_t, rho, probes)
 
 
 def test_find_b1_m_lower_bound_saves_probes(monkeypatch):
-    # c_t = 141: the least m is 2103 and the search starts at 2092
-    calls = []
-    monkeypatch.setattr(synthesis, "pow_lt", lambda *args: calls.append(args) or pow_lt(*args))
+    # c_t = 141: the least m is 2103, and the bracket is [2103, 2103]
+    probes, calls = _count_probes(monkeypatch)
     assert find_b1_m(141, Fraction(1, 2)) == (142, 2103)
-    assert len(calls) <= 12
+    assert probes == [2103]
+    assert len(calls) <= 4
 
 
 def test_find_b2_values():

@@ -409,6 +409,16 @@ def test_extraction_value_stats_and_budget(monkeypatch):
         extraction_value((0, 1, 0, 0), (1, -1, -1), 3, 5)
 
 
+def test_extraction_fraction_rejects_num_longer_than_den():
+    # _poly_at would raise x to a negative power and return a float
+    with pytest.raises(ValueError, match="num must not be longer than den"):
+        extraction_fraction((1, 2, 3), (1, 1), 3)
+    for n in (0, 5):
+        with pytest.raises(ValueError, match="num must not be longer than den"):
+            extraction_value((1, 2, 3), (1, 1), 3, n)
+    assert extraction_fraction((1, 2), (1, 1), 3) == (5, 4)
+
+
 @pytest.mark.parametrize(
     "data, larger",
     [
