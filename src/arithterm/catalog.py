@@ -13,8 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .polys import Polynomial, RationalFunction, series_coefficients
-from .recurrence import Recurrence, recurrence_from_denominator
+from .recurrence import Recurrence
 from .terms import Term, parse
 
 
@@ -28,8 +27,8 @@ class LucasParams:
 
     Construction never fails; ``is_degenerate`` flags the parameter choices
     (4Q = P^2 or Q = 0) where the two characteristic roots coincide or one
-    vanishes.  The recurrence builders refuse those, the generating
-    functions and the closed-form oracle still work there.
+    vanishes.  The recurrence builders refuse those, the closed-form oracle
+    still works there.
     """
 
     P: int
@@ -56,16 +55,6 @@ def lucas_V(params: LucasParams) -> Recurrence:
     if params.is_degenerate:
         raise LucasParameterError(f"degenerate parameters {params}")
     return Recurrence(2, (-params.P, params.Q), (2, params.P))
-
-
-def lucas_gf(params: LucasParams, kind: str) -> RationalFunction:
-    """Generating function of U or V; fine for degenerate parameters too."""
-    den = Polynomial([1, -params.P, params.Q])
-    if kind == "U":
-        return RationalFunction(Polynomial([0, 1]), den)
-    if kind == "V":
-        return RationalFunction(Polynomial([2, -params.P]), den)
-    raise ValueError(f"kind must be 'U' or 'V', got {kind!r}")
 
 
 def _ring_pow(p: int, disc: int, n: int) -> tuple[int, int]:
@@ -162,11 +151,15 @@ def fibonacci_convolution(r: int) -> Recurrence:
     """
     if r < 0:
         raise ValueError("r must be a natural number")
-    den = Polynomial([1, -1, -1]) ** (r + 1)
-    num = Polynomial([0] * (r + 1) + [1])
+    den = [1]
+    for _ in range(r + 1):  # times 1 - z - z^2
+        den = [a - b - c for a, b, c in zip((*den, 0, 0), (0, *den, 0), (0, 0, *den))]
+    # z^(r+1) / den by long division; den[0] = 1, so every step is exact
     order = 2 * (r + 1)
-    init = [c.numerator for c in series_coefficients(RationalFunction(num, den), order)]
-    return recurrence_from_denominator(den, init)
+    init = [0] * (r + 1) + [1]
+    for k in range(r + 2, order):
+        init.append(-sum(den[j] * init[k - j] for j in range(1, k + 1)))
+    return Recurrence(order, den[1:], init)
 
 
 @dataclass(frozen=True, slots=True)

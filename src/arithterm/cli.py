@@ -25,7 +25,7 @@ import sys
 
 from .catalog import fixtures, get_fixture
 from .polys import format_poly
-from .recurrence import NonIntegerTermError, Recurrence, eval_oracle, shifted_gf_int
+from .recurrence import NonIntegerTermError, Recurrence, eval_oracle, generating_function
 from .synthesis import AllZeroSequenceError, SynthesisError, synthesize
 from .terms import (
     BudgetExceededError,
@@ -153,7 +153,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_gf(args) -> int:
     rec = _load_spec(args.spec)
-    num, den = shifted_gf_int(rec, args.shift)
+    num, den = generating_function(rec, args.shift)
     num_str, den_str = format_poly(num), format_poly(den)
     if " " in num_str:
         num_str = f"({num_str})"

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .polys import Polynomial, RationalFunction, reduce_int_fraction
+from .polys import reduce_int_fraction
 
 Coeff = int | Fraction | str
 
@@ -129,40 +129,10 @@ def eval_oracle(rec: Recurrence, count: int) -> SequenceWindow:
     return SequenceWindow(tuple(vals))
 
 
-def generating_function(rec: Recurrence) -> RationalFunction:
-    """Ordinary generating function of the sequence as a reduced fraction.
-
-    The denominator is built directly from the recurrence coefficients and
-    the numerator collects the first d coefficients of the product of the
-    series with that denominator; its degree is below d by construction.
-    """
-    d = rec.order
-    den = Polynomial([Fraction(1), *rec.coeffs])
-    s = [Fraction(v) for v in rec.init]
-    num_coeffs = []
-    for n in range(d):
-        acc = s[n]
-        for i in range(1, min(n, d) + 1):
-            acc += rec.coeffs[i - 1] * s[n - i]
-        num_coeffs.append(acc)
-    return RationalFunction(Polynomial(num_coeffs), den)
-
-
-def gf_shift(f: RationalFunction, c: int) -> RationalFunction:
-    """Generating function of n -> s(n) + c^(n+1)."""
-    if c < 0:
-        raise ValueError("shift must be a natural number")
-    if c == 0:
-        return f
-    return f + RationalFunction(Polynomial([c]), Polynomial([1, -c]))
-
-
-def shifted_gf_int(rec: Recurrence, c: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def generating_function(rec: Recurrence, c: int = 0) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(num, den) of the generating function of n -> s(n) + c^(n+1), in Z[z].
 
-    Equals clear_denominators(gf_shift(generating_function(rec), c)) with
-    the Polynomials as int tuples, but never leaves the integers: with
-    scale the lcm of the coefficient denominators, den = scale * (1,
+    With scale the lcm of the coefficient denominators, den = scale * (1,
     *coeffs) and num_k = sum_{i<=k} den_i s(k-i) for k < d give the
     generating function of s; for c > 0 the pair becomes
     (num (1 - cz) + c den, den (1 - cz)).  reduce_int_fraction then makes
@@ -184,25 +154,6 @@ def shifted_gf_int(rec: Recurrence, c: int) -> tuple[tuple[int, ...], tuple[int,
 
 def _times_1_minus_cz(p: Sequence[int], c: int) -> list[int]:
     return [x - c * y for x, y in zip((*p, 0), (0, *p))]
-
-
-def recurrence_from_denominator(den: Polynomial, init: Sequence[int]) -> Recurrence:
-    """Recurrence whose sequence has generating function (.)/den.
-
-    The denominator must have a nonzero constant term; it is normalized so
-    that the constant term becomes 1 and the remaining coefficients give the
-    recurrence vector.
-    """
-    if den[0] == 0:
-        raise ValueError("denominator constant term must be nonzero")
-    scaled = den.scaled(1 / den[0])
-    d = scaled.degree()
-    if d < 1:
-        raise ValueError("denominator must have positive degree")
-    coeffs = tuple(scaled[k] for k in range(1, d + 1))
-    if len(init) != d:
-        raise ValueError(f"expected {d} initial values, got {len(init)}")
-    return Recurrence(d, coeffs, tuple(init))
 
 
 def floor_root(x: int, k: int) -> int:

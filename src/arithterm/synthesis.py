@@ -10,7 +10,7 @@ generating function of t(n) = s(n) + c^(n+1).  The pipeline is:
 
 1. pick a shift c making t provably nonnegative (c = 0 when s itself is);
 2. form the generating function of t as a reduced fraction of integer
-   polynomials (shifted_gf_int, which never leaves Z[z]);
+   polynomials (generating_function, which never leaves Z[z]);
 3. derive bound data (growth constant of t, a lower bound for the radius
    of convergence) giving a base b2 that is always valid from n = 1 on,
    plus a witness (b1, m): integer bounds on logarithms bracket the least
@@ -50,9 +50,9 @@ from .recurrence import (
     Recurrence,
     eval_oracle,
     floor_root,
+    generating_function,
     growth_constant,
     is_provably_nonnegative,
-    shifted_gf_int,
 )
 from .terms import Term, build_extraction_term, extraction_fraction, extraction_value, read_extraction
 
@@ -72,11 +72,11 @@ class SynthesisError(RuntimeError):
 def radius_lower_bound(den: Sequence[int | Fraction]) -> Fraction:
     """Positive lower bound for the distance from 0 to the nearest root.
 
-    den is the coefficient sequence of a polynomial in ascending order, an
-    int tuple or a Polynomial.  Uses the Cauchy-type estimate
-    |z| >= |d0| / (|d0| + max_{i>=1} |di|) for any root z of the
-    polynomial.  A constant denominator has no roots and gets the bound 1,
-    which is all the later inequalities need.
+    den is the coefficient sequence of a polynomial in ascending order,
+    such as the int tuple generating_function returns.  Uses the
+    Cauchy-type estimate |z| >= |d0| / (|d0| + max_{i>=1} |di|) for any
+    root z of the polynomial.  A constant denominator has no roots and
+    gets the bound 1, which is all the later inequalities need.
     """
     coeffs = tuple(den)
     if not coeffs or coeffs[0] == 0:
@@ -422,7 +422,7 @@ def _prepare(rec: Recurrence, c: int, horizon: int) -> _Pipeline:
     direct checks, on [1, horizon] and below the cutoff, stop at
     max(_WINDOW_CAP, horizon).
     """
-    num, den = shifted_gf_int(rec, c)
+    num, den = generating_function(rec, c)
     if not num:
         raise SynthesisError("shifted sequence is identically zero")
     h = len(den) - 1

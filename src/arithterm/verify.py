@@ -11,9 +11,9 @@ both give the same values, but ``peak_bits`` then measures different
 computations: O(h*n*log b) bits on the fast path against O(n^2*log b)
 through ``evaluate``.
 ``verify_catalog`` replays every catalog fixture.  ``extraction_direct``
-recomputes the digit extraction through exact Fraction arithmetic on the
-generating function, completely bypassing both term evaluators, for
-two-path cross-checks.
+recomputes the digit extraction by evaluating the generating function's
+(num, den) pair at b^(-n) in exact Fractions, completely bypassing both
+term evaluators, for two-path cross-checks.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .catalog import fixtures
-from .polys import RationalFunction
+from .polys import AlgebraError
 from .recurrence import eval_oracle
 from .terms import BudgetExceededError, EvalStats, Term, _read_capped, evaluate, extraction_value
 
@@ -147,18 +147,22 @@ def verify_catalog(horizon: int = 40) -> list[tuple[str, VerificationReport]]:
     return out
 
 
-def extraction_direct(gf: RationalFunction, b: int, n: int) -> int:
-    """floor(b^(n^2) * gf(b^(-n))) mod b^n through exact Fractions.
+def extraction_direct(gf: tuple[Sequence[int], Sequence[int]], b: int, n: int) -> int:
+    """floor(b^(n^2) * num(b^(-n)) / den(b^(-n))) mod b^n through exact
+    Fractions, for gf = (num, den) as generating_function returns it.
 
     This is the representation read off the power series itself, sharing no
     code with the term evaluator, so agreement between the two is evidence
-    the term encodes the right expression.  Requires n >= 1 and that the
-    generating function has no pole at b^(-n).
+    the term encodes the right expression.  Requires n >= 1; a pole of the
+    generating function at b^(-n) raises AlgebraError.
     """
     if b < 2:
         raise ValueError("base must be at least 2")
     if n < 1:
         raise ValueError("n must be at least 1")
     x = Fraction(1, b**n)
-    value = gf(x) * b ** (n * n)
+    num, den = (sum(c * x**k for k, c in enumerate(p)) for p in gf)
+    if den == 0:
+        raise AlgebraError("evaluation at a pole")
+    value = num / den * b ** (n * n)
     return (value.numerator // value.denominator) % b**n

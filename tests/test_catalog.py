@@ -11,14 +11,12 @@ from arithterm.catalog import (
     fixtures,
     get_fixture,
     lucas_closed_form_oracle,
-    lucas_gf,
     lucas_U,
     lucas_V,
     pell_fundamental,
     pell_recurrences,
 )
-from arithterm.polys import series_coefficients
-from arithterm.recurrence import Recurrence, eval_oracle
+from arithterm.recurrence import Recurrence, eval_oracle, generating_function
 from arithterm.terms import evaluate
 
 # parameter pairs exercised by the catalog families
@@ -44,23 +42,19 @@ def test_lucas_recurrence_builders():
 
 
 def test_lucas_gf_accepts_degenerate_parameters():
-    # U(2, 1) is the identity sequence
-    f = lucas_gf(LucasParams(2, 1), "U")
-    assert series_coefficients(f, 6) == [0, 1, 2, 3, 4, 5]
-    # V(2, 1) is constant 2
-    f = lucas_gf(LucasParams(2, 1), "V")
-    assert series_coefficients(f, 5) == [2, 2, 2, 2, 2]
-    with pytest.raises(ValueError):
-        lucas_gf(LucasParams(1, -1), "W")
+    # the builders refuse (2, 1), the generating function does not:
+    # U(2, 1) is the identity sequence, z / (1 - z)^2
+    assert generating_function(Recurrence(2, (-2, 1), (0, 1))) == ((0, 1), (1, -2, 1))
+    # V(2, 1) is constant 2, and (2 - 2z) / (1 - z)^2 reduces
+    assert generating_function(Recurrence(2, (-2, 1), (2, 2))) == ((2,), (1, -1))
 
 
 def test_lucas_gf_matches_recurrence():
+    # U has z / (1 - Pz + Qz^2), V has (2 - Pz) / (1 - Pz + Qz^2)
     for p, q in LUCAS_PAIRS:
         params = LucasParams(p, q)
-        for kind, builder in (("U", lucas_U), ("V", lucas_V)):
-            series = series_coefficients(lucas_gf(params, kind), 20)
-            window = eval_oracle(builder(params), 20).values
-            assert series == list(window), (p, q, kind)
+        assert generating_function(lucas_U(params)) == ((0, 1), (1, -p, q)), (p, q)
+        assert generating_function(lucas_V(params)) == ((2, -p), (1, -p, q)), (p, q)
 
 
 def test_lucas_closed_form_oracle_against_recurrence():
@@ -146,7 +140,7 @@ def test_fibonacci_convolution_r0_is_fibonacci():
 def test_fibonacci_convolution_matches_direct_convolution():
     fib = eval_oracle(lucas_U(LucasParams(1, -1)), 25).values
     conv = list(fib)
-    for r in range(1, 5):
+    for r in range(1, 7):
         conv = [
             sum(conv[i] * fib[n - i] for i in range(n + 1)) for n in range(25)
         ]

@@ -1,11 +1,11 @@
 import io
 import json
+import re
 import sys
 
 from arithterm.catalog import fixtures
 from arithterm.cli import main
-from arithterm.polys import Polynomial, RationalFunction, clear_denominators
-from arithterm.recurrence import Recurrence, generating_function, gf_shift
+from arithterm.recurrence import Recurrence, generating_function
 from arithterm.terms import parse, term_from_json
 
 FIB = '{"order": 2, "coeffs": [-1, -1], "init": [0, 1]}'
@@ -79,36 +79,32 @@ def test_gf_shift_output(capsys):
     code, out, _ = run(capsys, "gf", FIB, "--shift", "2")
     assert code == 0
     assert out.strip() == "(2 - z - 4z^2) / (1 - 3z + z^2 + 2z^3)"
+    code, out, _ = run(capsys, "gf", '{"order": 2, "coeffs": ["-5/2", 1], "init": [1, 2]}', "--shift", "3")
+    assert code == 0
+    # 1/(1 - 2z) + 3/(1 - 3z)
+    assert out.strip() == "(4 - 9z) / (1 - 5z + 6z^2)"
 
 
-def _reference_gf_line(rec, c):
-    # the Fraction path the gf command printed from before it went to Z[z]
-    num, den = clear_denominators(gf_shift(generating_function(rec), c))
-    num_str, den_str = str(num), str(den)
-    return f"({num_str})" if " " in num_str else num_str, f"({den_str})" if " " in den_str else den_str
+def _read_poly(text):
+    """Int coefficients of a polynomial written as format_poly writes it."""
+    coeffs = {}
+    for tok in text.strip("()").replace(" - ", " + -").split(" + "):
+        sign, digits, var, exp = re.fullmatch(r"(-?)(\d*)(z(?:\^(\d+))?)?", tok).groups()
+        coeffs[int(exp or 1) if var else 0] = int(digits or 1) * (-1 if sign else 1)
+    return tuple(coeffs.get(k, 0) for k in range(max(coeffs) + 1))
 
 
-def test_gf_output_is_the_fraction_reference_on_every_fixture(capsys):
+def test_gf_output_reads_back_as_the_generating_function_on_every_fixture(capsys):
     rational = Recurrence(2, ("-1/2", "1/3"), (3, 6))
     cases = [(fix.recurrence, c) for fix in fixtures() for c in {0, 1, fix.shift}] + [(rational, 0), (rational, 3)]
     for rec, c in cases:
         code, out, _ = run(capsys, "gf", json.dumps(rec.to_json_dict()), "--shift", str(c))
         assert code == 0
-        num, den = _reference_gf_line(rec, c)
-        assert out == f"{num} / {den}\n"
+        num, den = out.rstrip("\n").split(" / ")
+        assert (_read_poly(num), _read_poly(den)) == generating_function(rec, c)
+        # parentheses exactly around the sums
+        assert num.startswith("(") == (" " in num) and den.startswith("(") == (" " in den)
     assert out == "(36 - 36z - 75z^2) / (6 - 21z + 11z^2 - 6z^3)\n"
-
-
-def test_gf_builds_no_fraction_polynomial(capsys, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a Fraction polynomial was built")
-
-    monkeypatch.setattr(Polynomial, "__init__", refuse)
-    monkeypatch.setattr(RationalFunction, "__init__", refuse)
-    code, out, _ = run(capsys, "gf", '{"order": 2, "coeffs": ["-5/2", 1], "init": [1, 2]}', "--shift", "3")
-    assert code == 0
-    # 1/(1 - 2z) + 3/(1 - 3z)
-    assert out.strip() == "(4 - 9z) / (1 - 5z + 6z^2)"
 
 
 def test_expand_output(capsys):

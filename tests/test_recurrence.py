@@ -1,21 +1,19 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from arithterm.polys import Polynomial, RationalFunction, clear_denominators, series_coefficients
+from arithterm.polys import int_poly_gcd
 from arithterm.recurrence import (
     NonIntegerTermError,
     Recurrence,
     eval_oracle,
     floor_root,
     generating_function,
-    gf_shift,
     growth_constant,
     is_provably_nonnegative,
-    recurrence_from_denominator,
-    shifted_gf_int,
 )
 
 FIB = Recurrence(2, (-1, -1), (0, 1))
@@ -115,64 +113,57 @@ def test_json_round_trip():
 
 
 def test_generating_function_fibonacci():
-    f = generating_function(FIB)
-    assert f == RationalFunction(Polynomial([0, 1]), Polynomial([1, -1, -1]))
+    assert generating_function(FIB) == ((0, 1), (1, -1, -1))
 
 
 def test_generating_function_lucas_numbers():
     rec = Recurrence(2, (-1, -1), (2, 1))
-    f = generating_function(rec)
-    assert f == RationalFunction(Polynomial([2, -1]), Polynomial([1, -1, -1]))
+    assert generating_function(rec) == ((2, -1), (1, -1, -1))
 
 
 def test_generating_function_tribonacci():
     rec = Recurrence(3, (-1, -1, -1), (0, 0, 1))
-    f = generating_function(rec)
-    assert f == RationalFunction(Polynomial([0, 0, 1]), Polynomial([1, -1, -1, -1]))
+    assert generating_function(rec) == ((0, 0, 1), (1, -1, -1, -1))
 
 
 def test_generating_function_reduces():
     # constant sequence written with a redundant order-2 recurrence
     rec = Recurrence(2, (-2, 1), (2, 2))
-    f = generating_function(rec)
-    assert f == RationalFunction(Polynomial([2]), Polynomial([1, -1]))
+    assert generating_function(rec) == ((2,), (1, -1))
+    # the identity sequence, U(2, 1) of the degenerate Lucas pair
+    assert generating_function(Recurrence(2, (-2, 1), (0, 1))) == ((0, 1), (1, -2, 1))
+
+
+def _check_gf(rec, c, terms):
+    """generating_function(rec, c) against the first terms of s: den * T
+    agrees with num up to z^K, T(k) = s(k) + c^(k+1), which pins num/den
+    for this K; the pair is reduced, primitive, and den[0] > 0."""
+    num, den = generating_function(rec, c)
+    k_max = len(num) + len(den) + rec.order + 2
+    t = [v + c ** (k + 1) for k, v in enumerate(terms(rec, k_max))]
+    product = [sum(den[i] * t[k - i] for i in range(min(k, len(den) - 1) + 1)) for k in range(k_max)]
+    assert product == [*num, *[0] * (k_max - len(num))]
+    assert all(type(x) is int for x in num + den)
+    assert den[0] > 0 and math.gcd(*num, *den) == 1
+    if num:
+        assert int_poly_gcd(num, den) == (1,)
+    else:
+        assert den == (1,)
 
 
 @given(small_recurrences())
 def test_series_of_gf_matches_oracle(rec):
-    window = eval_oracle(rec, 20).values
-    series = series_coefficients(generating_function(rec), 20)
-    assert [Fraction(v) for v in window] == series
+    _check_gf(rec, 0, lambda r, k: eval_oracle(r, k).values)
 
 
 def test_gf_shift_fibonacci_by_two():
-    # series check: t(n) = F(n) + 2^(n+1) starts 2, 5, 9, 18, 35
-    f = gf_shift(generating_function(FIB), 2)
-    assert series_coefficients(f, 5) == [2, 5, 9, 18, 35]
-    from arithterm.polys import clear_denominators
-
-    num, den = clear_denominators(f)
-    assert num == Polynomial([2, -1, -4])
-    assert den == Polynomial([1, -3, 1, 2])
+    # t(n) = F(n) + 2^(n+1) starts 2, 5, 9, 18, 35
+    assert generating_function(FIB, 2) == ((2, -1, -4), (1, -3, 1, 2))
+    _check_gf(FIB, 2, lambda r, k: eval_oracle(r, k).values)
 
 
 def test_gf_shift_zero_is_identity():
-    f = generating_function(FIB)
-    assert gf_shift(f, 0) == f
-    with pytest.raises(ValueError):
-        gf_shift(f, -1)
-
-
-@given(small_recurrences(), st.integers(min_value=0, max_value=4))
-def test_gf_shift_series(rec, c):
-    base = eval_oracle(rec, 12).values
-    shifted = series_coefficients(gf_shift(generating_function(rec), c), 12)
-    assert shifted == [v + c ** (n + 1) for n, v in enumerate(base)]
-
-
-def _fraction_reference(rec, c):
-    num, den = clear_denominators(gf_shift(generating_function(rec), c))
-    return num.int_coeffs(), den.int_coeffs()
+    assert generating_function(FIB, 0) == generating_function(FIB)
 
 
 @st.composite
@@ -187,11 +178,17 @@ def _rational_recurrences(draw):
     return Recurrence(order, tuple(coeffs), tuple(init))
 
 
-@given(st.one_of(small_recurrences(), _rational_recurrences()), st.sampled_from((0, 1, 2, 3, 7)))
-def test_shifted_gf_int_is_the_cleared_fraction_reference(rec, c):
-    num, den = shifted_gf_int(rec, c)
-    assert (num, den) == _fraction_reference(rec, c)
-    assert all(type(x) is int for x in num + den)
+def _rational_terms(rec, count):
+    # fraction_steps stops at the first non-integer; these need all terms
+    vals = [Fraction(v) for v in rec.init[:count]]
+    for n in range(len(vals), count):
+        vals.append(-sum(rec.coeffs[i] * vals[n - 1 - i] for i in range(rec.order)))
+    return vals
+
+
+@given(st.one_of(small_recurrences(), _rational_recurrences()), st.integers(min_value=0, max_value=4))
+def test_gf_shift_series(rec, c):
+    _check_gf(rec, c, _rational_terms)
 
 
 @pytest.mark.parametrize(
@@ -210,12 +207,12 @@ def test_shifted_gf_int_is_the_cleared_fraction_reference(rec, c):
     ],
 )
 def test_shifted_gf_int_reduces_common_factors(rec, c, expected):
-    assert shifted_gf_int(rec, c) == expected == _fraction_reference(rec, c)
+    assert generating_function(rec, c) == expected
 
 
 def test_shifted_gf_int_rejects_a_negative_shift():
     with pytest.raises(ValueError, match="natural"):
-        shifted_gf_int(FIB, -1)
+        generating_function(FIB, -1)
 
 
 def test_growth_constant_known_values():
@@ -254,17 +251,6 @@ def test_provably_nonnegative_rejects_signed_sequences():
 def test_provably_nonnegative_never_lies(rec):
     if is_provably_nonnegative(rec):
         assert all(v >= 0 for v in eval_oracle(rec, 60).values)
-
-
-def test_recurrence_from_denominator():
-    den = Polynomial([1, -1, -1])
-    assert recurrence_from_denominator(den, (0, 1)) == FIB
-    scaled = Polynomial([2, -2, -2])
-    assert recurrence_from_denominator(scaled, (0, 1)) == FIB
-    with pytest.raises(ValueError):
-        recurrence_from_denominator(Polynomial([0, 1]), (1,))
-    with pytest.raises(ValueError):
-        recurrence_from_denominator(Polynomial([2]), ())
 
 
 @given(st.integers(min_value=0, max_value=10**12), st.integers(min_value=1, max_value=6))

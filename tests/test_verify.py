@@ -2,6 +2,7 @@ import pytest
 
 from arithterm.catalog import fixtures, get_fixture
 from arithterm import verify
+from arithterm.polys import AlgebraError
 from arithterm.recurrence import Recurrence, eval_oracle, generating_function
 from arithterm.synthesis import synthesize
 from arithterm.terms import (
@@ -130,6 +131,14 @@ def test_extraction_direct_validation():
         extraction_direct(gf, 3, 0)
     with pytest.raises(ValueError):
         extraction_direct(gf, 1, 2)
+
+
+def test_extraction_direct_at_a_pole_raises():
+    # 1 / (1 - 2z) has its pole at z = 1/2 = 2^(-1)
+    gf = generating_function(Recurrence(1, (-2,), (1,)))
+    with pytest.raises(AlgebraError, match="^evaluation at a pole$"):
+        extraction_direct(gf, 2, 1)
+    assert extraction_direct(gf, 10, 2) == 4  # s(2), away from the pole
 
 
 NOT_EXTRACTION_SHAPED = {"A000032", "A001080", "A001629", "FibConv2", "FibConv3", "FibConv4", "A103469"}
