@@ -102,6 +102,12 @@ class SequenceWindow:
         return len(self.values)
 
 
+def _int_den(rec: Recurrence) -> tuple[int, ...]:
+    """scale * (1, *coeffs), for scale the lcm of the coefficient denominators."""
+    scale = math.lcm(*(a.denominator for a in rec.coeffs))
+    return (scale, *(a.numerator * (scale // a.denominator) for a in rec.coeffs))
+
+
 def eval_oracle(rec: Recurrence, count: int) -> SequenceWindow:
     """First ``count`` terms of the sequence, computed exactly.
 
@@ -114,9 +120,9 @@ def eval_oracle(rec: Recurrence, count: int) -> SequenceWindow:
     if count < 0:
         raise ValueError("count must be a natural number")
     d = rec.order
-    scale = math.lcm(*(a.denominator for a in rec.coeffs))
+    scale, *den = _int_den(rec)
     # s(n) = -(sum_i coeffs[i] * s(n-1-i)), lined up with vals[n-d:n]
-    weights = [-(a.numerator * (scale // a.denominator)) for a in reversed(rec.coeffs)]
+    weights = [-a for a in reversed(den)]
     vals: list[int] = list(rec.init[:count])
     for n in range(len(vals), count):
         acc = sum(map(operator.mul, weights, vals[n - d : n]))
@@ -132,9 +138,8 @@ def eval_oracle(rec: Recurrence, count: int) -> SequenceWindow:
 def generating_function(rec: Recurrence, c: int = 0) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(num, den) of the generating function of n -> s(n) + c^(n+1), in Z[z].
 
-    With scale the lcm of the coefficient denominators, den = scale * (1,
-    *coeffs) and num_k = sum_{i<=k} den_i s(k-i) for k < d give the
-    generating function of s; for c > 0 the pair becomes
+    den = _int_den(rec) and num_k = sum_{i<=k} den_i s(k-i) for k < d give
+    the generating function of s; for c > 0 the pair becomes
     (num (1 - cz) + c den, den (1 - cz)).  reduce_int_fraction then makes
     it the unique primitive reduced representative with den[0] > 0.  A zero
     sequence gives ((), (1,)).
@@ -142,8 +147,7 @@ def generating_function(rec: Recurrence, c: int = 0) -> tuple[tuple[int, ...], t
     if c < 0:
         raise ValueError("shift must be a natural number")
     d = rec.order
-    scale = math.lcm(*(a.denominator for a in rec.coeffs))
-    den = (scale, *(a.numerator * (scale // a.denominator) for a in rec.coeffs))
+    den = _int_den(rec)
     num = [sum(den[i] * rec.init[k - i] for i in range(k + 1)) for k in range(d)]
     if c:
         # num/den + c/(1 - cz) = (num (1 - cz) + c den) / (den (1 - cz))
@@ -171,37 +175,46 @@ def floor_root(x: int, k: int) -> int:
 
 
 def growth_constant(rec: Recurrence) -> int:
-    """Small integer c >= 1 with |s(n)| < c^(n+1) for all n.
+    """Small integer c >= 1 with |s(n)| < c^(n+1) for all n (see _growth_constant)."""
+    return _growth_constant(_int_den(rec), rec.init)
 
-    Start from one more than the floor of d * sum|coeffs| (which dominates
-    the recurrence step inductively once the initial terms comply) and bump
-    until the d initial terms satisfy |s(k)| < c^(k+1) as well.  All checks
-    are exact integer comparisons.
-    """
-    d = rec.order
-    total = sum(abs(c) for c in rec.coeffs) * d
-    c = max(total.numerator // total.denominator + 1, 1)
+
+def _growth_constant(den: Sequence[int], init: Sequence[int]) -> int:
+    """growth_constant of sum_i den_i s(n-i) = 0, den_0 > 0, with s = init on
+    the first d = len(den) - 1 indices: start from d * sum_{i>=1} |den_i| //
+    den_0 + 1, which dominates the step inductively once the initial terms
+    comply, and bump until they satisfy |s(k)| < c^(k+1) as well."""
+    d = len(den) - 1
+    init = init[:d]
+    c = d * sum(abs(a) for a in den[1:]) // den[0] + 1
     while True:
-        if all(abs(v) < c ** (k + 1) for k, v in enumerate(rec.init)):
+        if all(abs(v) < c ** (k + 1) for k, v in enumerate(init)):
             return c
         # smallest c violating term k needs c^(k+1) > |s(k)|
-        c = max(floor_root(abs(v), k + 1) + 1 for k, v in enumerate(rec.init))
+        c = max(floor_root(abs(v), k + 1) + 1 for k, v in enumerate(init))
 
 
 def is_provably_nonnegative(rec: Recurrence) -> bool:
-    """Conservative check that s(n) >= 0 for every n.
+    """Conservative check that s(n) >= 0 for every n (see _nonnegative)."""
+    return _nonnegative(rec, eval_oracle(rec, _NONNEG_PROBE + rec.order).values)
+
+
+def _nonnegative(rec: Recurrence, s: Sequence[int]) -> bool:
+    """is_provably_nonnegative(rec) from a prefix s of the sequence.
 
     True is only returned with a proof in hand; False just means no proof
-    was found, not that the sequence goes negative.  Both routes first
-    require the first _NONNEG_PROBE + d terms to be nonnegative:
+    was found, not that the sequence goes negative.  Both routes read
+    exactly s[:_NONNEG_PROBE + d] (more would let route 2 find more base
+    pairs), which must be nonnegative:
 
     1. all recurrence coefficients are <= 0, so every new term is a
        nonnegative combination of earlier ones;
     2. order 2 with s(n+2) = p*s(n+1) + q*s(n), q < 0: a linear minorant
        s(n+1) >= L*s(n) survives the step when 0 <= L <= p and
-       L*(p - L) >= -q, so one valid base pair settles everything after it.
+       L*(p - L) >= -q, so one valid base pair settles everything after it;
+       this runs in Fractions, on the recurrence's own coefficients.
     """
-    window = eval_oracle(rec, _NONNEG_PROBE + rec.order).values
+    window = s[: _NONNEG_PROBE + rec.order]
     if any(v < 0 for v in window):
         return False
     if all(c <= 0 for c in rec.coeffs):

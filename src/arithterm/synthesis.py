@@ -32,9 +32,11 @@ generating function of t(n) = s(n) + c^(n+1).  The pipeline is:
    evaluated.  Only build_extraction_term splits num and den into the
    positive and negative parts the term's truncated subtractions need.
 
-Everything is exact integer arithmetic, apart from the radius bound rho,
-a Fraction of two integers.  Certificates are only
-ever sufficient: a reported base is backed by a proof sketch (coefficient
+synthesize expands s once, and every stage reads that prefix.  Everything
+is exact integer arithmetic, apart from the radius bound rho, a Fraction of
+two integers, and is_provably_nonnegative's order-2 minorant, in Fractions
+on the recurrence's own coefficients.  Certificates are only ever
+sufficient: a reported base is backed by a proof sketch (coefficient
 dominance + a window of digit-size checks), and nearly every base rejected
 during the search passes that certificate but fails the direct check,
 mostly at n = 1.
@@ -45,19 +47,12 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from .recurrence import (
-    Recurrence,
-    eval_oracle,
-    floor_root,
-    generating_function,
-    growth_constant,
-    is_provably_nonnegative,
-)
-from .terms import Term, build_extraction_term, extraction_fraction, extraction_value, read_extraction
+from .recurrence import Recurrence, _growth_constant, _int_den, _nonnegative, eval_oracle, floor_root, generating_function
+from .terms import _MAX_MATCHED_H, Term, build_extraction_term, extraction_fraction, extraction_value, read_extraction
 
-_SHIFT_CAP = 64  # how far to look for the start of a growth window
-_WINDOW_CAP = 64  # how far to look for the digit-size window of a base
+_WINDOW_CAP = 64  # how far to look for the digit-size window of a shift or base
 _M_BITS_CAP = 256  # longest cutoff m find_b1_m probes, in bits
 
 
@@ -69,7 +64,7 @@ class SynthesisError(RuntimeError):
     """Synthesis could not produce or validate a representation."""
 
 
-def radius_lower_bound(den: Sequence[int | Fraction]) -> Fraction:
+def radius_lower_bound(den: Sequence[int]) -> Fraction:
     """Positive lower bound for the distance from 0 to the nearest root.
 
     den is the coefficient sequence of a polynomial in ascending order,
@@ -87,7 +82,7 @@ def radius_lower_bound(den: Sequence[int | Fraction]) -> Fraction:
     return Fraction(d0, d0 + top)
 
 
-def _coefficient_slack(den: tuple[int | Fraction, ...], base: int) -> int | Fraction:
+def _coefficient_slack(den: tuple[int, ...], base: int) -> int:
     """den_0 base^h - sum_{i>=1} |den_i| base^(h-i), for h = len(den) - 1.
 
     The coefficient criterion holds at ``base`` when this is >= 0, and
@@ -98,7 +93,7 @@ def _coefficient_slack(den: tuple[int | Fraction, ...], base: int) -> int | Frac
     return den[0] * base**h - sum(abs(d) * base ** (h - i) for i, d in enumerate(den[1:], start=1))
 
 
-def _dominated_from(den: tuple[int | Fraction, ...], base: int, values: tuple[int, ...], offset: int) -> int | None:
+def _dominated_from(den: tuple[int, ...], base: int, values: tuple[int, ...], offset: int) -> int | None:
     """First index of h = len(den) - 1 consecutive |v(k)| < base^(k+offset).
 
     ``values`` obey sum_i den_i v(k-i) = 0, den_0 > 0.  The coefficient
@@ -123,24 +118,20 @@ def _dominated_from(den: tuple[int | Fraction, ...], base: int, values: tuple[in
     return None
 
 
-def _shift_window(rec: Recurrence) -> tuple[int, ...]:
-    """The prefix of s that _shift_certified inspects."""
-    return eval_oracle(rec, _SHIFT_CAP + rec.order).values
+def _shift_certified(den: tuple[int, ...], c: int, s: Sequence[int]) -> bool:
+    """Proof that s(n) + c^(n+1) > 0 for every n, for den = _int_den(rec).
 
-
-def _shift_certified(rec: Recurrence, c: int, window: tuple[int, ...]) -> bool:
-    """Proof that s(n) + c^(n+1) > 0 for every n.
-
-    _dominated_from proves |s(n)| < c^(n+1) from some window on, and the
-    finitely many indices before the window's end are checked one by one.
-    ``window`` is _shift_window(rec), expanded once per recurrence.
+    den is a positive multiple of (1, *coeffs), so _coefficient_slack keeps
+    its sign.  _dominated_from proves |s(n)| < c^(n+1) from a window in
+    s[:_WINDOW_CAP + d] on, and the indices before its end are checked.
     """
     if c < 1:
         return False
-    start = _dominated_from((1, *rec.coeffs), c, window, 1)
+    d = len(den) - 1
+    start = _dominated_from(den, c, s[: _WINDOW_CAP + d], 1)
     if start is None:
         return False
-    return all(window[n] + c ** (n + 1) > 0 for n in range(start + rec.order))
+    return all(s[n] + c ** (n + 1) > 0 for n in range(start + d))
 
 
 def _least(pred: Callable[[int], bool], lo: int, hi: int) -> int | None:
@@ -177,10 +168,15 @@ def find_shift(rec: Recurrence) -> int:
     coefficient criterion gets easier as c grows, a window for c is one for
     every larger c, and s(n) + c^(n+1) grows with c.
     """
-    if is_provably_nonnegative(rec):
+    return _find_shift(rec, eval_oracle(rec, _WINDOW_CAP + rec.order).values)
+
+
+def _find_shift(rec: Recurrence, s: Sequence[int]) -> int:
+    """find_shift(rec), given a prefix s of at least _WINDOW_CAP + d terms."""
+    if _nonnegative(rec, s):
         return 0
-    window = _shift_window(rec)
-    c = _least(lambda c: _shift_certified(rec, c, window), 1, growth_constant(rec))
+    den = _int_den(rec)
+    c = _least(lambda c: _shift_certified(den, c, s), 1, _growth_constant(den, rec.init))
     if c is None:  # dead: the growth constant always passes the certificate
         raise SynthesisError("no certified shift at or below the growth constant")
     return c
@@ -256,6 +252,14 @@ def pow_lt(a: int, p: int, b: int, q: int) -> bool:
         prec *= 2
 
 
+@lru_cache(maxsize=64)
+def _ln2_scaled(prec: int) -> int:
+    """ln2 with ln 2 in [ln2 / 2^prec, (ln2 + prec + 1) / 2^prec): the first
+    prec terms of ln 2 = sum_{k>=1} 1/(k 2^k), each cut by less than
+    2^-prec, and a tail below 2^-prec."""
+    return sum((1 << (prec - k)) // k for k in range(1, prec + 1))
+
+
 def _size_bracket(c: int) -> tuple[int, int]:
     """(lo, hi) with lo <= hi: c^(m+1) < (c+1)^(m-2) fails for every m < lo
     and holds for every m >= hi, for c >= 1 (see find_b1_m)."""
@@ -264,10 +268,7 @@ def _size_bracket(c: int) -> tuple[int, int]:
     # a <= log2(c^n) < b, from the bit lengths of bounds on c^n
     (lo_m, lo_exp), (hi_m, hi_exp) = _pow_bounds(c, n, prec)
     a, b = lo_m.bit_length() + lo_exp - 1, hi_m.bit_length() + hi_exp
-    # ln 2 = sum_{k>=1} 1/(k 2^k): the first prec terms, each cut by less
-    # than 2^-prec, and a tail below 2^-prec put ln 2 in
-    # [ln2 / 2^prec, (ln2 + prec + 1) / 2^prec)
-    ln2 = sum((1 << (prec - k)) // k for k in range(1, prec + 1))
+    ln2 = _ln2_scaled(prec)
     scale = n << prec
     lo = 3 + 6 * a * ln2 * c * (c + 1) // (scale * (2 * c + 1))
     hi = 3 + 3 * b * (ln2 + prec + 1) * (2 * c + 1) // (2 * scale)
@@ -414,22 +415,27 @@ class _Pipeline:
         return extraction_value(self.num, self.den, b, n)
 
 
-def _prepare(rec: Recurrence, c: int, horizon: int) -> _Pipeline:
-    """Pipeline for shift c, with t(0..depth-1).
+def _prefix(rec: Recurrence, horizon: int) -> tuple[int, ...]:
+    """The prefix of s that synthesize expands once and every stage reads:
+    the shift proofs read s(0.._WINDOW_CAP + d - 1), and base search reads
+    t(0.._WINDOW_CAP + h), h <= d + 1, in the dominance window, whose start
+    is at most _WINDOW_CAP + 1, and t(1..horizon) in the direct checks."""
+    return eval_oracle(rec, max(_WINDOW_CAP + rec.order + 2, horizon + 1)).values
 
-    depth covers every index base search reads: the dominance window reads
-    t(0.._WINDOW_CAP + h), and its start is at most _WINDOW_CAP + 1, so the
-    direct checks, on [1, horizon] and below the cutoff, stop at
-    max(_WINDOW_CAP, horizon).
-    """
+
+def _prepare(rec: Recurrence, c: int, s: Sequence[int]) -> _Pipeline:
+    """Pipeline for shift c, with t(n) = s(n) + c^(n+1) on the prefix s of
+    _prefix.  Raises SynthesisError when t is eventually zero or negative on
+    s, or when its denominator's degree h is past _MAX_MATCHED_H, the
+    largest h read_extraction reads back."""
     num, den = generating_function(rec, c)
     if not num:
         raise SynthesisError("shifted sequence is identically zero")
     h = len(den) - 1
     if h < 1:
         raise SynthesisError("shifted sequence is eventually zero; no proper pole")
-    depth = max(_WINDOW_CAP + h + 1, horizon + 1)
-    s = eval_oracle(rec, depth).values
+    if h > _MAX_MATCHED_H:
+        raise SynthesisError(f"the term's denominator would have degree {h}, past the cap of {_MAX_MATCHED_H}")
     t = tuple(v + c ** (n + 1) for n, v in enumerate(s))
     for n, v in enumerate(t):
         if v < 0:
@@ -439,9 +445,7 @@ def _prepare(rec: Recurrence, c: int, horizon: int) -> _Pipeline:
 
 def _bound_data(pipe: _Pipeline) -> BoundsCertificate:
     """Validated bound data for the shifted sequence of a prepared pipeline."""
-    d0, h = pipe.den[0], len(pipe.den) - 1
-    rec_t = Recurrence(h, tuple(Fraction(x, d0) for x in pipe.den[1:]), pipe.t_values[:h])
-    c_t = growth_constant(rec_t)
+    c_t = _growth_constant(pipe.den, pipe.t_values)
     rho = radius_lower_bound(pipe.den)
     b1, m = find_b1_m(c_t, rho)
     cert = BoundsCertificate(c=pipe.c, c_t=c_t, rho=rho, b1=b1, m=m, b2=find_b2(c_t, rho))
@@ -610,19 +614,20 @@ def synthesize(
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    probe = eval_oracle(rec, max(rec.order, 10))
-    if not any(probe.values):
+    # a homogeneous recurrence is zero exactly when its d initial values are
+    if not any(rec.init):
         raise AllZeroSequenceError("the sequence is identically zero")
+    s = _prefix(rec, horizon)
 
     if force_c is not None:
         if force_c < 0:
             raise ValueError("force_c must be a natural number")
         c = force_c
-        shift_proven = is_provably_nonnegative(rec) or _shift_certified(rec, c, _shift_window(rec))
+        shift_proven = _nonnegative(rec, s) or _shift_certified(_int_den(rec), c, s)
     else:
-        c = find_shift(rec)
+        c = _find_shift(rec, s)
         shift_proven = True
-    pipe = _prepare(rec, c, horizon)
+    pipe = _prepare(rec, c, s)
     cert = _bound_data(pipe)
 
     if force_b is not None:

@@ -660,6 +660,11 @@ def _dense(sides: list[list[tuple[int, int]]], h: int, base: int) -> tuple:
     return (*coeffs, base)
 
 
+# the read coefficients are dense tuples of length h + 1; a term whose
+# multiples of n go past this is not read
+_MAX_MATCHED_H = 1 << 12
+
+
 def read_extraction(term: Term) -> tuple | None:
     """(num, den, base) read off a term of build_extraction_term's shape in
     the variable n, or None.
@@ -669,25 +674,14 @@ def read_extraction(term: Term) -> tuple | None:
     equals extraction_value of the result at every n, but the shape is read
     leniently: summands may come in any order, repeat or carry a factor 1
     or 0, and build_extraction_term need not give the term back.  Nothing
-    recurses once per nesting level, but the tuples are built at length
-    h + 1 for any h; verify_term caps h before building them.
+    recurses once per nesting level, and h past _MAX_MATCHED_H (4096) gives
+    None before any tuple is built.
     """
-    return _read_capped(term, None)
-
-
-# the read coefficients are dense tuples of length h + 1; a term whose
-# multiples of n go past this is left to evaluate
-_MAX_MATCHED_H = 1 << 12
-
-
-def _read_capped(term: Term, cap: int | None = _MAX_MATCHED_H) -> tuple | None:
-    """read_extraction(term), or None when h exceeds cap, which is checked
-    before the tuples are built; cap None reads any h."""
     read = _read_pairs(term)
     if read is None:
         return None
     sides, base = read
     h = max(j for pairs in sides for j, _ in pairs)
-    if cap is not None and h > cap:
+    if h > _MAX_MATCHED_H:
         return None
     return _dense(sides, h, base)

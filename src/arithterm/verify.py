@@ -26,7 +26,7 @@ from typing import Sequence
 from .catalog import fixtures
 from .polys import AlgebraError
 from .recurrence import eval_oracle
-from .terms import BudgetExceededError, EvalStats, Term, _read_capped, evaluate, extraction_value
+from .terms import BudgetExceededError, EvalStats, Term, evaluate, extraction_value, read_extraction
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,9 +43,9 @@ class VerificationReport:
     ``checked`` counts the indices evaluated, the failing one included.
     ``peak_bits`` is the bit length of the largest intermediate of the
     evaluations: through ``extraction_value`` for terms ``read_extraction``
-    reads with h at most 4096 (the cap _read_capped keeps, so that the
-    dense data stays small), which works modulo D and whose intermediates
-    stay O(h*n*log b) bits, else through ``evaluate``.
+    reads (it reads none with h past 4096, so that the dense data stays
+    small), which works modulo D and whose intermediates stay
+    O(h*n*log b) bits, else through ``evaluate``.
     ``aborted`` carries the index and message of a blown bit budget.
     """
 
@@ -92,9 +92,9 @@ def verify_term(
     Stops at the first mismatch.  ``oracle`` must cover indices up to n_hi.
     A blown evaluation budget aborts the run and is reported as such rather
     than as a mismatch.  The term's variable is n; terms that
-    read_extraction reads, with h at most _MAX_MATCHED_H, are evaluated by
-    extraction_value, all others by evaluate.  The cap is checked before
-    the coefficient tuples are built.
+    read_extraction reads are evaluated by extraction_value, all others by
+    evaluate.  read_extraction reads no term with h past 4096, and checks
+    that before it builds the coefficient tuples.
     """
     if n_lo < 0 or n_hi < n_lo:
         raise ValueError("need 0 <= n_lo <= n_hi")
@@ -102,7 +102,7 @@ def verify_term(
         raise ValueError(f"oracle covers {len(oracle)} values, need {n_hi + 1}")
     stats = EvalStats()
     started = time.monotonic_ns()
-    params = _read_capped(term)
+    params = read_extraction(term)
     if params is not None:
 
         def value(n: int) -> int:

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -7,9 +8,18 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from arithterm import synthesis, terms
+from arithterm import recurrence, synthesis, terms
 from arithterm.catalog import get_fixture
-from arithterm.recurrence import Recurrence, eval_oracle, growth_constant, is_provably_nonnegative
+from arithterm.recurrence import (
+    NonIntegerTermError,
+    Recurrence,
+    _growth_constant,
+    _int_den,
+    eval_oracle,
+    floor_root,
+    growth_constant,
+    is_provably_nonnegative,
+)
 from arithterm.synthesis import (
     AllZeroSequenceError,
     BoundsCertificate,
@@ -23,9 +33,9 @@ from arithterm.synthesis import (
     _least,
     _n1_candidate,
     _pow_bounds,
+    _prefix,
     _prepare,
     _shift_certified,
-    _shift_window,
     _validated_cutoff,
     find_b1_m,
     find_b2,
@@ -321,7 +331,7 @@ def test_bound_data_for_huge_initial_values_is_fast():
     # c_t has 182 bits here; building c_t^(m+1) exactly never finishes
     rec = Recurrence(2, (-1, -1), (2**181, 2**181 + 7))
     started = time.perf_counter()
-    cert = _bound_data(_prepare(rec, find_shift(rec), 40))
+    cert = _bound_data(_prepare(rec, find_shift(rec), _prefix(rec, 40)))
     cert.validate()
     assert time.perf_counter() - started < 10
     assert cert.c_t.bit_length() == 182
@@ -440,7 +450,7 @@ def test_proven_shift_walks_past_a_long_carry_run():
     assert verify_term(eval_oracle(rec, 41).values, r.term, 0, 1, 40).ok
     # b is the least valid base: with t(1) below every base here, n = 1
     # passes iff the carry F(x) is a multiple of x
-    pipe = _prepare(rec, 0, r.horizon)
+    pipe = _prepare(rec, 0, _prefix(rec, r.horizon))
     floor, b_c = _digit_floor(pipe, r.horizon), 161804
     assert pipe.t_values[1] < floor
     assert all(_carry(pipe, x) % x != 0 for x in range(floor, b_c))
@@ -486,6 +496,59 @@ def test_long_carry_runs_cost_at_most_two_probes(rec, force_c, b):
 def test_synthesize_force_c_too_small_is_rejected():
     with pytest.raises(SynthesisError, match="negative term"):
         synthesize(SIGNED_U, force_c=1)
+
+
+def test_forced_shift_checks_the_whole_prefix_for_negative_terms():
+    # s(n) = 66 - n: the prefix synthesize expands reaches n = 65 + d for
+    # every shift, so a forced c = 0 is refused at n = 67 even though h = 2
+    with pytest.raises(SynthesisError, match="^shift 0 leaves a negative term at n=67$"):
+        synthesize(Recurrence(2, (-2, 1), (66, 65)), force_c=0)
+
+
+def test_synthesize_raises_a_non_integer_term_past_the_initial_values():
+    # s(n) = 2^(12 - n) first leaves the integers at n = 13
+    with pytest.raises(NonIntegerTermError) as err:
+        synthesize(Recurrence(1, ("-1/2",), (2**12,)))
+    assert err.value.index == 13
+
+
+def test_prepare_names_the_read_back_cap(monkeypatch):
+    # past the cap read_extraction reads no term, so the read-back would
+    # fail; _prepare refuses the denominator degree first
+    monkeypatch.setattr(synthesis, "_MAX_MATCHED_H", 1)
+    with pytest.raises(SynthesisError, match="^the term's denominator would have degree 2, past the cap of 1$"):
+        _prepare(FIB, 0, _prefix(FIB, 40))
+    with pytest.raises(SynthesisError, match="past the cap of 1"):
+        synthesize(FIB)
+
+
+@pytest.mark.parametrize(
+    "rec, kwargs, evidence",
+    [
+        (SIGNED_U, {}, "certified"),
+        (SIGNED_U, {"force_c": 3}, "certified"),
+        (SIGNED_U, {"force_c": 2}, "horizon-only"),
+        (FIB, {"force_b": 4}, "certified"),
+    ],
+    ids=["searched", "force_c-proven", "force_c-unproven", "force_b"],
+)
+def test_synthesize_expands_the_sequence_once_and_builds_no_recurrence(monkeypatch, rec, kwargs, evidence):
+    counts = []
+    oracle = recurrence.eval_oracle
+
+    def counted(rec, count):
+        counts.append(count)
+        return oracle(rec, count)
+
+    def no_recurrence(*args, **kwargs):
+        raise AssertionError("synthesize built a Recurrence")
+
+    monkeypatch.setattr(synthesis, "eval_oracle", counted)
+    monkeypatch.setattr(recurrence, "eval_oracle", counted)
+    monkeypatch.setattr(Recurrence, "__init__", no_recurrence)
+    r = synthesize(rec, **kwargs)
+    assert counts == [_WINDOW_CAP + rec.order + 2]
+    assert r.report["evidence"] == evidence
 
 
 def test_synthesize_validation():
@@ -570,7 +633,7 @@ def test_dominance_window_proves_every_base_it_certifies(rec):
     # equals t(n) from max(start, 2) on; t comes from the oracle because
     # the pipeline holds only the prefix base search reads
     c = find_shift(rec)
-    pipe = _prepare(rec, c, 40)
+    pipe = _prepare(rec, c, _prefix(rec, 40))
     t = [v + c ** (n + 1) for n, v in enumerate(eval_oracle(rec, 81).values)]
     floor = _digit_floor(pipe, 40)
     for b in range(floor, floor + 21):
@@ -598,7 +661,7 @@ def test_synthesized_term_matches_the_oracle_and_reads_back_as_its_data(rec):
     # the term is 0 at n = 0, which valid_at_zero relies on
     assert evaluate(r.term, {"n": 0}) == 0
     assert r.valid_at_zero == (r.c == -oracle[0])
-    assert read_extraction(r.term) == _padded_data(_prepare(rec, r.c, r.horizon), r.b)
+    assert read_extraction(r.term) == _padded_data(_prepare(rec, r.c, _prefix(rec, r.horizon)), r.b)
 
 
 @pytest.mark.parametrize(
@@ -635,13 +698,13 @@ def test_synthesize_reads_back_a_term_too_deep_to_compare():
     order = 520
     rec = Recurrence(order, (0,) * (order - 1) + (-1,), tuple(range(1, order + 1)))
     r = synthesize(rec, horizon=3)
-    assert read_extraction(r.term) == _padded_data(_prepare(rec, r.c, 3), r.b)
+    assert read_extraction(r.term) == _padded_data(_prepare(rec, r.c, _prefix(rec, 3)), r.b)
     assert r.valid_at_zero is False and r.report["evidence"] == "certified"
 
 
 def test_certified_from_is_the_window_start():
     r = synthesize(FIB)
-    start = _window_start(_prepare(FIB, r.c, r.horizon), r.b)
+    start = _window_start(_prepare(FIB, r.c, _prefix(FIB, r.horizon)), r.b)
     assert start is not None and r.certified_from == max(start, 2)
 
 
@@ -653,9 +716,74 @@ def test_find_shift_is_the_least_certified_shift(rec):
     if is_provably_nonnegative(rec):
         expected = 0
     else:
-        window = _shift_window(rec)
-        expected = next(c for c in range(1, growth_constant(rec) + 1) if _shift_certified(rec, c, window))
+        s = eval_oracle(rec, _WINDOW_CAP + rec.order).values
+        expected = next(c for c in range(1, growth_constant(rec) + 1) if _shift_certified(_int_den(rec), c, s))
     assert find_shift(rec) == expected
+
+
+@pytest.mark.parametrize("rec", [FIB, SIGNED_U, Recurrence(2, ("3/2", -1), (1, -2))], ids=["FIB", "SIGNED_U", "rational"])
+def test_synthesis_builds_fractions_only_for_rho(monkeypatch, rec):
+    # none of these reaches the order-2 minorant, the other place that
+    # computes in Fractions; Python 3.12 and later build the results of
+    # Fraction arithmetic without __new__, so there only explicit
+    # constructions are seen
+    outside = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code.co_name != "radius_lower_bound":
+            frame = frame.f_back
+        if frame is None:
+            outside.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    synthesize(rec)
+    assert outside == []
+
+
+@st.composite
+def _rational_recurrences(draw):
+    # the characteristic polynomial of an integer recurrence times
+    # x - p/q: the same integer sequence, with rational coefficients
+    rec = draw(_recurrences())
+    r = Fraction(draw(st.integers(-5, 5).filter(bool)), draw(st.integers(2, 5)))
+    c = (*rec.coeffs, 0)
+    coeffs = [c[0] - r] + [c[k] - r * c[k - 1] for k in range(1, len(c))]
+    return Recurrence(rec.order + 1, coeffs, eval_oracle(rec, rec.order + 1).values)
+
+
+def _fraction_shift_certified(rec, c, s):
+    # the shift certificate on the recurrence's own Fraction coefficients
+    start = _dominated_from((1, *rec.coeffs), c, s[: _WINDOW_CAP + rec.order], 1)
+    return start is not None and all(s[n] + c ** (n + 1) > 0 for n in range(start + rec.order))
+
+
+def _fraction_growth_constant(rec):
+    total = sum(abs(a) for a in rec.coeffs) * rec.order
+    c = total.numerator // total.denominator + 1
+    while not all(abs(v) < c ** (k + 1) for k, v in enumerate(rec.init)):
+        c = max(floor_root(abs(v), k + 1) + 1 for k, v in enumerate(rec.init))
+    return c
+
+
+@given(_rational_recurrences())
+@example(Recurrence(2, ("3/2", -1), (1, -2)))
+def test_integer_shift_and_growth_data_match_their_fraction_forms(rec):
+    s = _prefix(rec, 30)
+    den = _int_den(rec)
+    assert den[0] > 0 and all(Fraction(a, den[0]) == b for a, b in zip(den[1:], rec.coeffs))
+    c_s = _growth_constant(den, rec.init)
+    assert c_s == _fraction_growth_constant(rec)
+    for c in range(1, c_s + 1):
+        assert _shift_certified(den, c, s) == _fraction_shift_certified(rec, c, s), c
+    # the bound data's growth constant, against the shifted recurrence
+    # with Fraction coefficients that _bound_data used to build
+    pipe = _prepare(rec, find_shift(rec), s)
+    h, d0 = len(pipe.den) - 1, pipe.den[0]
+    rec_t = Recurrence(h, [Fraction(a, d0) for a in pipe.den[1:]], pipe.t_values[:h])
+    assert _growth_constant(pipe.den, pipe.t_values) == _fraction_growth_constant(rec_t)
 
 
 PELL = Recurrence(2, (-2, -1), (0, 1))  # passes n = 1 at b = 3 with carry 3
@@ -671,7 +799,7 @@ def test_carry_jumps_skip_only_bases_that_fail_at_n1(rec):
     # past every one; each base passed over fails the coefficient criterion
     # (the first gallop) or n = 1 (a step of any k)
     c = find_shift(rec)
-    pipe = _prepare(rec, c, 40)
+    pipe = _prepare(rec, c, _prefix(rec, 40))
     b2 = _bound_data(pipe).b2
     b = _digit_floor(pipe, 40)
     for _ in range(20):
@@ -688,6 +816,6 @@ def test_carry_jumps_skip_only_bases_that_fail_at_n1(rec):
 @example(PELL)
 def test_search_finds_the_least_base_a_full_scan_finds(rec):
     r = synthesize(rec)
-    pipe = _prepare(rec, r.c, r.horizon)
+    pipe = _prepare(rec, r.c, _prefix(rec, r.horizon))
     assert all(_validated_cutoff(pipe, b, r.horizon) is None for b in range(_digit_floor(pipe, r.horizon), r.b))
     assert _validated_cutoff(pipe, r.b, r.horizon) == r.certified_from

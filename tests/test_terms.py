@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from unittest import mock
 
 import pytest
@@ -459,8 +460,15 @@ def test_read_extraction_rejects_other_shapes():
     assert read_extraction(parse("fl(3^(n^2 + n) / (3^(2*n) -. (3^n + 1))) % 3^m")) is None
     assert read_extraction(parse("fl(3^(n^2 + n) / 3^(2*n)) % 3^(2*n)")) is None
     # a valid shape, but its dense coefficient tuples would have 10,000 entries
-    assert terms._read_capped(parse("fl(2^(n^2 + 9999*n) / (2^(9999*n) + 1)) % 2^n")) is None
+    assert read_extraction(parse("fl(2^(n^2 + 9999*n) / (2^(9999*n) + 1)) % 2^n")) is None
     assert read_extraction(parse("2^2^2^n")) is None
+
+
+def test_read_extraction_caps_h_before_building_tuples():
+    # 36 characters whose dense tuples would hold 10^9 + 1 entries a side
+    started = time.perf_counter()
+    assert read_extraction(parse("fl(2^(n^2) / 2^(1000000000*n)) % 2^n")) is None
+    assert time.perf_counter() - started < 1
 
 
 def test_read_extraction_reads_every_node():
