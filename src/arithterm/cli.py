@@ -107,7 +107,8 @@ def _cmd_synth(args) -> int:
     print(f"c: {result.c}")
     print(f"valid_at_zero: {'true' if result.valid_at_zero else 'false'}")
     print(f"certificate: c_t={cert.c_t} rho={cert.rho} b1={cert.b1} m={cert.m} b2={cert.b2}")
-    print(f"verified: n in [1, {result.report['checked_to']}]")
+    proven = "" if result.certified_from is None else f", proven from n = {result.certified_from}"
+    print(f"verified: n in [1, {result.report['checked_to']}]{proven}")
     return 0
 
 
@@ -213,7 +214,7 @@ def _build_parser() -> _ArgumentParser:
 
     p = sub.add_parser("synth", help="synthesize a representation for a recurrence")
     p.add_argument("spec", metavar="SPEC")
-    p.add_argument("--horizon", type=int, default=40, help="always direct-check up to this index")
+    p.add_argument("--horizon", type=int, default=40, help="direct-check up to this index where no proof covers every n")
     p.add_argument("--force-b", type=int, default=None, help="use this base instead of searching")
     p.add_argument("--force-c", type=int, default=None, help="use this shift instead of searching")
     p.add_argument("--format", choices=("text", "latex", "json"), default="text")

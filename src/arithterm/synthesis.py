@@ -17,9 +17,11 @@ generating function of t(n) = s(n) + c^(n+1).  The pipeline is:
    cutoff m within two indices, and pow_lt decides its inequalities in
    powers of b1 exactly from rounded interval powers, never built in full;
 4. walk upward from a digit floor (no smaller base can fit t(n) into n
-   digits) for the least base that validates: it direct-checks on
-   [1, horizon], the dominance lemma gives a cutoff m_b past which the
-   term provably equals t(n), and the indices below m_b direct-check too.
+   digits) for the least base that validates: the dominance lemma gives a
+   cutoff m_b past which the term provably equals t(n), and the indices
+   below m_b direct-check.  That proof needs t(n) >= 0 for every n, so
+   under a forced shift without a proof each base direct-checks on
+   [1, horizon] as well, the only evidence past m_b.
    A base that fails the coefficient criterion, or whose n = 1 carry F(b)
    is no multiple of b, fails too and is never probed; for a proven shift
    F does not increase once the criterion holds, so _least jumps from one
@@ -260,14 +262,19 @@ def _ln2_scaled(prec: int) -> int:
     return sum((1 << (prec - k)) // k for k in range(1, prec + 1))
 
 
+def _log2_bracket(x: int, j: int) -> tuple[int, int]:
+    """(a, b) with a <= log2(x^n) < b for n = 2^j and x >= 1, from the bit
+    lengths of bounds on x^n; b - a <= 2 for every x."""
+    (lo_m, lo_exp), (hi_m, hi_exp) = _pow_bounds(x, 1 << j, 2 * j + 12)
+    return lo_m.bit_length() + lo_exp - 1, hi_m.bit_length() + hi_exp
+
+
 def _size_bracket(c: int) -> tuple[int, int]:
     """(lo, hi) with lo <= hi: c^(m+1) < (c+1)^(m-2) fails for every m < lo
     and holds for every m >= hi, for c >= 1 (see find_b1_m)."""
     bits = c.bit_length()
     n, prec = 1 << (bits + 2), 2 * bits + 16
-    # a <= log2(c^n) < b, from the bit lengths of bounds on c^n
-    (lo_m, lo_exp), (hi_m, hi_exp) = _pow_bounds(c, n, prec)
-    a, b = lo_m.bit_length() + lo_exp - 1, hi_m.bit_length() + hi_exp
+    a, b = _log2_bracket(c, bits + 2)
     ln2 = _ln2_scaled(prec)
     scale = n << prec
     lo = 3 + 6 * a * ln2 * c * (c + 1) // (scale * (2 * c + 1))
@@ -298,12 +305,13 @@ def find_b1_m(c_t: int, rho: Fraction) -> tuple[int, int]:
     3c ln 2 (b - a)/n < 0.52 (b - a), where b - a = 1 unless a power of two
     lies between the bounds on c^n, so hi - lo <= 1 and the size condition
     takes at most two probes (three in that rare case).  The radius
-    condition holds exactly from the least m_rho with
-    b1^m_rho > floor(1/rho), which binary powering finds in integers with
-    O(log log_b1(1/rho)) products of at most twice the bits of
-    floor(1/rho) (one step for the data _bound_data passes, where
-    floor(1/rho) <= c_t < b1), and the search runs on
-    [max(lo, m_rho), max(hi, m_rho)].
+    condition needs b1^m > floor(1/rho), which has k bits: it fails for
+    every m <= (k - 1)/log2(b1) and holds for every m >= k/log2(b1).
+    log2(b1) is known within 2/n from the bit lengths of bounds on b1^n,
+    n = 2^(bitlen(k) + 2) >= 4k, so the radius bracket [rho_lo, rho_hi]
+    holds at most two indices, and the search runs on
+    [max(lo, rho_lo), max(hi, rho_hi)].  No power of b1 is built in full,
+    so a radius bound of millions of bits costs a few milliseconds.
 
     The work is bounded: the search raises SynthesisError rather than probe
     an m of more than _M_BITS_CAP bits, and only after every m of at most
@@ -325,20 +333,15 @@ def find_b1_m(c_t: int, rho: Fraction) -> tuple[int, int]:
         return pow_lt(c_t, m + 1, b1, m - 2) and pow_lt(inv_rho, 1, b1, m)
 
     lo, hi = _size_bracket(c_t)
-    # the largest m_rho with b1^m_rho <= floor(1/rho) (0 when there is
-    # none), bit by bit from b1^(2^i); the radius condition holds from
-    # m_rho + 1 on and fails below
-    squares = [b1]
-    while squares[-1] <= inv_rho:
-        squares.append(squares[-1] ** 2)
-    m_rho, power = 0, 1
-    for i in reversed(range(len(squares))):
-        if power * squares[i] <= inv_rho:
-            m_rho, power = m_rho + (1 << i), power * squares[i]
-    m_rho += 1
+    # 2^(k-1) <= floor(1/rho) < 2^k and a <= n log2(b1) < b: the radius
+    # condition fails while m b <= (k - 1) n and holds once m a >= k n
+    k = inv_rho.bit_length()
+    j = k.bit_length() + 2
+    a, b = _log2_bracket(b1, j)
+    rho_lo, rho_hi = ((k - 1) << j) // b + 1, -(-(k << j) // a)
     # clamped to the largest m of _M_BITS_CAP bits, so the search raises
     # only once every such m is known to fail (at once when lo is past it)
-    m = _least(good, max(lo, m_rho), min(max(hi, m_rho), (1 << _M_BITS_CAP) - 1))
+    m = _least(good, max(lo, rho_lo), min(max(hi, rho_hi), (1 << _M_BITS_CAP) - 1))
     if m is None:
         raise SynthesisError(f"bound data needs a cutoff m of more than {_M_BITS_CAP} bits")
     return b1, m
@@ -436,11 +439,13 @@ def _prepare(rec: Recurrence, c: int, s: Sequence[int]) -> _Pipeline:
         raise SynthesisError("shifted sequence is eventually zero; no proper pole")
     if h > _MAX_MATCHED_H:
         raise SynthesisError(f"the term's denominator would have degree {h}, past the cap of {_MAX_MATCHED_H}")
-    t = tuple(v + c ** (n + 1) for n, v in enumerate(s))
-    for n, v in enumerate(t):
-        if v < 0:
+    t, power = [], 1
+    for n, v in enumerate(s):
+        power *= c
+        t.append(v + power)
+        if t[-1] < 0:
             raise SynthesisError(f"shift {c} leaves a negative term at n={n}")
-    return _Pipeline(c=c, num=num, den=den, t_values=t)
+    return _Pipeline(c=c, num=num, den=den, t_values=tuple(t))
 
 
 def _bound_data(pipe: _Pipeline) -> BoundsCertificate:
@@ -479,7 +484,9 @@ def _certified_cutoff(pipe: _Pipeline, b: int, horizon: int) -> int | None:
 
 
 def _validated_cutoff(pipe: _Pipeline, b: int, horizon: int) -> int | None:
-    """_certified_cutoff for a base that direct-checks on [1, horizon]."""
+    """_certified_cutoff for a base that direct-checks on [1, horizon]; so
+    b is accepted when it direct-checks on [1, max(horizon, m_b - 1)], and
+    horizon = 0 checks exactly the indices the window does not cover."""
     if _first_mismatch(pipe, b, range(1, horizon + 1)) is not None:
         return None
     return _certified_cutoff(pipe, b, horizon)
@@ -520,10 +527,15 @@ def _n1_candidate(pipe: _Pipeline, b: int, b2: int) -> int | None:
     return b
 
 
-def _search_minimal_base(pipe: _Pipeline, b2: int, horizon: int) -> tuple[int, int, dict]:
+def _search_minimal_base(pipe: _Pipeline, b2: int, horizon: int, shift_proven: bool) -> tuple[int, int, dict]:
     """Least base in [digit floor, b2] that _validated_cutoff accepts, with
     its cutoff m_b and a report; report["probes"] counts _validated_cutoff
     calls, not carry evaluations.
+
+    With a proven shift the dominance window covers every n >= m_b, so a
+    probe direct-checks only [1, m_b - 1] and report["checked_to"] is
+    m_b - 1.  Without one the window proves nothing past the checked
+    prefix, so each probe replays [1, max(horizon, m_b - 1)] as evidence.
 
     Only the bases _n1_candidate returns are probed.  With A(b) and D(b)
     as in extraction_value at x = b, the term at n = 1 is
@@ -547,12 +559,20 @@ def _search_minimal_base(pipe: _Pipeline, b2: int, horizon: int) -> tuple[int, i
     skipped base might validate: synthesize reports minimal_proven False.
     """
     lo = b = min(_digit_floor(pipe, horizon), b2)
+    replay = 0 if shift_proven else horizon
     probes = 0
     while (b := _n1_candidate(pipe, b, b2)) is not None:
         probes += 1
-        m_b = _validated_cutoff(pipe, b, horizon)
+        m_b = _validated_cutoff(pipe, b, replay)
         if m_b is not None:
-            return b, m_b, {"strategy": "scan", "probes": probes, "scanned_from": lo}
+            return b, m_b, {
+                "strategy": "scan",
+                "probes": probes,
+                "scanned_from": lo,
+                "minimal_proven": shift_proven,
+                "evidence": "certified",
+                "checked_to": max(m_b - 1, replay),
+            }
         b += 1
     raise SynthesisError("no base up to b2 validated; bound data is inconsistent")
 
@@ -596,14 +616,19 @@ def synthesize(
 ) -> SynthesisResult:
     """Produce a validated representation s(n) = E(n) - c^(n+1) for n >= 1.
 
-    horizon is the index up to which the result is always direct-checked.
+    horizon is how far the direct checks replay where no proof covers
+    every n: under a forced shift without a proof that s(n) + c^(n+1) >= 0
+    for every n (is_provably_nonnegative, or the certificate find_shift
+    uses), and for a forced base.  A searched base under a proven shift
+    is direct-checked only below certified_from, from where the dominance
+    window proves it; report["checked_to"] is always the last index that
+    was direct-checked, certified_from - 1 there.
     force_c / force_b pin the shift or base instead of searching; a forced
     base that cannot be certified is still accepted if it direct-checks up
     to the horizon, and rejected with the first failing index otherwise.
-    A forced shift without a proof that s(n) + c^(n+1) >= 0 for every n
-    (is_provably_nonnegative, or the certificate find_shift uses) leaves
-    the result horizon-only, with certified_from None, and a searched base
-    with report["minimal_proven"] False.
+    A forced shift without a proof leaves the result horizon-only, with
+    certified_from None, and a searched base with
+    report["minimal_proven"] False.
 
     The direct checks run extraction_value on the signed (num, den, b) the
     term is built from.  synthesize never evaluates the term: it reads that
@@ -645,10 +670,7 @@ def synthesize(
         else:
             report = {"strategy": "forced", "evidence": "horizon-only", "checked_to": horizon}
     else:
-        b, certified_from, report = _search_minimal_base(pipe, cert.b2, horizon)
-        report["minimal_proven"] = shift_proven
-        report["evidence"] = "certified"
-        report["checked_to"] = max(certified_from - 1, horizon)
+        b, certified_from, report = _search_minimal_base(pipe, cert.b2, horizon, shift_proven)
     if not shift_proven:
         # the base certificate assumes t(n) >= 0 for every n, which only
         # the checked prefix backs here

@@ -28,7 +28,8 @@ def test_synth_text_output(capsys):
     assert not any(line.startswith("valid_from") for line in lines)
     assert "valid_at_zero: true" in lines
     assert any(line.startswith("certificate: c_t=") for line in lines)
-    assert "verified: n in [1, 40]" in lines
+    # the dominance window proves every n >= 3, so only n = 1, 2 are replayed
+    assert lines[-1] == "verified: n in [1, 2], proven from n = 3"
 
 
 def test_synth_latex_output(capsys):

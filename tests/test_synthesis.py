@@ -133,6 +133,15 @@ def test_find_b1_m_respects_rho():
     assert find_b1_m(2, rho) == _reference_find_b1_m(2, rho)[:2] == (3, 63093)
 
 
+def test_find_b1_m_brackets_a_huge_radius_bound_without_building_powers():
+    # floor(1/rho) has 4,000,001 bits; 3^m is never built in full
+    rho = Fraction(1, 2**4000000)
+    started = time.perf_counter()
+    assert find_b1_m(2, rho) == (3, 2523720)
+    assert time.perf_counter() - started < 0.5
+    assert pow_lt(2**4000000, 1, 3, 2523720) and not pow_lt(2**4000000, 1, 3, 2523719)
+
+
 @given(st.integers(0, 300), st.integers(0, 80), st.integers(0, 300), st.integers(0, 80))
 @example(0, 0, 0, 0)
 @example(0, 1, 0, 0)
@@ -700,6 +709,47 @@ def test_synthesize_reads_back_a_term_too_deep_to_compare():
     r = synthesize(rec, horizon=3)
     assert read_extraction(r.term) == _padded_data(_prepare(rec, r.c, _prefix(rec, 3)), r.b)
     assert r.valid_at_zero is False and r.report["evidence"] == "certified"
+
+
+def _count_checks(mp):
+    # (b, n) of every extraction_value call base search makes
+    checks = []
+    value = synthesis.extraction_value
+    mp.setattr(synthesis, "extraction_value", lambda num, den, b, n: checks.append((b, n)) or value(num, den, b, n))
+    return checks
+
+
+@given(_recurrences())
+@example(FIB)
+@example(SIGNED_U)
+@example(SIGNED_V)
+def test_proven_shift_direct_checks_only_below_certified_from(rec):
+    # the dominance window proves every n >= certified_from, so no probe
+    # replays an index there
+    with pytest.MonkeyPatch.context() as mp:
+        checks = _count_checks(mp)
+        r = synthesize(rec)
+    assert r.report["minimal_proven"] is True and r.report["evidence"] == "certified"
+    assert r.report["checked_to"] == r.certified_from - 1
+    assert max(n for _, n in checks) < r.certified_from
+    assert sorted(n for b, n in checks if b == r.b) == list(range(1, r.certified_from))
+
+
+def test_unproven_shift_replays_every_probe_to_the_horizon(monkeypatch):
+    # without a proof that t(n) >= 0 the window proves nothing past the
+    # prefix, so the base returned was replayed on all of [1, horizon]
+    rec = Recurrence(2, (-201, 10100), (1, 99))
+    checks = _count_checks(monkeypatch)
+    r = synthesize(rec, force_c=0)
+    assert r.certified_from is None and r.report["checked_to"] == 40
+    assert sorted(n for b, n in checks if b == r.b) == list(range(1, 41))
+
+
+def test_forced_base_replays_to_the_horizon(monkeypatch):
+    checks = _count_checks(monkeypatch)
+    r = synthesize(FIB, force_b=4)
+    assert (r.certified_from, r.report["evidence"], r.report["checked_to"]) == (3, "certified", 40)
+    assert sorted(n for _, n in checks) == list(range(1, 41))
 
 
 def test_certified_from_is_the_window_start():
