@@ -20,6 +20,7 @@ recurrence generates the zero sequence, 3 a verification found a mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -47,6 +48,17 @@ class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         raise SystemExit(1)
+
+
+def _print_json(data: dict) -> None:
+    """Print data as JSON with one top-level key per line.
+
+    Each value is compact JSON from the C encoder; indent= would select the
+    pure-Python encoder before Python 3.13.  The whole text is built before
+    anything is printed, so a term too deep to encode prints nothing.
+    """
+    body = ",\n".join(f"  {json.dumps(key)}: {dump_term_json(value)}" for key, value in data.items())
+    print("{\n" + body + "\n}")
 
 
 def _load_spec(arg: str) -> Recurrence:
@@ -99,7 +111,7 @@ def _cmd_synth(args) -> int:
     rec = _load_spec(args.spec)
     result = synthesize(rec, horizon=args.horizon, force_c=args.force_c, force_b=args.force_b)
     if args.format == "json":
-        print(dump_term_json(result.to_json_dict(), indent=2))
+        _print_json(result.to_json_dict())
         return 0
     cert = result.certificate
     print(f"term: {render(result.term, args.format)}")
@@ -141,7 +153,7 @@ def _cmd_verify(args) -> int:
     oracle = eval_oracle(rec, n_hi + 1).values
     report = verify_term(oracle, term, c, n_lo, n_hi)
     if args.json:
-        print(json.dumps(report.to_json_dict(), indent=2))
+        _print_json(report.to_json_dict())
     elif report.ok:
         print(f"ok: checked n in [{report.n_lo}, {report.n_hi}]")
     elif report.aborted is not None:
@@ -181,20 +193,17 @@ def _cmd_catalog(args) -> int:
         return 0
     fix = get_fixture(args.id)
     if args.json:
-        print(
-            dump_term_json(
-                {
-                    "id": fix.id,
-                    "recurrence": fix.recurrence.to_json_dict(),
-                    "b": fix.base,
-                    "c": fix.shift,
-                    "valid_from": fix.valid_from,
-                    "term": render(fix.term),
-                    "term_json": term_to_json(fix.term),
-                    "notes": fix.notes,
-                },
-                indent=2,
-            )
+        _print_json(
+            {
+                "id": fix.id,
+                "recurrence": fix.recurrence.to_json_dict(),
+                "b": fix.base,
+                "c": fix.shift,
+                "valid_from": fix.valid_from,
+                "term": render(fix.term),
+                "term_json": term_to_json(fix.term),
+                "notes": fix.notes,
+            }
         )
         return 0
     print(f"id: {fix.id}")
@@ -208,7 +217,10 @@ def _cmd_catalog(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> _ArgumentParser:
+    # built on the first main call and reused: parse_args leaves the parser
+    # unchanged, and --env's append action copies its default list
     parser = _ArgumentParser(prog="arithterm", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

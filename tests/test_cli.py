@@ -3,10 +3,11 @@ import json
 import re
 import sys
 
+import arithterm.cli as cli
 from arithterm.catalog import fixtures
 from arithterm.cli import main
 from arithterm.recurrence import Recurrence, generating_function
-from arithterm.terms import parse, term_from_json
+from arithterm.terms import parse, render, term_from_json, term_to_json
 
 FIB = '{"order": 2, "coeffs": [-1, -1], "init": [0, 1]}'
 FIB_TERM = "fl(3^(n^2 + n) / (3^(2*n) -. (3^n + 1))) % 3^n"
@@ -168,8 +169,8 @@ def test_eval_deeply_nested_term_is_one_line_error(capsys):
 
 def test_synth_json_of_a_deep_term_is_a_result_or_one_line_error(capsys):
     # s(n) = s(n - 520) has 520 numerator summands: term_to_json still walks
-    # the term, and json.dumps needs two levels per term level, which the
-    # pure-Python encoder that indent selects before Python 3.13 cannot give
+    # the term, and json.dumps needs two levels per term level, which is past
+    # the recursion limit of some supported interpreters
     order = 520
     spec = json.dumps({"order": order, "coeffs": [0] * (order - 1) + [-1], "init": list(range(1, order + 1))})
     code, out, err = run(capsys, "synth", spec, "--horizon", "3", "--format", "json")
@@ -315,3 +316,69 @@ def test_usage_errors_exit_one(capsys):
     assert run(capsys, )[0] == 1
     assert run(capsys, "frobnicate")[0] == 1
     assert run(capsys, "synth")[0] == 1
+
+
+def test_the_reused_parser_keeps_no_state_between_calls(capsys):
+    assert cli._build_parser() is cli._build_parser()
+    # --env appends to a copy of its default list, not to the default itself
+    assert run(capsys, "eval", "x", "--env", "x=3")[:2] == (0, "3\n")
+    assert run(capsys, "eval", "x") == (1, "", "arithterm: unbound variable: x\n")
+    code, out, _ = run(capsys, "synth", FIB, "--force-b", "5")
+    assert code == 0 and "b: 5" in out.splitlines()
+    code, out, _ = run(capsys, "synth", FIB)
+    assert code == 0 and "b: 3" in out.splitlines()
+    assert run(capsys, "synth", "--horizon")[0] == 1
+    assert run(capsys, "expand", FIB, "--n", "3") == (0, "0 1 1\n", "")
+    code, first, _ = run(capsys, "synth", "--help")
+    assert code == 0 and first.startswith("usage: arithterm synth")
+    assert run(capsys, "synth", "--help") == (0, first, "")
+
+
+def _assert_json_layout(out, data):
+    """One top-level key per line, in data's order, and data's content."""
+    lines = out.splitlines()
+    assert lines[0] == "{" and lines[-1] == "}"
+    assert len(lines) == len(data) + 2
+    for i, (line, key) in enumerate(zip(lines[1:-1], data)):
+        prefix = f"  {json.dumps(key)}: "
+        assert line.startswith(prefix)
+        assert line.endswith(",") == (i < len(data) - 1)
+    assert json.loads(out) == json.loads(json.dumps(data))
+
+
+def test_json_outputs_print_one_top_level_key_per_line(capsys, monkeypatch):
+    # record the results and reports the commands print, to compare with
+    real_synthesize, real_verify_term = cli.synthesize, cli.verify_term
+    results, reports = [], []
+
+    def synthesize(*args, **kwargs):
+        results.append(real_synthesize(*args, **kwargs))
+        return results[-1]
+
+    def verify_term(*args):
+        reports.append(real_verify_term(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "synthesize", synthesize)
+    monkeypatch.setattr(cli, "verify_term", verify_term)
+    for fix in fixtures():
+        code, out, _ = run(capsys, "synth", json.dumps(fix.recurrence.to_json_dict()), "--format", "json")
+        assert code == 0
+        _assert_json_layout(out, results[-1].to_json_dict())
+        code, out, _ = run(capsys, "catalog", "show", fix.id, "--json")
+        assert code == 0
+        shown = {
+            "id": fix.id,
+            "recurrence": fix.recurrence.to_json_dict(),
+            "b": fix.base,
+            "c": fix.shift,
+            "valid_from": fix.valid_from,
+            "term": render(fix.term),
+            "term_json": term_to_json(fix.term),
+            "notes": fix.notes,
+        }
+        _assert_json_layout(out, shown)
+    for argv, expected_code in ((("--fixture", "A000045", "--to", "30"), 0), ((FIB, "n", "--to", "10"), 3)):
+        code, out, _ = run(capsys, "verify", *argv, "--json")
+        assert code == expected_code
+        _assert_json_layout(out, reports[-1].to_json_dict())
