@@ -59,13 +59,14 @@ def _int_primitive(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(c // g for c in p)
 
 
-def _int_prem(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+def _int_prem(a: Iterable[int], b: tuple[int, ...]) -> tuple[int, ...]:
     """A pseudo-remainder of a by b: lead(b)^k a - q b for some k >= 0 and
-    q in Z[z], of degree below b's; deg a >= deg b."""
+    q in Z[z], of degree below b's; for monic b, the remainder a mod b."""
     r, lead, db = list(a), b[-1], len(b) - 1
     while len(r) > db:
         top, shift = r.pop(), len(r) - db
-        r = [c * lead for c in r]
+        if lead != 1:
+            r = [c * lead for c in r]
         for j in range(db):
             r[shift + j] -= top * b[j]
         while r and r[-1] == 0:

@@ -551,8 +551,14 @@ def _search_minimal_base(pipe: _Pipeline, b2: int, horizon: int, shift_proven: b
     is no multiple of b, each b' > b with g_k(b') > 0 fails at n = 1, since
     k b' < F(b') <= F(b) < (k + 1) b < (k + 1) b'; these are exactly the
     bases before the least b* with g_k(b*) <= 0, where b* passes or k
-    drops.  Only failing bases are skipped, so the result is the least
-    valid base.
+    drops.  So the carry walk skips only bases that fail at n = 1.  Every
+    other base below the result misses the coefficient criterion
+    (_n1_candidate gallops past those), or is probed and rejected: invalid
+    when a direct check fails, unproven when _dominated_from finds no
+    window in t(0.._WINDOW_CAP + h).  Missing the criterion or the window
+    leaves a base unproven, not invalid.  So the result is the least base
+    the lemma certifies within _WINDOW_CAP terms, and the least valid base
+    only among the bases whose window starts that early.
 
     A forced shift without a proof runs the same walk, but t may turn
     negative past the checked prefix, so F need not be monotone and a

@@ -33,6 +33,8 @@ import json
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Union
 
+from .polys import _int_prem
+
 Term = Union["Const", "Var", "BinOp"]
 
 _OPS = ("add", "truncsub", "mul", "floordiv", "pow", "mod")
@@ -523,6 +525,44 @@ def extraction_fraction(num: tuple[int, ...], den: tuple[int, ...], x: int) -> t
     return _poly_at(num, h, x), _poly_at(den, h, x)
 
 
+# Below this many bits of x = base^n, extraction_value takes pow(x, n - 1, D):
+# there the ring route's O(h^2 log n) interpreted multiplies cost more than
+# pow's modular squarings of h * bits(x)-bit numbers, and above it CPython's
+# quadratic division makes pow the slower one.  Measured on CPython 3.11, the
+# two break even near 1000 bits of x at h = 2, 600 at h = 3, 400 at h = 5 and
+# below 360 at h = 11; synthesized data mostly has h <= 5.
+_RING_MIN_BITS = 768
+
+
+def _poly_mul(p: tuple[int, ...], q: tuple[int, ...]) -> list[int]:
+    """The product of two coefficient sequences, in either order of powers."""
+    prod = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                prod[i + j] += a * b
+    return prod
+
+
+def _shifted_residue(num: tuple[int, ...], den: tuple[int, ...], e: int) -> tuple[int, ...]:
+    """S(X) = X^e * N(X) mod D(X) in Z[X], ascending in X, for monic D
+    (den[0] == 1) and N the polynomials extraction_fraction evaluates.
+
+    X^e mod D comes from square-and-multiply, where multiplying by X is a
+    shift; N's X^h coefficient is reduced by D first.  D is monic, so
+    _int_prem gives the remainder itself: X^e * N = Q*D + S with Q in
+    Z[X], and S(x) = x^e * N(x) (mod D(x)).
+    """
+    d = den[::-1]
+    r: tuple[int, ...] = (1,)
+    for bit in bin(e)[2:]:
+        r = _int_prem(_poly_mul(r, r), d)
+        if bit == "1":
+            r = _int_prem((0, *r), d)
+    n_rem = _int_prem((*num, *(0,) * (len(den) - len(num)))[::-1], d)
+    return _int_prem(_poly_mul(n_rem, r), d)
+
+
 def extraction_value(
     num: tuple[int, ...],
     den: tuple[int, ...],
@@ -542,12 +582,28 @@ def extraction_value(
         floor(x*y / D) mod x = x * (y mod D) // D:
 
     write y = q*D + r with 0 <= r < D; then x*y / D = q*x + x*r / D and
-    0 <= x*r / D < x.  So the power is x^(n-1) mod D, and every
-    intermediate has O(h * n * log base) bits instead of the
-    O(n^2 * log base) bits of evaluate on the built term.  The two products
-    formed, A times a residue mod D and x times a residue mod D, are noted
-    in ``stats``; the larger of bits(A) + bits(D) and bits(x) + bits(D) is
-    checked against DEFAULT_BIT_BUDGET, the budget evaluate uses.
+    0 <= x*r / D < x.  So only y mod D is needed, and every intermediate
+    has O(h * n * log base) bits instead of the O(n^2 * log base) bits of
+    evaluate on the built term.  y mod D comes by one of two routes:
+
+    - ring: when den[0] == 1 (D(X) is monic), x has at least
+      _RING_MIN_BITS bits and H = max |den[i]| < base, y mod D = S(x) mod D
+      for S = X^(n-1) * N mod D(X) computed in Z[X] (_shifted_residue).
+      No division by D happens before S(x) mod D.  For k >= h each
+      coefficient of X^k mod D(X) is at most (1 + H)^(k-h+1), so those of
+      S are at most (h + 1) * max |num[i]| * x: the ring's numbers stay
+      O(bits(x)) bits, and S(x) has at most a few bits more than D;
+    - pow: otherwise, y mod D = (A * pow(x, n - 1, D)) mod D.  That is
+      faster for small x, and the only route when D(X) is not monic, which
+      the data of an integer sequence never is: by Fatou's lemma its
+      reduced den has den[0] = 1.
+
+    Both give the same integer.  Every large intermediate formed is noted in
+    ``stats``: x times the residue mod D on both routes, plus A times
+    pow's residue or S(x).  Before either route, the larger of
+    bits(A) + bits(D) and bits(x) + bits(D) is checked against
+    DEFAULT_BIT_BUDGET, the budget evaluate uses, so both raise on the
+    same inputs.
     """
     if base < 2 or n < 0:
         raise ValueError("need base >= 2 and n >= 0")
@@ -562,10 +618,14 @@ def extraction_value(
     bits = max(a.bit_length(), x.bit_length()) + d.bit_length()
     if bits > DEFAULT_BIT_BUDGET:
         raise BudgetExceededError(f"product needs about {bits} bits, budget is {DEFAULT_BIT_BUDGET}")
-    prod = a * pow(x, n - 1, d)
-    top = x * (prod % d)
+    if den[0] == 1 and x.bit_length() >= _RING_MIN_BITS and max(map(abs, den)) < base:
+        s = _shifted_residue(num, den, n - 1)
+        y = _poly_at(s[::-1], len(s) - 1, x)
+    else:
+        y = a * pow(x, n - 1, d)
+    top = x * (y % d)
     if stats is not None:
-        stats.note(prod)
+        stats.note(y)
         stats.note(top)
     return top // d
 

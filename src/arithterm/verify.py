@@ -44,8 +44,11 @@ class VerificationReport:
     ``peak_bits`` is the bit length of the largest intermediate of the
     evaluations: through ``extraction_value`` for terms ``read_extraction``
     reads (it reads none with h past 4096, so that the dense data stays
-    small), which works modulo D and whose intermediates stay
-    O(h*n*log b) bits, else through ``evaluate``.
+    small), else through ``evaluate``.  ``extraction_value`` works modulo
+    D = D(x) at x = b^n, and its intermediates stay O(h*n*log b) bits: on
+    its ring route (large x, D(X) monic) none has more than
+    bits(x) + bits(D) bits, and on its pow route A = N(x) times a residue
+    mod D can have more.
     ``aborted`` carries the index and message of a blown bit budget.
     """
 

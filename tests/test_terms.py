@@ -4,7 +4,7 @@ import time
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from arithterm import terms
@@ -392,6 +392,48 @@ def test_extraction_value_matches_evaluate(data, n):
     term = build_extraction_term(*data)
     assert extraction_value(*data, n) == evaluate(term, {"n": n})
     assert read_extraction(term) == (num + (0,) * (len(den) - len(num)), den, base)
+
+
+@st.composite
+def residue_data(draw):
+    """(num, den, base) for extraction_value on either of its routes: h from
+    1 to 6, den[0] in {0, 1, 2} (D(X) monic only at 1), den often with
+    interior zeros, num with an X^h coefficient num[0], and coefficients of
+    both signs, so that A <= 0 or D <= 0 also happens."""
+    h = draw(st.integers(1, 6))
+    coeff = st.integers(-300, 300)
+    den = (draw(st.sampled_from((0, 1, 2))),) + tuple(draw(st.lists(st.just(0) | coeff, min_size=h, max_size=h)))
+    num = tuple(draw(st.lists(coeff, min_size=h + 1, max_size=h + 1)))
+    return num, den, draw(st.integers(2, 2**20))
+
+
+@settings(max_examples=300, deadline=None)
+@given(residue_data(), st.integers(0, 400))
+@example(((3, -5, 6, 0), (1, -5, 9, -9), 32), 300)  # A088137's data at 1500 bits of x: the ring
+@example(((3, -5, 6, 0), (1, -5, 9, -9), 32), 150)  # 750 bits of x: pow
+# |den[1]| >= base: pow; the ring's S(x) would have 6,000 bits, past the budget
+@example(((1, 0), (1, -1000), 3), 600)
+@example(((4, 0, -2, 1), (1, 0, 0, -3), 2**20), 400)  # den with interior zeros: the ring
+@example(((1, 0, 2), (2, 0, -7), 2**20), 400)  # D(X) not monic: pow
+def test_extraction_value_matches_the_pow_formula_on_both_routes(data, n):
+    num, den, base = data
+    x = base**n
+    a, d = extraction_fraction(num, den, x)
+    zero = n == 0 or a <= 0 or d <= 0
+    expected = 0 if zero else x * (a * pow(x, n - 1, d) % d) // d
+    stats = EvalStats()
+    assert extraction_value(num, den, base, n, stats=stats) == expected
+    if zero:
+        assert stats.peak_bits == 0
+        return
+    # the budget checked before either route covers every number it formed
+    need = max(a.bit_length(), x.bit_length()) + d.bit_length()
+    assert stats.peak_bits <= need
+    with mock.patch.object(terms, "DEFAULT_BIT_BUDGET", max(need, n * base.bit_length())):
+        assert extraction_value(num, den, base, n) == expected
+    with mock.patch.object(terms, "DEFAULT_BIT_BUDGET", need - 1):
+        with pytest.raises(BudgetExceededError):
+            extraction_value(num, den, base, n)
 
 
 def test_extraction_value_stats_and_budget(monkeypatch):

@@ -11,6 +11,7 @@ from arithterm.terms import (
     Const,
     build_extraction_term,
     evaluate,
+    extraction_fraction,
     extraction_value,
     parse,
     read_extraction,
@@ -197,3 +198,26 @@ def test_extraction_value_matches_the_oracle_far_out(fid, n):
     fix = get_fixture(fid)
     value = extraction_value(*read_extraction(fix.term), n)
     assert value - fix.shift ** (n + 1) == eval_oracle(fix.recurrence, n + 1).values[n]
+
+
+@pytest.mark.parametrize("fid, n", [("A000045", 2000), ("A088137", 2000), ("A001081", 800)])
+def test_far_point_peak_is_x_times_a_residue(fid, n):
+    # D(X) is monic and x has thousands of bits, so the residue comes from
+    # Z[X] mod D(X): no product of A = N(x) with a residue mod D(x) is formed
+    fix = get_fixture(fid)
+    num, den, base = read_extraction(fix.term)
+    x = base**n
+    d = extraction_fraction(num, den, x)[1]
+    report = verify_term(eval_oracle(fix.recurrence, n + 1).values, fix.term, fix.shift, n, n)
+    assert report.ok
+    assert report.peak_bits <= x.bit_length() + d.bit_length() + 1
+
+
+def test_synthesized_fibconv4_term_replays_far_out():
+    # h = 11: x = 351^1000 has 8,456 bits and D(x) about 93,000
+    fix = get_fixture("FibConv4")
+    r = synthesize(fix.recurrence)
+    assert (r.b, r.c, len(read_extraction(r.term)[1]) - 1) == (351, 7, 11)
+    n = 1000
+    report = verify_term(eval_oracle(fix.recurrence, n + 1).values, r.term, r.c, n, n)
+    assert report.ok and report.checked == 1
