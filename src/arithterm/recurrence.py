@@ -36,12 +36,21 @@ class NonIntegerTermError(ValueError):
 
 
 def _as_fraction(value: Coeff) -> Fraction:
-    # str is accepted so JSON specs can carry exact values like "-1/2"
+    # str is accepted so JSON specs can carry exact values like "-1/2";
+    # floats and bools are refused rather than rounded or read as 0 and 1
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)):
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"expected int, str or Fraction, got {type(value).__name__}")
+
+
+def _as_int(value: Coeff) -> int:
+    """value as an int, refusing what _as_fraction refuses and non-integers."""
+    x = _as_fraction(value)
+    if x.denominator != 1:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return x.numerator
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,9 +61,10 @@ class Recurrence:
     coeffs: tuple[Fraction, ...]
     init: tuple[int, ...]
 
-    def __init__(self, order: int, coeffs: Iterable[Coeff], init: Iterable[int | str]):
+    def __init__(self, order: int, coeffs: Iterable[Coeff], init: Iterable[Coeff]):
+        order = _as_int(order)
         coeffs = tuple(_as_fraction(c) for c in coeffs)
-        init = tuple(int(v) for v in init)
+        init = tuple(_as_int(v) for v in init)
         if order < 1:
             raise ValueError("order must be at least 1")
         if len(coeffs) != order:
@@ -80,11 +90,11 @@ class Recurrence:
         if not isinstance(data, dict):
             raise ValueError("recurrence spec must be a JSON object")
         try:
-            return cls(int(data["order"]), data["coeffs"], data["init"])
+            return cls(data["order"], data["coeffs"], data["init"])
         except KeyError as exc:
             raise ValueError(f"recurrence spec is missing field {exc}") from None
         except TypeError as exc:
-            # int() of a list or null, or a coefficient that is a float or a list
+            # an order, coefficient or initial value that is a float, a bool, a list or null
             raise ValueError(f"malformed recurrence spec: {exc}") from None
 
     @classmethod

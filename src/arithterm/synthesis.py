@@ -13,9 +13,9 @@ generating function of t(n) = s(n) + c^(n+1).  The pipeline is:
    polynomials (generating_function, which never leaves Z[z]);
 3. derive bound data (growth constant of t, a lower bound for the radius
    of convergence) giving a base b2 that is always valid from n = 1 on,
-   plus a witness (b1, m): integer bounds on logarithms bracket the least
-   cutoff m within two indices, and pow_lt decides its inequalities in
-   powers of b1 exactly from rounded interval powers, never built in full;
+   plus a witness (b1, m): m is written down from bit lengths with margin
+   to spare, and pow_lt decides its inequalities in powers of b1 exactly
+   from rounded interval powers, never built in full;
 4. walk upward from a digit floor (no smaller base can fit t(n) into n
    digits) for the least base that validates: the dominance lemma gives a
    cutoff m_b past which the term provably equals t(n), and the indices
@@ -25,8 +25,8 @@ generating function of t(n) = s(n) + c^(n+1).  The pipeline is:
    A base that fails the coefficient criterion, or whose n = 1 carry F(b)
    is no multiple of b, fails too and is never probed; for a proven shift
    F does not increase once the criterion holds, so _least jumps from one
-   base the carry leaves to the next.  _least also finds the shift c and
-   the cutoff m.
+   base the carry leaves to the next, and from a base with no dominance
+   window to the first base with one.  _least also finds the shift c.
    The term is then built from the signed (num, den, b) the direct checks
    ran on, and read_extraction must read exactly that data back off it.
    It reads every node, so such a term equals extraction_value of that
@@ -49,13 +49,12 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .recurrence import Recurrence, _growth_constant, _int_den, _nonnegative, eval_oracle, floor_root, generating_function
 from .terms import _MAX_MATCHED_H, Term, build_extraction_term, extraction_fraction, extraction_value, read_extraction
 
 _WINDOW_CAP = 64  # how far to look for the digit-size window of a shift or base
-_M_BITS_CAP = 256  # longest cutoff m find_b1_m probes, in bits
+_M_BITS_CAP = 256  # longest cutoff m find_b1_m returns, in bits
 
 
 class AllZeroSequenceError(ValueError):
@@ -254,97 +253,31 @@ def pow_lt(a: int, p: int, b: int, q: int) -> bool:
         prec *= 2
 
 
-@lru_cache(maxsize=64)
-def _ln2_scaled(prec: int) -> int:
-    """ln2 with ln 2 in [ln2 / 2^prec, (ln2 + prec + 1) / 2^prec): the first
-    prec terms of ln 2 = sum_{k>=1} 1/(k 2^k), each cut by less than
-    2^-prec, and a tail below 2^-prec."""
-    return sum((1 << (prec - k)) // k for k in range(1, prec + 1))
-
-
-def _log2_bracket(x: int, j: int) -> tuple[int, int]:
-    """(a, b) with a <= log2(x^n) < b for n = 2^j and x >= 1, from the bit
-    lengths of bounds on x^n; b - a <= 2 for every x."""
-    (lo_m, lo_exp), (hi_m, hi_exp) = _pow_bounds(x, 1 << j, 2 * j + 12)
-    return lo_m.bit_length() + lo_exp - 1, hi_m.bit_length() + hi_exp
-
-
-def _size_bracket(c: int) -> tuple[int, int]:
-    """(lo, hi) with lo <= hi: c^(m+1) < (c+1)^(m-2) fails for every m < lo
-    and holds for every m >= hi, for c >= 1 (see find_b1_m)."""
-    bits = c.bit_length()
-    n, prec = 1 << (bits + 2), 2 * bits + 16
-    a, b = _log2_bracket(c, bits + 2)
-    ln2 = _ln2_scaled(prec)
-    scale = n << prec
-    lo = 3 + 6 * a * ln2 * c * (c + 1) // (scale * (2 * c + 1))
-    hi = 3 + 3 * b * (ln2 + prec + 1) * (2 * c + 1) // (2 * scale)
-    return lo, hi
-
-
 def find_b1_m(c_t: int, rho: Fraction) -> tuple[int, int]:
-    """Base b1 just above the growth constant, and a cutoff m for it.
+    """Base b1 = c_t + 1 just above the growth constant, and a cutoff m for it.
 
-    m is the least index >= 3 from which both c_t^(m+1) < b1^(m-2) and
-    b1^(-m) < rho hold; past it the digit-size and radius requirements are
-    met at base b1.  Both conditions are monotone in m because b1 > c_t,
-    and both eventually hold because rho > 0, so _least finds the least m
-    in a bracket [lo, hi] that logarithms prove.  Each probe decides the
-    two inequalities exactly with pow_lt, the second in the integer form
-    floor(1/rho) < b1^m, so no power b1^m is built in full; the
-    logarithms only narrow the range.
+    m is an index from which both c_t^(m+1) < b1^(m-2) and b1^(-m) < rho
+    hold; past it the digit-size and radius requirements are met at base
+    b1.  It need not be the least such index, so it is written down:
+    m = max(2 + ceil(21 L (2c + 1)/20), k + 1) for c = c_t, L the bit
+    length of c and k that of floor(1/rho).
 
-    Lemma: with c = c_t and b1 = c + 1, the size condition is
-    (m - 2) ln(1 + 1/c) > 3 ln c, and 2/(2c + 1) < ln(1 + 1/c)
-    < (2c + 1)/(2c(c + 1)).  So every m with
-    m - 2 > 3 ln c (2c + 1)/2 passes, and every m with
-    m - 2 <= 3 ln c 2c(c + 1)/(2c + 1) fails.  _size_bracket puts ln c
-    between integer fractions: log2(c) within 1/n of the bit lengths of
-    bounds on c^n, n = 2^(bitlen(c) + 2), from _pow_bounds, and ln 2 from
-    its series.  The two limits differ by about 3 ln c/(4c) <= 0.26 plus
-    3c ln 2 (b - a)/n < 0.52 (b - a), where b - a = 1 unless a power of two
-    lies between the bounds on c^n, so hi - lo <= 1 and the size condition
-    takes at most two probes (three in that rare case).  The radius
-    condition needs b1^m > floor(1/rho), which has k bits: it fails for
-    every m <= (k - 1)/log2(b1) and holds for every m >= k/log2(b1).
-    log2(b1) is known within 2/n from the bit lengths of bounds on b1^n,
-    n = 2^(bitlen(k) + 2) >= 4k, so the radius bracket [rho_lo, rho_hi]
-    holds at most two indices, and the search runs on
-    [max(lo, rho_lo), max(hi, rho_hi)].  No power of b1 is built in full,
-    so a radius bound of millions of bits costs a few milliseconds.
+    Proof.  The size condition is (m - 2) ln(1 + 1/c) > 3 ln c.  As
+    c < 2^L, ln c < L ln 2 < 7L/10, and ln(1 + 1/c) > 2/(2c + 1), so
+    (m - 2) ln(1 + 1/c) > 21L/10 > 3 ln c.  The radius condition is
+    floor(1/rho) < b1^m in integers, and b1^m >= 2^m > 2^k > floor(1/rho).
 
-    The work is bounded: the search raises SynthesisError rather than probe
-    an m of more than _M_BITS_CAP bits, and only after every m of at most
-    _M_BITS_CAP bits has failed.  The least m exceeds 3*c_t*ln(c_t) > c_t,
-    so a c_t longer than the cap is rejected before the first probe.  The
-    slowest accepted inputs have c_t of about 247 bits and m of 255-256
-    bits; one or two probes decide them, in about 6 ms on a 2-vCPU x86-64
-    host.
-    For c_t = 141 the bracket is [2103, 2103] and m is 2103.
+    The work stays bounded: a cutoff of more than _M_BITS_CAP bits raises
+    SynthesisError before any power is compared, which ends order-1 specs
+    with huge coefficients at once.  For c_t = 5 and rho = 1/2, m is 37.
     """
     if c_t < 1 or rho <= 0:
         raise ValueError("need c_t >= 1 and rho > 0")
-    if c_t.bit_length() > _M_BITS_CAP:
-        raise SynthesisError(f"c_t has {c_t.bit_length()} bits, so m would exceed {_M_BITS_CAP} bits")
-    b1 = c_t + 1
-    inv_rho = rho.denominator // rho.numerator
-
-    def good(m: int) -> bool:
-        return pow_lt(c_t, m + 1, b1, m - 2) and pow_lt(inv_rho, 1, b1, m)
-
-    lo, hi = _size_bracket(c_t)
-    # 2^(k-1) <= floor(1/rho) < 2^k and a <= n log2(b1) < b: the radius
-    # condition fails while m b <= (k - 1) n and holds once m a >= k n
-    k = inv_rho.bit_length()
-    j = k.bit_length() + 2
-    a, b = _log2_bracket(b1, j)
-    rho_lo, rho_hi = ((k - 1) << j) // b + 1, -(-(k << j) // a)
-    # clamped to the largest m of _M_BITS_CAP bits, so the search raises
-    # only once every such m is known to fail (at once when lo is past it)
-    m = _least(good, max(lo, rho_lo), min(max(hi, rho_hi), (1 << _M_BITS_CAP) - 1))
-    if m is None:
+    size = 2 + -(-21 * c_t.bit_length() * (2 * c_t + 1) // 20)
+    m = max(size, (rho.denominator // rho.numerator).bit_length() + 1)
+    if m.bit_length() > _M_BITS_CAP:
         raise SynthesisError(f"bound data needs a cutoff m of more than {_M_BITS_CAP} bits")
-    return b1, m
+    return c_t + 1, m
 
 
 def find_b2(c_t: int, rho: Fraction) -> int:
@@ -466,30 +399,19 @@ def _first_mismatch(pipe: _Pipeline, b: int, ns: range) -> int | None:
     return None
 
 
-def _certified_cutoff(pipe: _Pipeline, b: int, horizon: int) -> int | None:
+def _window_cutoff(pipe: _Pipeline, b: int) -> int | None:
     """Cutoff m_b >= 2 from which the term with base b provably equals t(n),
-    if b also direct-checks on (horizon, m_b - 1]; None otherwise.
+    or None when _dominated_from finds no window in t(0.._WINDOW_CAP + h).
 
     The term reads t(n) off the base-b^n digits of the generating function
     at b^(-n), which needs the series to converge there and each t(k) to
     fit its digit block.  _dominated_from on the term's denominator gives
     both from m_b = max(start, 2) on: the coefficient criterion puts every
     pole at modulus >= 1/b > b^(-n), and the window proves t(k) < b^(k-2).
+    A window for b is a window for every larger base.
     """
     start = _dominated_from(pipe.den, b, pipe.t_values[: _WINDOW_CAP + len(pipe.den)], -2)
-    if start is None:
-        return None
-    m_b = max(start, 2)
-    return m_b if _first_mismatch(pipe, b, range(horizon + 1, m_b)) is None else None
-
-
-def _validated_cutoff(pipe: _Pipeline, b: int, horizon: int) -> int | None:
-    """_certified_cutoff for a base that direct-checks on [1, horizon]; so
-    b is accepted when it direct-checks on [1, max(horizon, m_b - 1)], and
-    horizon = 0 checks exactly the indices the window does not cover."""
-    if _first_mismatch(pipe, b, range(1, horizon + 1)) is not None:
-        return None
-    return _certified_cutoff(pipe, b, horizon)
+    return None if start is None else max(start, 2)
 
 
 def _digit_floor(pipe: _Pipeline, horizon: int) -> int:
@@ -528,9 +450,10 @@ def _n1_candidate(pipe: _Pipeline, b: int, b2: int) -> int | None:
 
 
 def _search_minimal_base(pipe: _Pipeline, b2: int, horizon: int, shift_proven: bool) -> tuple[int, int, dict]:
-    """Least base in [digit floor, b2] that _validated_cutoff accepts, with
-    its cutoff m_b and a report; report["probes"] counts _validated_cutoff
-    calls, not carry evaluations.
+    """Least base in [digit floor, b2] with a _window_cutoff m_b that
+    direct-checks on [1, m_b - 1], and under an unproven shift on
+    [1, horizon] too, with m_b and a report; report["probes"] counts the
+    bases probed, not carry evaluations or the window checks of a jump.
 
     With a proven shift the dominance window covers every n >= m_b, so a
     probe direct-checks only [1, m_b - 1] and report["checked_to"] is
@@ -555,10 +478,13 @@ def _search_minimal_base(pipe: _Pipeline, b2: int, horizon: int, shift_proven: b
     other base below the result misses the coefficient criterion
     (_n1_candidate gallops past those), or is probed and rejected: invalid
     when a direct check fails, unproven when _dominated_from finds no
-    window in t(0.._WINDOW_CAP + h).  Missing the criterion or the window
-    leaves a base unproven, not invalid.  So the result is the least base
-    the lemma certifies within _WINDOW_CAP terms, and the least valid base
-    only among the bases whose window starts that early.
+    window in t(0.._WINDOW_CAP + h).  A window for a base is one for every
+    larger base, so after an unproven probe the walk goes on at the least
+    base with a window (_least), skipping only bases it would reject the
+    same way.  Missing the criterion or the window leaves a base unproven,
+    not invalid.  So the result is the least base the lemma certifies
+    within _WINDOW_CAP terms, and the least valid base only among the
+    bases whose window starts that early.
 
     A forced shift without a proof runs the same walk, but t may turn
     negative past the checked prefix, so F need not be monotone and a
@@ -569,8 +495,13 @@ def _search_minimal_base(pipe: _Pipeline, b2: int, horizon: int, shift_proven: b
     probes = 0
     while (b := _n1_candidate(pipe, b, b2)) is not None:
         probes += 1
-        m_b = _validated_cutoff(pipe, b, replay)
-        if m_b is not None:
+        m_b = _window_cutoff(pipe, b)
+        if m_b is None:
+            # unproven, and so is every base before the next one with a window
+            b = _least(lambda x: _window_cutoff(pipe, x) is not None, b + 1, b2)
+            if b is None:
+                break
+        elif _first_mismatch(pipe, b, range(1, max(replay, m_b - 1) + 1)) is None:
             return b, m_b, {
                 "strategy": "scan",
                 "probes": probes,
@@ -579,7 +510,8 @@ def _search_minimal_base(pipe: _Pipeline, b2: int, horizon: int, shift_proven: b
                 "evidence": "certified",
                 "checked_to": max(m_b - 1, replay),
             }
-        b += 1
+        else:
+            b += 1
     raise SynthesisError("no base up to b2 validated; bound data is inconsistent")
 
 
@@ -670,10 +602,12 @@ def synthesize(
             raise SynthesisError(
                 f"base {b} fails at n={n}: term gives {pipe.value(b, n)}, sequence needs {pipe.t_values[n]}"
             )
-        certified_from = _certified_cutoff(pipe, b, horizon)
-        if certified_from is not None:
-            report = {"strategy": "forced", "evidence": "certified", "checked_to": max(certified_from - 1, horizon)}
+        m_b = _window_cutoff(pipe, b)
+        if m_b is not None and _first_mismatch(pipe, b, range(horizon + 1, m_b)) is None:
+            certified_from = m_b
+            report = {"strategy": "forced", "evidence": "certified", "checked_to": max(m_b - 1, horizon)}
         else:
+            certified_from = None
             report = {"strategy": "forced", "evidence": "horizon-only", "checked_to": horizon}
     else:
         b, certified_from, report = _search_minimal_base(pipe, cert.b2, horizon, shift_proven)

@@ -226,14 +226,22 @@ def test_verify_malformed_result_is_one_line_error(capsys, tmp_path):
 
 
 def test_synth_malformed_spec_is_one_line_error(capsys):
+    wrong_type = "malformed recurrence spec: expected int, str or Fraction"
     for spec, message in (
         ('{"order": [], "coeffs": [-1], "init": [1]}', "malformed recurrence spec: "),
-        ('{"order": 1, "coeffs": [0.5], "init": [1]}', "malformed recurrence spec: expected int, str or Fraction"),
+        ('{"order": 1, "coeffs": [0.5], "init": [1]}', wrong_type),
         ('{"order": 1, "coeffs": [-1], "init": [[1]]}', "malformed recurrence spec: "),
+        # a float or bool order or initial value is refused, not truncated
+        ('{"order": 2.7, "coeffs": [-1, -1], "init": [0, 1.9]}', wrong_type),
+        ('{"order": 2, "coeffs": [-1, -1], "init": [0, 1.9]}', wrong_type),
+        ('{"order": true, "coeffs": [-1], "init": [1]}', wrong_type),
+        ('{"order": 1, "coeffs": [-1], "init": [true]}', wrong_type),
+        ('{"order": 1, "coeffs": [-1], "init": ["1/2"]}', "expected an integer, got '1/2'"),
     ):
-        code, out, err = run(capsys, "synth", spec)
-        assert (code, out) == (1, "")
-        assert err.startswith("arithterm: " + message) and err.count("\n") == 1
+        for command in ("synth", "expand"):
+            code, out, err = run(capsys, command, spec)
+            assert (code, out) == (1, "")
+            assert err.startswith("arithterm: " + message) and err.count("\n") == 1
 
 
 def test_verify_fixture(capsys):

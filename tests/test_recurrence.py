@@ -107,9 +107,29 @@ def test_json_round_trip():
         Recurrence.from_json_dict({"order": 2})
     with pytest.raises(ValueError):
         Recurrence.from_json("[1, 2]")
-    for bad in ([], {"order": [2], "coeffs": [-1, -1], "init": [0, 1]}, {"order": 1, "coeffs": [0.5], "init": [1]}):
+    for bad in (
+        [],
+        {"order": [2], "coeffs": [-1, -1], "init": [0, 1]},
+        {"order": 1, "coeffs": [0.5], "init": [1]},
+        # floats and bools are refused, not truncated to 2, 1 or 0
+        {"order": 2.7, "coeffs": [-1, -1], "init": [0, 1]},
+        {"order": 2.0, "coeffs": [-1, -1], "init": [0, 1]},
+        {"order": True, "coeffs": [-1], "init": [1]},
+        {"order": 2, "coeffs": [-1, -1], "init": [0, 1.9]},
+        {"order": 1, "coeffs": [-1], "init": [False]},
+        {"order": 1, "coeffs": [True], "init": [1]},
+        {"order": 1, "coeffs": [-1], "init": ["1/2"]},
+        {"order": "3/2", "coeffs": [-1], "init": [1]},
+    ):
         with pytest.raises(ValueError):
             Recurrence.from_json_dict(bad)
+    # decimal strings and integral Fractions stay accepted
+    assert Recurrence.from_json_dict({"order": "2", "coeffs": [-1, -1], "init": ["0", "1"]}) == FIB
+    assert Recurrence(2, (-1, -1), (Fraction(0), Fraction(2, 2))) == FIB
+    with pytest.raises(ValueError):
+        Recurrence(1, (-1,), (Fraction(1, 2),))
+    with pytest.raises(ValueError):
+        Recurrence(Fraction(3, 2), (-1,), (1,))
 
 
 def test_generating_function_fibonacci():

@@ -30,13 +30,14 @@ from arithterm.synthesis import (
     _coefficient_slack,
     _digit_floor,
     _dominated_from,
+    _first_mismatch,
     _least,
     _n1_candidate,
     _pow_bounds,
     _prefix,
     _prepare,
     _shift_certified,
-    _validated_cutoff,
+    _window_cutoff,
     find_b1_m,
     find_b2,
     find_shift,
@@ -113,33 +114,54 @@ def test_least_finds_a_threshold_in_logarithmic_calls(case):
     assert len(calls) <= 2 * math.log2(max(last - lo, 0) + 2) + 2
 
 
+def _witness_holds(c_t, rho):
+    # find_b1_m's witness by the definition, with exact powers
+    b1, m = find_b1_m(c_t, rho)
+    assert b1 == c_t + 1 and m >= 3
+    return c_t ** (m + 1) < b1 ** (m - 2) and rho.numerator * b1**m > rho.denominator
+
+
 def test_find_b1_m_fibonacci_data():
-    assert find_b1_m(5, Fraction(1, 2)) == (6, 29)
-
-
-def test_find_b1_m_returns_least_cutoff():
-    b1, m = find_b1_m(5, Fraction(1, 2))
-    assert 5 ** (m + 1) < b1 ** (m - 2)
-    assert 5**m >= b1 ** (m - 3)  # one step earlier the size condition fails
+    assert find_b1_m(5, Fraction(1, 2)) == (6, 37)
+    assert _witness_holds(5, Fraction(1, 2))
 
 
 def test_find_b1_m_respects_rho():
-    # tiny radius forces the cutoff up even when sizes are fine early
-    b1, m = find_b1_m(2, Fraction(1, 3**20))
-    assert b1 == 3
-    assert 3**m > 3**20 >= 3 ** (m - 1)
-    # a radius bound of 100,000 bits: m = 63,093 from a few squarings
-    rho = Fraction(1, 2**100000)
-    assert find_b1_m(2, rho) == _reference_find_b1_m(2, rho)[:2] == (3, 63093)
+    # a tiny radius forces the cutoff up even when sizes are fine early:
+    # 3^20 has 32 bits, so m = 33
+    assert find_b1_m(2, Fraction(1, 3**20)) == (3, 33)
+    assert _witness_holds(2, Fraction(1, 3**20))
+    # a radius bound of 100,000 bits
+    assert find_b1_m(2, Fraction(1, 2**100000)) == (3, 100002)
 
 
 def test_find_b1_m_brackets_a_huge_radius_bound_without_building_powers():
-    # floor(1/rho) has 4,000,001 bits; 3^m is never built in full
+    # floor(1/rho) has 4,000,001 bits; validate never builds 3^m in full
     rho = Fraction(1, 2**4000000)
     started = time.perf_counter()
-    assert find_b1_m(2, rho) == (3, 2523720)
+    b1, m = find_b1_m(2, rho)
+    BoundsCertificate(c=0, c_t=2, rho=rho, b1=b1, m=m, b2=find_b2(2, rho)).validate()
     assert time.perf_counter() - started < 0.5
-    assert pow_lt(2**4000000, 1, 3, 2523720) and not pow_lt(2**4000000, 1, 3, 2523719)
+    assert (b1, m) == (3, 4000002)
+
+
+@given(st.integers(1, 2**246), st.integers(1, 10**12), st.integers(1, 10**12))
+@example(1, 1, 1)
+@example(5, 1, 2)
+@example(2**246, 1, 3)
+@example(2**246 * 16 // 10, 1, 10**12)
+@example(2**40, 10**12, 10**12)
+def test_find_b1_m_witness_passes_validate(c_t, p, q):
+    assume(p <= q)
+    rho = Fraction(p, q)
+    b1, m = find_b1_m(c_t, rho)
+    BoundsCertificate(c=0, c_t=c_t, rho=rho, b1=b1, m=m, b2=find_b2(c_t, rho)).validate()
+
+
+def test_find_b1_m_witness_grid():
+    for rho in (Fraction(1), Fraction(1, 2), Fraction(7, 10), Fraction(1, 1000), Fraction(1, 3**20)):
+        for c_t in range(1, 201):
+            assert _witness_holds(c_t, rho), (c_t, rho)
 
 
 @given(st.integers(0, 300), st.integers(0, 80), st.integers(0, 300), st.integers(0, 80))
@@ -196,20 +218,6 @@ def test_pow_lt_rejects_negative_operands():
         pow_lt(2, -1, 2, 3)
 
 
-def test_find_b1_m_least_cutoff_grid():
-    # the least m by the definition with exact powers, for every c_t <= 200
-    for rho in (Fraction(1), Fraction(1, 2), Fraction(7, 10), Fraction(1, 1000), Fraction(1, 3**20)):
-        for c_t in range(1, 201):
-            b1 = max(c_t + 1, 2)
-
-            def good(m):
-                return c_t ** (m + 1) < b1 ** (m - 2) and rho.numerator * b1**m > rho.denominator
-
-            got_b1, m = find_b1_m(c_t, rho)
-            assert got_b1 == b1
-            assert good(m) and (m == 3 or not good(m - 1)), (c_t, rho, m)
-
-
 def test_find_b1_m_validation():
     with pytest.raises(ValueError):
         find_b1_m(0, Fraction(1, 2))
@@ -218,82 +226,21 @@ def test_find_b1_m_validation():
 
 
 def test_find_b1_m_work_bound(monkeypatch):
-    # c_t longer than the cap on m's bits: rejected before the first probe
+    # the refusal is decided from the bit length of m, before any power
+    calls = []
+    monkeypatch.setattr(synthesis, "pow_lt", lambda *args: calls.append(args) or pow_lt(*args))
     started = time.perf_counter()
-    with pytest.raises(SynthesisError):
+    with pytest.raises(SynthesisError, match="more than 256 bits"):
         find_b1_m(2**4000 + 1, Fraction(1, 3))
     assert time.perf_counter() - started < 5
-    # 247 bits: the least m has 256 bits, the one a gallop from m = 3 finds
-    probes, calls = _count_probes(monkeypatch)
+    # 247 bits: m has 256 bits, the most accepted
     b1, m = find_b1_m(2**246 * 16 // 10, Fraction(1, 3))
-    assert 3 * 2**254 < m < 2**256
-    assert m == 92806026130937562503138543400760945528442590675579533653881477185615673941126
-    assert len(probes) <= 2 and len(calls) <= 4
-    # 248 bits: every m of 256 bits fails, since the bracket's lower end
-    # is past 2^256 - 1, which rejects it without a probe
-    probes.clear()
-    calls.clear()
+    assert m.bit_length() == 256
+    assert m == 2 + -(-21 * 247 * (2 * (b1 - 1) + 1) // 20)
+    # 248 bits: m would have 257
     with pytest.raises(SynthesisError, match="more than 256 bits"):
         find_b1_m(2**247, Fraction(1, 3))
-    assert probes == [] and calls == []
-
-
-def _reference_find_b1_m(c_t, rho):
-    # the search as it ran before the lower bound: a gallop from m = 3
-    b1 = c_t + 1
-    inv_rho = rho.denominator // rho.numerator
-
-    def good(m):
-        return pow_lt(c_t, m + 1, b1, m - 2) and pow_lt(inv_rho, 1, b1, m)
-
-    return b1, _least(good, 3, (1 << 256) - 1), good
-
-
-@given(st.integers(1, 2**40), st.integers(1, 10**12), st.integers(1, 10**12))
-@example(1, 1, 1)
-@example(2, 1, 3**20)
-@example(141, 1, 2)
-@example(2**40, 10**12, 1)
-def test_find_b1_m_starts_at_a_bound_no_smaller_m_passes(c_t, p, q):
-    rho = Fraction(p, q)
-    b1, m, good = _reference_find_b1_m(c_t, rho)
-    ranges = []
-    least = synthesis._least
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(synthesis, "_least", lambda pred, lo, hi: ranges.append((lo, hi)) or least(pred, lo, hi))
-        assert find_b1_m(c_t, rho) == (b1, m)
-    ((lo, hi),) = ranges
-    assert lo >= 3 and not good(lo - 1)
-    assert good(hi)
-
-
-def _count_probes(monkeypatch):
-    # good probes and pow_lt calls of the find_b1_m calls that follow
-    probes, calls = [], []
-    least = synthesis._least
-    monkeypatch.setattr(synthesis, "pow_lt", lambda *args: calls.append(args) or pow_lt(*args))
-    monkeypatch.setattr(
-        synthesis, "_least", lambda pred, lo, hi: least(lambda m: probes.append(m) or pred(m), lo, hi)
-    )
-    return probes, calls
-
-
-def test_find_b1_m_bracket_takes_at_most_two_probes(monkeypatch):
-    probes, calls = _count_probes(monkeypatch)
-    for rho in (Fraction(1), Fraction(1, 3), Fraction(1, 10**9)):
-        for c_t in range(1, 2001):
-            probes.clear()
-            calls.clear()
-            find_b1_m(c_t, rho)
-            assert len(probes) <= 2 and len(calls) <= 4, (c_t, rho, probes)
-
-
-def test_find_b1_m_lower_bound_saves_probes(monkeypatch):
-    # c_t = 141: the least m is 2103, and the bracket is [2103, 2103]
-    probes, calls = _count_probes(monkeypatch)
-    assert find_b1_m(141, Fraction(1, 2)) == (142, 2103)
-    assert probes == [2103]
-    assert len(calls) <= 4
+    assert calls == []
 
 
 def test_find_b2_values():
@@ -333,7 +280,7 @@ def test_certificate_validate_checks_the_power_inequalities():
 
 def test_fibconv4_certificate_unchanged():
     cert = synthesize(get_fixture("FibConv4").recurrence).certificate
-    assert (cert.c_t, cert.b1, cert.m) == (6480, 6481, 170630)
+    assert (cert.c_t, cert.b1, cert.m) == (6480, 6481, 176920)
 
 
 def test_bound_data_for_huge_initial_values_is_fast():
@@ -360,6 +307,22 @@ def test_synthesize_huge_initial_values():
     assert verify_term(eval_oracle(rec, 41).values, r.term, r.c, 1, 40).ok
 
 
+@pytest.mark.parametrize("k", [30, 50, 70])
+def test_window_jump_ends_large_coefficient_searches(k):
+    # every base near the answer passes n = 1 but has no window within
+    # _WINDOW_CAP terms; one base at a time, k = 30 did not end in 10 s
+    rec = Recurrence(2, (-(10**k), 1), (1, 2))
+    started = time.perf_counter()
+    r = synthesize(rec)
+    assert time.perf_counter() - started < 1
+    assert (r.report["evidence"], r.report["minimal_proven"], r.certified_from) == ("certified", True, 65)
+    assert verify_term(eval_oracle(rec, 41).values, r.term, r.c, 1, 40).ok
+    # the jump lands on the first base with a window, and so skips no base
+    # that a probe could accept
+    pipe = _prepare(rec, r.c, _prefix(rec, r.horizon))
+    assert _window_cutoff(pipe, r.b - 1) is None
+
+
 def test_base_search_goes_below_b1():
     assert synthesize(FIB).b == 3
     assert synthesize(Recurrence(2, (-2, 1), (2, 2))).b == 4
@@ -373,7 +336,7 @@ def test_synthesize_fibonacci():
     assert render(r.term) == "fl(3^(n^2 + n) / (3^(2*n) -. (3^n + 1))) % 3^n"
     assert r.certificate.c_t == 5
     assert r.certificate.rho == Fraction(1, 2)
-    assert (r.certificate.b1, r.certificate.m, r.certificate.b2) == (6, 29, 15626)
+    assert (r.certificate.b1, r.certificate.m, r.certificate.b2) == (6, 37, 15626)
     assert r.certified_from is not None and r.certified_from >= 2
     assert r.report["strategy"] == "scan"
     assert r.report["minimal_proven"] is True
@@ -860,6 +823,15 @@ def test_carry_jumps_skip_only_bases_that_fail_at_n1(rec):
         if candidate == b2:
             break
         b = candidate + 1
+
+
+def _validated_cutoff(pipe, b, horizon):
+    # a base by the definition: it has a window cutoff m_b and direct-checks
+    # on [1, max(horizon, m_b - 1)]
+    m_b = _window_cutoff(pipe, b)
+    if m_b is None or _first_mismatch(pipe, b, range(1, max(horizon, m_b - 1) + 1)) is not None:
+        return None
+    return m_b
 
 
 @given(_recurrences())
