@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -121,27 +120,30 @@ def _int_den(rec: Recurrence) -> tuple[int, ...]:
 def eval_oracle(rec: Recurrence, count: int) -> SequenceWindow:
     """First ``count`` terms of the sequence, computed exactly.
 
-    The coefficients are scaled by their common denominator, so each step
-    is an integer dot product followed, when that denominator exceeds 1, by
-    an exact division by it.  Raises NonIntegerTermError as soon as a
-    rational non-integer shows up; the recurrence then does not define an
-    integer sequence.
+    The coefficients are scaled by their common denominator, and each new
+    value costs one integer multiply-add per nonzero coefficient, followed,
+    only when that denominator exceeds 1, by an exact division by it.
+    Raises NonIntegerTermError as soon as a rational non-integer shows up;
+    the recurrence then does not define an integer sequence.
     """
     if count < 0:
         raise ValueError("count must be a natural number")
-    d = rec.order
     scale, *den = _int_den(rec)
-    # s(n) = -(sum_i coeffs[i] * s(n-1-i)), lined up with vals[n-d:n]
-    weights = [-a for a in reversed(den)]
+    # s(n) = -(sum_i den_i * s(n-i)) / scale over the nonzero lags i; the
+    # last coefficient is nonzero, so there is at least one
+    (w1, k1), *lags = [(-a, -i) for i, a in enumerate(den, 1) if a]
     vals: list[int] = list(rec.init[:count])
+    append = vals.append
     for n in range(len(vals), count):
-        acc = sum(map(operator.mul, weights, vals[n - d : n]))
+        acc = w1 * vals[k1]
+        for w, k in lags:
+            acc += w * vals[k]
         if scale > 1:
             q, rem = divmod(acc, scale)
             if rem:
                 raise NonIntegerTermError(n, Fraction(acc, scale))
             acc = q
-        vals.append(acc)
+        append(acc)
     return SequenceWindow(tuple(vals))
 
 

@@ -65,6 +65,10 @@ def test_lucas_closed_form_oracle_against_recurrence():
         for n in range(65):
             assert lucas_closed_form_oracle(params, "U", n) == u[n], (p, q, n)
             assert lucas_closed_form_oracle(params, "V", n) == v[n], (p, q, n)
+        # far out, where far_replay checks (2, 3), A088137's recurrence
+        for kind, build in (("U", lucas_U), ("V", lucas_V)):
+            far = eval_oracle(build(params), 2001).values[2000]
+            assert far == lucas_closed_form_oracle(params, kind, 2000), (p, q, kind)
 
 
 def test_lucas_closed_form_oracle_degenerate_total():
@@ -85,6 +89,7 @@ def test_fibonacci_binomial_oracle():
     fib = eval_oracle(lucas_U(LucasParams(1, -1)), 65).values
     for n in range(65):
         assert fibonacci_binomial_oracle(n) == fib[n]
+    assert eval_oracle(lucas_U(LucasParams(1, -1)), 2001).values[2000] == fibonacci_binomial_oracle(2000)
     with pytest.raises(ValueError):
         fibonacci_binomial_oracle(-1)
 
