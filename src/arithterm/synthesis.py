@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .recurrence import Recurrence, _growth_constant, _int_den, _nonnegative, eval_oracle, floor_root, generating_function
-from .terms import _MAX_MATCHED_H, Term, build_extraction_term, extraction_fraction, extraction_value, read_extraction
+from .terms import _MAX_MATCHED_H, Term, build_extraction_term, extraction_fraction, extraction_values, read_extraction
 
 _WINDOW_CAP = 64  # how far to look for the digit-size window of a shift or base
 _M_BITS_CAP = 256  # longest cutoff m find_b1_m returns, in bits
@@ -346,10 +346,6 @@ class _Pipeline:
     den: tuple[int, ...]
     t_values: tuple[int, ...]
 
-    def value(self, b: int, n: int) -> int:
-        """Value at n of the extraction term with base b."""
-        return extraction_value(self.num, self.den, b, n)
-
 
 def _prefix(rec: Recurrence, horizon: int) -> tuple[int, ...]:
     """The prefix of s that synthesize expands once and every stage reads:
@@ -391,11 +387,12 @@ def _bound_data(pipe: _Pipeline) -> BoundsCertificate:
     return cert
 
 
-def _first_mismatch(pipe: _Pipeline, b: int, ns: range) -> int | None:
-    """Least n in ns where the term with base b misses t(n), if any."""
-    for n in ns:
-        if pipe.value(b, n) != pipe.t_values[n]:
-            return n
+def _first_mismatch(pipe: _Pipeline, b: int, ns: range) -> tuple[int, int] | None:
+    """(n, value) at the least n in ns where the term with base b misses
+    t(n), or None; the values come from extraction_values over ns."""
+    for n, got in zip(ns, extraction_values(pipe.num, pipe.den, b, ns)):
+        if got != pipe.t_values[n]:
+            return n, got
     return None
 
 
@@ -493,12 +490,21 @@ def _search_minimal_base(pipe: _Pipeline, b2: int, horizon: int, shift_proven: b
     lo = b = min(_digit_floor(pipe, horizon), b2)
     replay = 0 if shift_proven else horizon
     probes = 0
+    # a jump's _least finds the window of the base it lands on, which the
+    # probe of that base then reuses
+    cutoffs: dict[int, int | None] = {}
+
+    def cutoff(x: int) -> int | None:
+        if x not in cutoffs:
+            cutoffs[x] = _window_cutoff(pipe, x)
+        return cutoffs[x]
+
     while (b := _n1_candidate(pipe, b, b2)) is not None:
         probes += 1
-        m_b = _window_cutoff(pipe, b)
+        m_b = cutoff(b)
         if m_b is None:
             # unproven, and so is every base before the next one with a window
-            b = _least(lambda x: _window_cutoff(pipe, x) is not None, b + 1, b2)
+            b = _least(lambda x: cutoff(x) is not None, b + 1, b2)
             if b is None:
                 break
         elif _first_mismatch(pipe, b, range(1, max(replay, m_b - 1) + 1)) is None:
@@ -568,12 +574,18 @@ def synthesize(
     certified_from None, and a searched base with
     report["minimal_proven"] False.
 
-    The direct checks run extraction_value on the signed (num, den, b) the
-    term is built from.  synthesize never evaluates the term: it reads that
-    data back off it with read_extraction, which proves the term equals
-    extraction_value of it at every n; a mismatch raises SynthesisError
-    "internal: ...".  The term is 0 at n = 0, so valid_at_zero is
-    s(0) + c == 0.
+    The direct checks run extraction_values over each checked range on the
+    signed (num, den, b) the term is built from.  A range of one index
+    keeps the far-point route of extraction_value; a longer one, on monic
+    data with every |den[i]| < b and b^n of 128 bits at its last index,
+    steps the residue X^(n-1)*N(X) mod D(X) one index at a time,
+    S_(n+1) = X*S_n - lead*D(X), instead of taking a modular power per
+    index.  Most of these checks are a few small indices, below that
+    size, where the modular power is cheaper.  synthesize never evaluates
+    the term: it reads that data back off it with read_extraction, which
+    proves the term equals extraction_value of it at every n; a mismatch
+    raises SynthesisError "internal: ...".  The term is 0 at n = 0, so
+    valid_at_zero is s(0) + c == 0.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -597,11 +609,10 @@ def synthesize(
         if force_b < 2:
             raise ValueError("force_b must be at least 2")
         b = force_b
-        n = _first_mismatch(pipe, b, range(1, horizon + 1))
-        if n is not None:
-            raise SynthesisError(
-                f"base {b} fails at n={n}: term gives {pipe.value(b, n)}, sequence needs {pipe.t_values[n]}"
-            )
+        mismatch = _first_mismatch(pipe, b, range(1, horizon + 1))
+        if mismatch is not None:
+            n, got = mismatch
+            raise SynthesisError(f"base {b} fails at n={n}: term gives {got}, sequence needs {pipe.t_values[n]}")
         m_b = _window_cutoff(pipe, b)
         if m_b is not None and _first_mismatch(pipe, b, range(horizon + 1, m_b)) is None:
             certified_from = m_b

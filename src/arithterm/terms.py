@@ -525,13 +525,29 @@ def extraction_fraction(num: tuple[int, ...], den: tuple[int, ...], x: int) -> t
     return _poly_at(num, h, x), _poly_at(den, h, x)
 
 
-# Below this many bits of x = base^n, extraction_value takes pow(x, n - 1, D):
-# there the ring route's O(h^2 log n) interpreted multiplies cost more than
-# pow's modular squarings of h * bits(x)-bit numbers, and above it CPython's
-# quadratic division makes pow the slower one.  Measured on CPython 3.11, the
-# two break even near 1000 bits of x at h = 2, 600 at h = 3, 400 at h = 5 and
-# below 360 at h = 11; synthesized data mostly has h <= 5.
+# A range of one index, such as a far point, takes pow(x, n - 1, D) below
+# this many bits of x = base^n and _shifted_residue from it on: there the
+# ring's O(h^2 log n) interpreted multiplies cost more than pow's modular
+# squarings of h * bits(x)-bit numbers, and above it CPython's quadratic
+# division makes pow the slower one.  Measured on CPython 3.11, the two
+# break even near 1000 bits of x at h = 2, 600 at h = 3, 400 at h = 5 and
+# below 360 at h = 11; synthesized data mostly has h <= 5.  The cut-off
+# picks the route of a range's first index only when that index is its
+# last; every index of a range that does not step (_STEP_MIN_BITS) is
+# picked the same way.
 _RING_MIN_BITS = 768
+
+# A range of two or more indices on ring-eligible data steps its residue
+# from its first index on when base^n at its last index counts at least
+# this many bits, as n * bits(base), the way the budget check counts them.
+# Below that, a step and the Horner sum of S cost more than
+# pow(x, n - 1, D) of such small numbers, so each index takes the
+# single-index route, which there is pow.  Measured on CPython 3.11 over
+# the synthesized data of 1,000 random_batch specs (seed 1): the direct
+# checks of synthesize, mostly [1, 3], took 25.0 ms when every range of
+# two or more stepped, 14.4 ms with this cut-off and 13.3 ms with pow at
+# every index; the replays of [1, 30] took 271, 280 and 344 ms.
+_STEP_MIN_BITS = 128
 
 
 def _poly_mul(p: tuple[int, ...], q: tuple[int, ...]) -> list[int]:
@@ -549,29 +565,34 @@ def _shifted_residue(num: tuple[int, ...], den: tuple[int, ...], e: int) -> tupl
     (den[0] == 1) and N the polynomials extraction_fraction evaluates.
 
     X^e mod D comes from square-and-multiply, where multiplying by X is a
-    shift; N's X^h coefficient is reduced by D first.  D is monic, so
-    _int_prem gives the remainder itself: X^e * N = Q*D + S with Q in
-    Z[X], and S(x) = x^e * N(x) (mod D(x)).
+    shift; N's X^h coefficient is reduced by D first, which at e = 0 is
+    all there is to do.  D is monic, so _int_prem gives the remainder
+    itself: X^e * N = Q*D + S with Q in Z[X], and
+    S(x) = x^e * N(x) (mod D(x)).
     """
     d = den[::-1]
+    n_rem = _int_prem((*num, *(0,) * (len(den) - len(num)))[::-1], d)
+    if e == 0:
+        return n_rem
     r: tuple[int, ...] = (1,)
     for bit in bin(e)[2:]:
         r = _int_prem(_poly_mul(r, r), d)
         if bit == "1":
             r = _int_prem((0, *r), d)
-    n_rem = _int_prem((*num, *(0,) * (len(den) - len(num)))[::-1], d)
     return _int_prem(_poly_mul(n_rem, r), d)
 
 
-def extraction_value(
+def extraction_values(
     num: tuple[int, ...],
     den: tuple[int, ...],
     base: int,
-    n: int,
+    ns: range,
     *,
     stats: EvalStats | None = None,
-) -> int:
-    """Value at n of the term build_extraction_term makes from the same data.
+) -> Iterator[int]:
+    """Values at each n of the step-1 range ns, in order, of the term
+    build_extraction_term makes from the same data; extraction_value is
+    the one-index case.
 
     With x = base^n, A = N(x) and D = D(x) (extraction_fraction), the term
     is fl(base^(n^2) * A / D) % x, or 0 when A <= 0 or D <= 0 (the sides
@@ -584,50 +605,103 @@ def extraction_value(
     write y = q*D + r with 0 <= r < D; then x*y / D = q*x + x*r / D and
     0 <= x*r / D < x.  So only y mod D is needed, and every intermediate
     has O(h * n * log base) bits instead of the O(n^2 * log base) bits of
-    evaluate on the built term.  y mod D comes by one of two routes:
+    evaluate on the built term.  x is kept from one index to the next by
+    x *= base.  y mod D comes by one of three routes, all giving the same
+    integer:
 
-    - ring: when den[0] == 1 (D(X) is monic), x has at least
-      _RING_MIN_BITS bits and H = max |den[i]| < base, y mod D = S(x) mod D
-      for S = X^(n-1) * N mod D(X) computed in Z[X] (_shifted_residue).
-      No division by D happens before S(x) mod D.  For k >= h each
-      coefficient of X^k mod D(X) is at most (1 + H)^(k-h+1), so those of
-      S are at most (h + 1) * max |num[i]| * x: the ring's numbers stay
-      O(bits(x)) bits, and S(x) has at most a few bits more than D;
-    - pow: otherwise, y mod D = (A * pow(x, n - 1, D)) mod D.  That is
-      faster for small x, and the only route when D(X) is not monic, which
-      the data of an integer sequence never is: by Fatou's lemma its
-      reduced den has den[0] = 1.
+    - ring: the data is ring-eligible when den[0] == 1 (D(X) is monic)
+      and H = max |den[i]| < base.  Then y mod D = S(x) mod D for
+      S_n(X) = X^(n-1) * N(X) mod D(X) in Z[X], and no division by D
+      happens before S(x) mod D.  For k >= h each coefficient of
+      X^k mod D(X) is at most (1 + H)^(k-h+1), so those of S are at most
+      (h + 1) * max |num[i]| * x: the ring's numbers stay O(bits(x)) bits,
+      and S(x) has at most a few bits more than D.
+    - step: a range of two or more indices on ring-eligible data, whose
+      last index n has n * bits(base) >= _STEP_MIN_BITS (128), takes S_n
+      from _shifted_residue once, at its first index where A > 0 and
+      D > 0 (at n = 1 that is N mod D, one _int_prem), then steps it once
+      per index, S_(n+1) = X * S_n - lead * D(X) with lead the X^h
+      coefficient of X * S_n: a shift and h small multiply-subtracts in
+      place of a modular power per index.
+    - pow: y mod D = (A * pow(x, n - 1, D)) mod D.  Every index of a range
+      that does not step, a range of one index such as a far point
+      included, keeps the single-index rule: pow below _RING_MIN_BITS
+      bits of x, else ring.  Data that is not ring-eligible takes pow at
+      every index; the data of an integer sequence never has D(X)
+      non-monic: by Fatou's lemma its reduced den has den[0] = 1.
 
-    Both give the same integer.  Every large intermediate formed is noted in
-    ``stats``: x times the residue mod D on both routes, plus A times
-    pow's residue or S(x).  Before either route, the larger of
-    bits(A) + bits(D) and bits(x) + bits(D) is checked against
-    DEFAULT_BIT_BUDGET, the budget evaluate uses, so both raise on the
-    same inputs.
+    Every large intermediate formed is noted in ``stats``: x times the
+    residue mod D on every route, plus y (A times pow's residue, or S(x)).
+    At each index, n * bits(base) is checked against DEFAULT_BIT_BUDGET,
+    the budget evaluate uses, before x = base^n is formed, and the larger
+    of bits(A) + bits(D) and bits(x) + bits(D) before any route, so both
+    raise on the same inputs, and a range raises at the index, and with
+    the message, that the index alone would.
     """
-    if base < 2 or n < 0:
+    if base < 2 or (ns and ns.start < 0):
         raise ValueError("need base >= 2 and n >= 0")
-    if n * base.bit_length() > DEFAULT_BIT_BUDGET:
-        raise BudgetExceededError(
-            f"base^n needs about {n * base.bit_length()} bits, budget is {DEFAULT_BIT_BUDGET}"
-        )
-    x = base**n
-    a, d = extraction_fraction(num, den, x)
-    if n == 0 or a <= 0 or d <= 0:
-        return 0
-    bits = max(a.bit_length(), x.bit_length()) + d.bit_length()
-    if bits > DEFAULT_BIT_BUDGET:
-        raise BudgetExceededError(f"product needs about {bits} bits, budget is {DEFAULT_BIT_BUDGET}")
-    if den[0] == 1 and x.bit_length() >= _RING_MIN_BITS and max(map(abs, den)) < base:
-        s = _shifted_residue(num, den, n - 1)
-        y = _poly_at(s[::-1], len(s) - 1, x)
-    else:
-        y = a * pow(x, n - 1, d)
-    top = x * (y % d)
-    if stats is not None:
-        stats.note(y)
-        stats.note(top)
-    return top // d
+    if ns.step != 1:
+        raise ValueError("need a range of step 1")
+    budget = DEFAULT_BIT_BUDGET
+    h = len(den) - 1
+    per_n = base.bit_length()
+    # a range whose last n counts fewer than _STEP_MIN_BITS bits has no x of
+    # _RING_MIN_BITS bits either, so every index of it takes pow
+    ring = bool(ns) and ns[-1] * per_n >= _STEP_MIN_BITS and h >= 0 and den[0] == 1 and max(map(abs, den)) < base
+    stepped = ring and len(ns) > 1
+    # S_n once started, coefficient i multiplying X^(h-1-i) as in den
+    x = s = None
+    for n in ns:
+        if n * per_n > budget:
+            raise BudgetExceededError(f"base^n needs about {n * per_n} bits, budget is {budget}")
+        x = base**n if x is None else x * base
+        if s:
+            lead = s[0]
+            s = [p - lead * dc for p, dc in zip((*s[1:], 0), den[1:])]
+        a, d = extraction_fraction(num, den, x)
+        if n == 0 or a <= 0 or d <= 0:
+            yield 0
+            continue
+        bits = max(a.bit_length(), x.bit_length()) + d.bit_length()
+        if bits > budget:
+            raise BudgetExceededError(f"product needs about {bits} bits, budget is {budget}")
+        if stepped or (ring and x.bit_length() >= _RING_MIN_BITS):
+            if s is None:
+                r = _shifted_residue(num, den, n - 1)
+                s = [0] * (h - len(r)) + list(r[::-1])
+            y = _poly_at(s, h - 1, x)
+        else:
+            y = a * pow(x, n - 1, d)
+        top = x * (y % d)
+        if stats is not None:
+            stats.note(y)
+            stats.note(top)
+        yield top // d
+
+
+def extraction_value(
+    num: tuple[int, ...],
+    den: tuple[int, ...],
+    base: int,
+    n: int,
+    *,
+    stats: EvalStats | None = None,
+) -> int:
+    """Value at n of the term build_extraction_term makes from the same data.
+
+    It is extraction_values over range(n, n + 1), which computes
+    x * (y mod D) // D at x = base^n, D = D(x), for a y congruent to
+    x^(n-1) * N(x) mod D, and never forms base^(n^2).  A single index
+    keeps the far-point rule: pow(x, n - 1, D) below _RING_MIN_BITS bits
+    of x, and above it S(x) for S(X) = X^(n-1) * N(X) mod D(X), computed
+    in Z[X] on monic data with every |den[i]| < base.  A longer range on
+    that data, once n * bits(base) at its last index reaches 128, steps
+    the residue instead, S_(n+1) = X * S_n - lead * D(X), one index at a
+    time.  The bit budget, the ValueErrors and the
+    ``stats`` notes are those of extraction_values.
+    """
+    (value,) = extraction_values(num, den, base, range(n, n + 1), stats=stats)
+    return value
 
 
 _N_SQUARED = BinOp("pow", Var("n"), Const(2))

@@ -4,12 +4,16 @@
 values over an index range and reports the first mismatch, elapsed time in
 integer nanoseconds, and the largest intermediate seen.  A term that
 ``read_extraction`` reads as extraction data (num, den, base), with h at
-most 4096, is replayed through ``extraction_value``, which works modulo D
-and never forms b^(n^2); any other term goes through the reference
-evaluator ``evaluate``.  read_extraction reads every node, so
+most 4096, is replayed through ``extraction_values``, which works modulo
+D = D(b^n) and never forms b^(n^2); any other term goes through the
+reference evaluator ``evaluate``.  read_extraction reads every node, so
 both give the same values, but ``peak_bits`` then measures different
 computations: O(h*n*log b) bits on the fast path against O(n^2*log b)
-through ``evaluate``.
+through ``evaluate``.  A single index keeps the far-point route (a
+modular power below 768 bits of b^n, the residue X^(n-1)*N(X) mod D(X)
+in Z[X] from there); a longer range steps that residue on monic data with
+every |den[i]| < b, S_(n+1) = X*S_n - lead*D(X), one index at a time,
+once b^n at its last index has 128 bits.
 ``verify_catalog`` replays every catalog fixture.  ``extraction_direct``
 recomputes the digit extraction by evaluating the generating function's
 (num, den) pair at b^(-n) in exact Fractions, completely bypassing both
@@ -26,7 +30,7 @@ from typing import Sequence
 from .catalog import fixtures
 from .polys import AlgebraError
 from .recurrence import eval_oracle
-from .terms import BudgetExceededError, EvalStats, Term, evaluate, extraction_value, read_extraction
+from .terms import BudgetExceededError, EvalStats, Term, evaluate, extraction_values, read_extraction
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,13 +46,18 @@ class VerificationReport:
 
     ``checked`` counts the indices evaluated, the failing one included.
     ``peak_bits`` is the bit length of the largest intermediate of the
-    evaluations: through ``extraction_value`` for terms ``read_extraction``
-    reads (it reads none with h past 4096, so that the dense data stays
-    small), else through ``evaluate``.  ``extraction_value`` works modulo
-    D = D(x) at x = b^n, and its intermediates stay O(h*n*log b) bits: on
-    its ring route (large x, D(X) monic) none has more than
-    bits(x) + bits(D) bits, and on its pow route A = N(x) times a residue
-    mod D can have more.
+    evaluations: through ``extraction_values`` for terms
+    ``read_extraction`` reads (it reads none with h past 4096, so that the
+    dense data stays small), else through ``evaluate``.
+    ``extraction_values`` works modulo D = D(x) at x = b^n, and its
+    intermediates stay O(h*n*log b) bits.  On monic data with every
+    |den[i]| < b, a range of two or more indices whose last x has 128
+    bits steps the residue S(X) = X^(n-1)*N(X) mod D(X) one index at a
+    time, and any other index takes it from Z[X] when x has at least 768
+    bits: there no intermediate has more than a few bits past
+    bits(x) + bits(D).  The other indices, and data that is not monic,
+    take the pow route, where A = N(x) times a residue mod D can have
+    more.
     ``aborted`` carries the index and message of a blown bit budget.
     """
 
@@ -95,9 +104,10 @@ def verify_term(
     Stops at the first mismatch.  ``oracle`` must cover indices up to n_hi.
     A blown evaluation budget aborts the run and is reported as such rather
     than as a mismatch.  The term's variable is n; terms that
-    read_extraction reads are evaluated by extraction_value, all others by
-    evaluate.  read_extraction reads no term with h past 4096, and checks
-    that before it builds the coefficient tuples.
+    read_extraction reads are evaluated by extraction_values over the
+    whole range, all others by evaluate at each n.  read_extraction reads
+    no term with h past 4096, and checks that before it builds the
+    coefficient tuples.
     """
     if n_lo < 0 or n_hi < n_lo:
         raise ValueError("need 0 <= n_lo <= n_hi")
@@ -105,23 +115,19 @@ def verify_term(
         raise ValueError(f"oracle covers {len(oracle)} values, need {n_hi + 1}")
     stats = EvalStats()
     started = time.monotonic_ns()
+    ns = range(n_lo, n_hi + 1)
     params = read_extraction(term)
     if params is not None:
-
-        def value(n: int) -> int:
-            return extraction_value(*params, n, stats=stats)
-
+        values = extraction_values(*params, ns, stats=stats)
     else:
-
-        def value(n: int) -> int:
-            return evaluate(term, {"n": n}, stats=stats)
-
+        values = (evaluate(term, {"n": n}, stats=stats) for n in ns)
     checked = 0
     first_failure = None
     aborted = None
-    for n in range(n_lo, n_hi + 1):
+    shift = c ** (n_lo + 1)
+    for n in ns:
         try:
-            got = value(n) - c ** (n + 1)
+            got = next(values) - shift
         except BudgetExceededError as exc:
             aborted = f"n={n}: {exc}"
             break
@@ -129,6 +135,7 @@ def verify_term(
         if got != oracle[n]:
             first_failure = Failure(n=n, expected=oracle[n], got=got)
             break
+        shift *= c
     return VerificationReport(
         n_lo=n_lo,
         n_hi=n_hi,

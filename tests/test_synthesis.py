@@ -45,7 +45,7 @@ from arithterm.synthesis import (
     radius_lower_bound,
     synthesize,
 )
-from arithterm.terms import evaluate, read_extraction, render
+from arithterm.terms import evaluate, extraction_value, read_extraction, render
 from arithterm.verify import verify_term
 
 FIB = Recurrence(2, (-1, -1), (0, 1))
@@ -321,6 +321,17 @@ def test_window_jump_ends_large_coefficient_searches(k):
     # that a probe could accept
     pipe = _prepare(rec, r.c, _prefix(rec, r.horizon))
     assert _window_cutoff(pipe, r.b - 1) is None
+
+
+def test_window_jump_landing_base_gets_one_window_check(monkeypatch):
+    # the jump's _least already finds the window of the base it lands on,
+    # and the probe of that base reuses it
+    calls = []
+    cutoff = synthesis._window_cutoff
+    monkeypatch.setattr(synthesis, "_window_cutoff", lambda pipe, b: calls.append(b) or cutoff(pipe, b))
+    r = synthesize(Recurrence(2, (-(10**50), 1), (1, 2)))
+    assert r.certified_from == 65 and r.b in calls
+    assert max(calls.count(b) for b in calls) == 1
 
 
 def test_base_search_goes_below_b1():
@@ -613,7 +624,7 @@ def test_dominance_window_proves_every_base_it_certifies(rec):
         if start is None:
             continue
         for n in range(max(start, 2), 81):
-            assert pipe.value(b, n) == t[n], (b, start, n)
+            assert extraction_value(pipe.num, pipe.den, b, n) == t[n], (b, start, n)
 
 
 def _padded_data(pipe, b):
@@ -675,10 +686,16 @@ def test_synthesize_reads_back_a_term_too_deep_to_compare():
 
 
 def _count_checks(mp):
-    # (b, n) of every extraction_value call base search makes
+    # (b, n) of every value extraction_values gives base search
     checks = []
-    value = synthesis.extraction_value
-    mp.setattr(synthesis, "extraction_value", lambda num, den, b, n: checks.append((b, n)) or value(num, den, b, n))
+    values = synthesis.extraction_values
+
+    def counted(num, den, b, ns):
+        for n, value in zip(ns, values(num, den, b, ns)):
+            checks.append((b, n))
+            yield value
+
+    mp.setattr(synthesis, "extraction_values", counted)
     return checks
 
 
@@ -819,7 +836,9 @@ def test_carry_jumps_skip_only_bases_that_fail_at_n1(rec):
         candidate = _n1_candidate(pipe, b, b2)
         assert candidate is not None
         for x in range(b, candidate):
-            assert _coefficient_slack(pipe.den, x) < 0 or pipe.value(x, 1) != pipe.t_values[1], x
+            assert _coefficient_slack(pipe.den, x) < 0 or (
+                extraction_value(pipe.num, pipe.den, x, 1) != pipe.t_values[1]
+            ), x
         if candidate == b2:
             break
         b = candidate + 1

@@ -21,6 +21,7 @@ from arithterm.terms import (
     evaluate,
     extraction_fraction,
     extraction_value,
+    extraction_values,
     parse,
     read_extraction,
     render,
@@ -28,6 +29,7 @@ from arithterm.terms import (
     term_to_json,
     variables,
 )
+from arithterm.verify import verify_term
 
 
 def ev(src, **env):
@@ -434,6 +436,74 @@ def test_extraction_value_matches_the_pow_formula_on_both_routes(data, n):
     with mock.patch.object(terms, "DEFAULT_BIT_BUDGET", need - 1):
         with pytest.raises(BudgetExceededError):
             extraction_value(num, den, base, n)
+
+
+@st.composite
+def range_data(draw):
+    """(num, den, base, ns, blow) for extraction_values: h from 1 to 6,
+    den[0] in {0, 1, 2}, den with interior zeros and coefficients whose
+    size reaches past the base, num with interior zeros or empty, and a
+    range from 0..400 of 0..40 indices; blow asks for a bit budget that
+    the range's middle index crosses."""
+    h = draw(st.integers(1, 6))
+    base = draw(st.integers(2, 40))
+    coeff = st.just(0) | st.integers(-base - 3, base + 3)
+    den = (draw(st.sampled_from((0, 1, 2))),) + tuple(draw(st.lists(coeff, min_size=h, max_size=h)))
+    num = tuple(draw(st.lists(coeff, max_size=h + 1)))
+    lo = draw(st.integers(0, 400))
+    return num, den, base, range(lo, lo + draw(st.integers(0, 40))), draw(st.booleans())
+
+
+def _run(values):
+    """The values an iterator gives up to its first BudgetExceededError,
+    and that error's message or None."""
+    out = []
+    try:
+        for value in values:
+            out.append(value)
+    except BudgetExceededError as exc:
+        return out, str(exc)
+    return out, None
+
+
+@settings(max_examples=200, deadline=None)
+@given(range_data())
+@example(((3, -5, 6, 0), (1, -5, 9, -9), 32, range(150, 160), False))  # A088137 across the 768-bit cut-off
+@example(((3, -5, 6, 0), (1, -5, 9, -9), 32, range(1, 41), True))
+@example(((0, 1, 0), (1, -1, -1), 3, range(0, 64), False))  # 3^63 counts 126 bits: pow at every index
+@example(((0, 1, 0), (1, -1, -1), 3, range(0, 65), False))  # 3^64 counts 128 bits: the range steps
+@example(((1, 0, 2), (1, 0, -7), 5, range(0, 30), False))  # |den[2]| >= base: pow
+@example(((), (1, -1, -1), 3, range(0, 5), False))
+def test_extraction_values_are_the_values_index_by_index(data):
+    # the kernel steps X^(n-1) N mod D(X) along the range; index by index,
+    # each value takes its own route, and budget errors come at the same
+    # index with the same text, in verify_term's report too
+    num, den, base, ns, blow = data
+    budget = terms.DEFAULT_BIT_BUDGET
+    if blow and ns:
+        mid = ns[len(ns) // 2]
+        x = base**mid
+        a, d = extraction_fraction(num, den, x)
+        need = max(a.bit_length(), x.bit_length()) + d.bit_length()
+        budget = max(mid * base.bit_length(), need) - 1
+    with mock.patch.object(terms, "DEFAULT_BIT_BUDGET", budget):
+        got = _run(extraction_values(num, den, base, ns))
+
+        def one_by_one():
+            for n in ns:
+                yield extraction_value(num, den, base, n)
+
+        want = _run(one_by_one())
+        assert got == want
+        if not ns or not (den[-1] and max(den) > 0 and max(num, default=0) > 0 and not any(num[len(den) - 1 :])):
+            return
+        term = build_extraction_term(num, den, base)
+        values, message = want
+        oracle = [0] * ns.start + values + [0] * (len(ns) - len(values))
+        report = verify_term(oracle, term, 0, ns.start, ns[-1])
+    assert report.first_failure is None
+    assert report.checked == len(values)
+    assert report.aborted == (None if message is None else f"n={ns.start + len(values)}: {message}")
 
 
 def test_extraction_value_stats_and_budget(monkeypatch):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from arithterm.catalog import fixtures, get_fixture
@@ -9,6 +11,7 @@ from arithterm.terms import (
     _MAX_MATCHED_H,
     BinOp,
     Const,
+    EvalStats,
     build_extraction_term,
     evaluate,
     extraction_fraction,
@@ -200,17 +203,66 @@ def test_extraction_value_matches_the_oracle_far_out(fid, n):
     assert value - fix.shift ** (n + 1) == eval_oracle(fix.recurrence, n + 1).values[n]
 
 
-@pytest.mark.parametrize("fid, n", [("A000045", 2000), ("A088137", 2000), ("A001081", 800)])
-def test_far_point_peak_is_x_times_a_residue(fid, n):
-    # D(X) is monic and x has thousands of bits, so the residue comes from
-    # Z[X] mod D(X): no product of A = N(x) with a residue mod D(x) is formed
+@pytest.mark.parametrize(
+    "fid, n_lo, n",
+    [
+        pytest.param("A000045", 2000, 2000, id="A000045-2000"),
+        pytest.param("A088137", 2000, 2000, id="A088137-2000"),
+        pytest.param("A001081", 800, 800, id="A001081-800"),
+        pytest.param("A000045", 1, 600, id="A000045-1-600"),
+        pytest.param("A088137", 1, 600, id="A088137-1-600"),
+    ],
+)
+def test_far_point_peak_is_x_times_a_residue(fid, n_lo, n):
+    # D(X) is monic: a far point with x of thousands of bits takes its
+    # residue from Z[X] mod D(X), and a range [1, n] steps that residue
+    # from n = 1 on, so neither forms A = N(x) times a residue mod D(x)
     fix = get_fixture(fid)
     num, den, base = read_extraction(fix.term)
     x = base**n
     d = extraction_fraction(num, den, x)[1]
-    report = verify_term(eval_oracle(fix.recurrence, n + 1).values, fix.term, fix.shift, n, n)
+    report = verify_term(eval_oracle(fix.recurrence, n + 1).values, fix.term, fix.shift, n_lo, n)
     assert report.ok
     assert report.peak_bits <= x.bit_length() + d.bit_length() + 1
+
+
+def _random_batch_specs(seed, count):
+    # the benchmark's random_batch generator: order 1-4, coeffs in +-5,
+    # init in +-10, no sequence that is zero on its first values
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        order = rng.randint(1, 4)
+        coeffs = [rng.randint(-5, 5) for _ in range(order)]
+        if coeffs[-1] == 0:
+            continue
+        init = [rng.randint(-10, 10) for _ in range(order)]
+        rec = Recurrence(order, tuple(coeffs), tuple(init))
+        if any(eval_oracle(rec, max(order, 10) + 1).values):
+            out.append(rec)
+    return out
+
+
+def test_stepped_replay_peak_is_at_most_the_index_by_index_peak():
+    # random_batch's own check replays [1, 30]; where b^30 counts 128 bits
+    # or more, stepping the residue keeps y = S(x) a few bits past D(x),
+    # where index by index (each a range of one, x below the ring's
+    # cut-off) y is A times pow's residue; a smaller range takes pow at
+    # every index, as index by index (Fibonacci's base 3, for one)
+    peaks = []
+    for rec in [FIB, *_random_batch_specs(1, 50)]:
+        r = synthesize(rec, horizon=30)
+        report = verify_term(eval_oracle(rec, 31).values, r.term, r.c, 1, 30)
+        assert report.ok
+        stats = EvalStats()
+        for n in range(1, 31):
+            extraction_value(*read_extraction(r.term), n, stats=stats)
+        if 30 * r.b.bit_length() < 128:
+            assert report.peak_bits == stats.peak_bits, rec
+        else:
+            assert report.peak_bits <= stats.peak_bits, rec
+        peaks.append((report.peak_bits, stats.peak_bits))
+    assert max(new for new, _ in peaks) < max(old for _, old in peaks)
 
 
 def test_synthesized_fibconv4_term_replays_far_out():
