@@ -26,7 +26,7 @@ import sys
 
 from .catalog import fixtures, get_fixture
 from .polys import format_poly
-from .recurrence import NonIntegerTermError, Recurrence, eval_oracle, generating_function
+from .recurrence import NonIntegerTermError, Recurrence, _as_int, eval_oracle, generating_function
 from .synthesis import AllZeroSequenceError, SynthesisError, synthesize
 from .terms import (
     BudgetExceededError,
@@ -99,11 +99,11 @@ def _load_result(path: str):
         raise ValueError("result file needs a term_json object or a term string")
     try:
         rec = Recurrence.from_json_dict(data["recurrence"])
-        return rec, term, int(data["c"])
+        return rec, term, _as_int(data["c"])
     except KeyError as exc:
         raise ValueError(f"result file is missing field {exc}") from None
     except TypeError as exc:
-        # int() of a list or null
+        # _as_int of a list, null, float or bool
         raise ValueError(f"malformed result file: {exc}") from None
 
 

@@ -575,13 +575,9 @@ def synthesize(
     report["minimal_proven"] False.
 
     The direct checks run extraction_values over each checked range on the
-    signed (num, den, b) the term is built from.  A range of one index
-    keeps the far-point route of extraction_value; a longer one, on monic
-    data with every |den[i]| < b and b^n of 128 bits at its last index,
-    steps the residue X^(n-1)*N(X) mod D(X) one index at a time,
-    S_(n+1) = X*S_n - lead*D(X), instead of taking a modular power per
-    index.  Most of these checks are a few small indices, below that
-    size, where the modular power is cheaper.  synthesize never evaluates
+    signed (num, den, b) the term is built from, by the route rule of
+    extraction_values; most of these checks are a few small indices, on
+    which that rule takes a modular power.  synthesize never evaluates
     the term: it reads that data back off it with read_extraction, which
     proves the term equals extraction_value of it at every n; a mismatch
     raises SynthesisError "internal: ...".  The term is 0 at n = 0, so

@@ -525,29 +525,19 @@ def extraction_fraction(num: tuple[int, ...], den: tuple[int, ...], x: int) -> t
     return _poly_at(num, h, x), _poly_at(den, h, x)
 
 
-# A range of one index, such as a far point, takes pow(x, n - 1, D) below
-# this many bits of x = base^n and _shifted_residue from it on: there the
-# ring's O(h^2 log n) interpreted multiplies cost more than pow's modular
-# squarings of h * bits(x)-bit numbers, and above it CPython's quadratic
-# division makes pow the slower one.  Measured on CPython 3.11, the two
-# break even near 1000 bits of x at h = 2, 600 at h = 3, 400 at h = 5 and
-# below 360 at h = 11; synthesized data mostly has h <= 5.  The cut-off
-# picks the route of a range's first index only when that index is its
-# last; every index of a range that does not step (_STEP_MIN_BITS) is
-# picked the same way.
-_RING_MIN_BITS = 768
-
-# A range of two or more indices on ring-eligible data steps its residue
-# from its first index on when base^n at its last index counts at least
-# this many bits, as n * bits(base), the way the budget check counts them.
-# Below that, a step and the Horner sum of S cost more than
-# pow(x, n - 1, D) of such small numbers, so each index takes the
-# single-index route, which there is pow.  Measured on CPython 3.11 over
-# the synthesized data of 1,000 random_batch specs (seed 1): the direct
-# checks of synthesize, mostly [1, 3], took 25.0 ms when every range of
-# two or more stepped, 14.4 ms with this cut-off and 13.3 ms with pow at
-# every index; the replays of [1, 30] took 271, 280 and 344 ms.
-_STEP_MIN_BITS = 128
+# Ring-eligible data (see extraction_values) takes its residue from Z[X]
+# at every index of a range when base^n at its last index counts at least
+# this many bits, as n * bits(base), the way the budget check counts them;
+# any other range takes pow at every index.  Below that, _shifted_residue,
+# a step and the Horner sum of S cost more than pow(x, n - 1, D) of such
+# small numbers.  Measured on CPython 3.11 over the synthesized data of
+# 1,000 random_batch specs (seed 1): the direct checks of synthesize,
+# mostly [1, 3], took 25.0 ms when every range of two or more stepped,
+# 14.4 ms with this cut-off and 13.3 ms with pow at every index; the
+# replays of [1, 30] took 271, 280 and 344 ms.  A single index of 140-800
+# bits costs 12-22 us more than pow at h <= 3 and 0.3 of pow's time at
+# 720 bits and h = 11.
+_RESIDUE_MIN_BITS = 128
 
 
 def _poly_mul(p: tuple[int, ...], q: tuple[int, ...]) -> list[int]:
@@ -606,29 +596,26 @@ def extraction_values(
     0 <= x*r / D < x.  So only y mod D is needed, and every intermediate
     has O(h * n * log base) bits instead of the O(n^2 * log base) bits of
     evaluate on the built term.  x is kept from one index to the next by
-    x *= base.  y mod D comes by one of three routes, all giving the same
-    integer:
+    x *= base.  y mod D comes by one of two routes, both giving the same
+    integer, chosen once for the whole range:
 
-    - ring: the data is ring-eligible when den[0] == 1 (D(X) is monic)
-      and H = max |den[i]| < base.  Then y mod D = S(x) mod D for
-      S_n(X) = X^(n-1) * N(X) mod D(X) in Z[X], and no division by D
-      happens before S(x) mod D.  For k >= h each coefficient of
-      X^k mod D(X) is at most (1 + H)^(k-h+1), so those of S are at most
-      (h + 1) * max |num[i]| * x: the ring's numbers stay O(bits(x)) bits,
-      and S(x) has at most a few bits more than D.
-    - step: a range of two or more indices on ring-eligible data, whose
-      last index n has n * bits(base) >= _STEP_MIN_BITS (128), takes S_n
-      from _shifted_residue once, at its first index where A > 0 and
-      D > 0 (at n = 1 that is N mod D, one _int_prem), then steps it once
-      per index, S_(n+1) = X * S_n - lead * D(X) with lead the X^h
-      coefficient of X * S_n: a shift and h small multiply-subtracts in
-      place of a modular power per index.
-    - pow: y mod D = (A * pow(x, n - 1, D)) mod D.  Every index of a range
-      that does not step, a range of one index such as a far point
-      included, keeps the single-index rule: pow below _RING_MIN_BITS
-      bits of x, else ring.  Data that is not ring-eligible takes pow at
-      every index; the data of an integer sequence never has D(X)
-      non-monic: by Fatou's lemma its reduced den has den[0] = 1.
+    - residue: the data is ring-eligible when den[0] == 1 (D(X) is monic)
+      and H = max |den[i]| < base; on such data, when the last index n of
+      ns has n * bits(base) >= _RESIDUE_MIN_BITS (128), every index
+      takes y = S_n(x) for S_n(X) = X^(n-1) * N(X) mod D(X) in Z[X].
+      S_n comes from _shifted_residue once, at the first index where
+      A > 0 and D > 0 (at n = 1 that is N mod D, one _int_prem), and is
+      then stepped once per index, S_(n+1) = X * S_n - lead * D(X) with
+      lead the X^h coefficient of X * S_n: a shift and h small
+      multiply-subtracts in place of a modular power per index.  No
+      division by D happens before S(x) mod D.  For k >= h each
+      coefficient of X^k mod D(X) is at most (1 + H)^(k-h+1), so those
+      of S are at most (h + 1) * max |num[i]| * x: the ring's numbers
+      stay O(bits(x)) bits, and S(x) has at most a few bits more than D.
+    - pow: y = A * pow(x, n - 1, D), at every index of any other range.
+      Data that is not ring-eligible always takes it; the data of an
+      integer sequence never has D(X) non-monic: by Fatou's lemma its
+      reduced den has den[0] = 1.
 
     Every large intermediate formed is noted in ``stats``: x times the
     residue mod D on every route, plus y (A times pow's residue, or S(x)).
@@ -645,10 +632,7 @@ def extraction_values(
     budget = DEFAULT_BIT_BUDGET
     h = len(den) - 1
     per_n = base.bit_length()
-    # a range whose last n counts fewer than _STEP_MIN_BITS bits has no x of
-    # _RING_MIN_BITS bits either, so every index of it takes pow
-    ring = bool(ns) and ns[-1] * per_n >= _STEP_MIN_BITS and h >= 0 and den[0] == 1 and max(map(abs, den)) < base
-    stepped = ring and len(ns) > 1
+    ring = bool(ns) and ns[-1] * per_n >= _RESIDUE_MIN_BITS and h >= 0 and den[0] == 1 and max(map(abs, den)) < base
     # S_n once started, coefficient i multiplying X^(h-1-i) as in den
     x = s = None
     for n in ns:
@@ -665,7 +649,7 @@ def extraction_values(
         bits = max(a.bit_length(), x.bit_length()) + d.bit_length()
         if bits > budget:
             raise BudgetExceededError(f"product needs about {bits} bits, budget is {budget}")
-        if stepped or (ring and x.bit_length() >= _RING_MIN_BITS):
+        if ring:
             if s is None:
                 r = _shifted_residue(num, den, n - 1)
                 s = [0] * (h - len(r)) + list(r[::-1])
@@ -691,14 +675,9 @@ def extraction_value(
 
     It is extraction_values over range(n, n + 1), which computes
     x * (y mod D) // D at x = base^n, D = D(x), for a y congruent to
-    x^(n-1) * N(x) mod D, and never forms base^(n^2).  A single index
-    keeps the far-point rule: pow(x, n - 1, D) below _RING_MIN_BITS bits
-    of x, and above it S(x) for S(X) = X^(n-1) * N(X) mod D(X), computed
-    in Z[X] on monic data with every |den[i]| < base.  A longer range on
-    that data, once n * bits(base) at its last index reaches 128, steps
-    the residue instead, S_(n+1) = X * S_n - lead * D(X), one index at a
-    time.  The bit budget, the ValueErrors and the
-    ``stats`` notes are those of extraction_values.
+    x^(n-1) * N(x) mod D, and never forms base^(n^2); the route rule, the
+    bit budget, the ValueErrors and the ``stats`` notes are those of
+    extraction_values.
     """
     (value,) = extraction_values(num, den, base, range(n, n + 1), stats=stats)
     return value

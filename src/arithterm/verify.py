@@ -9,11 +9,9 @@ D = D(b^n) and never forms b^(n^2); any other term goes through the
 reference evaluator ``evaluate``.  read_extraction reads every node, so
 both give the same values, but ``peak_bits`` then measures different
 computations: O(h*n*log b) bits on the fast path against O(n^2*log b)
-through ``evaluate``.  A single index keeps the far-point route (a
-modular power below 768 bits of b^n, the residue X^(n-1)*N(X) mod D(X)
-in Z[X] from there); a longer range steps that residue on monic data with
-every |den[i]| < b, S_(n+1) = X*S_n - lead*D(X), one index at a time,
-once b^n at its last index has 128 bits.
+through ``evaluate``.  How the fast path reduces modulo D, by a modular
+power or by a residue in Z[X] stepped one index at a time, is the route
+rule of ``extraction_values``, chosen once per range.
 ``verify_catalog`` replays every catalog fixture.  ``extraction_direct``
 recomputes the digit extraction by evaluating the generating function's
 (num, den) pair at b^(-n) in exact Fractions, completely bypassing both
@@ -50,14 +48,10 @@ class VerificationReport:
     ``read_extraction`` reads (it reads none with h past 4096, so that the
     dense data stays small), else through ``evaluate``.
     ``extraction_values`` works modulo D = D(x) at x = b^n, and its
-    intermediates stay O(h*n*log b) bits.  On monic data with every
-    |den[i]| < b, a range of two or more indices whose last x has 128
-    bits steps the residue S(X) = X^(n-1)*N(X) mod D(X) one index at a
-    time, and any other index takes it from Z[X] when x has at least 768
-    bits: there no intermediate has more than a few bits past
-    bits(x) + bits(D).  The other indices, and data that is not monic,
-    take the pow route, where A = N(x) times a residue mod D can have
-    more.
+    intermediates stay O(h*n*log b) bits.  On its residue route (see its
+    docstring for when a range takes it) no intermediate has more than a
+    few bits past bits(x) + bits(D); on its pow route A = N(x) times a
+    residue mod D can have more.
     ``aborted`` carries the index and message of a blown bit budget.
     """
 
@@ -107,10 +101,13 @@ def verify_term(
     read_extraction reads are evaluated by extraction_values over the
     whole range, all others by evaluate at each n.  read_extraction reads
     no term with h past 4096, and checks that before it builds the
-    coefficient tuples.
+    coefficient tuples.  A shift c below 0 raises ValueError, as in
+    generating_function.
     """
     if n_lo < 0 or n_hi < n_lo:
         raise ValueError("need 0 <= n_lo <= n_hi")
+    if c < 0:
+        raise ValueError("shift must be a natural number")
     if len(oracle) <= n_hi:
         raise ValueError(f"oracle covers {len(oracle)} values, need {n_hi + 1}")
     stats = EvalStats()

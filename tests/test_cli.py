@@ -4,7 +4,7 @@ import re
 import sys
 
 import arithterm.cli as cli
-from arithterm.catalog import fixtures
+from arithterm.catalog import fixtures, get_fixture
 from arithterm.cli import main
 from arithterm.recurrence import Recurrence, generating_function
 from arithterm.terms import parse, render, term_from_json, term_to_json
@@ -223,6 +223,24 @@ def test_verify_malformed_result_is_one_line_error(capsys, tmp_path):
         code, out, err = run(capsys, "verify", "--result", str(path))
         assert (code, out) == (1, "")
         assert err.startswith("arithterm: " + message) and err.count("\n") == 1
+
+
+def test_verify_refuses_a_shift_that_is_not_a_natural_number(capsys, tmp_path):
+    # A088137's shift is 3: int() would read 3.7 as 3 and verify it, and
+    # true as 1
+    fix = get_fixture("A088137")
+    blob = {"recurrence": fix.recurrence.to_json_dict(), "term_json": term_to_json(fix.term)}
+    path = tmp_path / "result.json"
+    for c, message in (
+        (3.7, "malformed result file: expected int, str or Fraction, got float"),
+        (True, "malformed result file: expected int, str or Fraction, got bool"),
+        (-1, "shift must be a natural number"),
+    ):
+        path.write_text(json.dumps({**blob, "c": c}), encoding="utf-8")
+        code, out, err = run(capsys, "verify", "--result", str(path))
+        assert (code, out, err) == (1, "", f"arithterm: {message}\n")
+    code, out, err = run(capsys, "verify", FIB, FIB_TERM, "--shift", "-1")
+    assert (code, out, err) == (1, "", "arithterm: shift must be a natural number\n")
 
 
 def test_synth_malformed_spec_is_one_line_error(capsys):

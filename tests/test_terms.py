@@ -412,7 +412,9 @@ def residue_data(draw):
 @settings(max_examples=300, deadline=None)
 @given(residue_data(), st.integers(0, 400))
 @example(((3, -5, 6, 0), (1, -5, 9, -9), 32), 300)  # A088137's data at 1500 bits of x: the ring
-@example(((3, -5, 6, 0), (1, -5, 9, -9), 32), 150)  # 750 bits of x: pow
+@example(((3, -5, 6, 0), (1, -5, 9, -9), 32), 150)  # 750 bits of x: the ring as well
+@example(((0, 1, 0), (1, -1, -1), 3), 63)  # 3^63 counts 126 bits: pow
+@example(((0, 1, 0), (1, -1, -1), 3), 64)  # 3^64 counts 128 bits: the ring
 # |den[1]| >= base: pow; the ring's S(x) would have 6,000 bits, past the budget
 @example(((1, 0), (1, -1000), 3), 600)
 @example(((4, 0, -2, 1), (1, 0, 0, -3), 2**20), 400)  # den with interior zeros: the ring
@@ -468,7 +470,7 @@ def _run(values):
 
 @settings(max_examples=200, deadline=None)
 @given(range_data())
-@example(((3, -5, 6, 0), (1, -5, 9, -9), 32, range(150, 160), False))  # A088137 across the 768-bit cut-off
+@example(((3, -5, 6, 0), (1, -5, 9, -9), 32, range(150, 160), False))  # A088137 at 750-795 bits of x
 @example(((3, -5, 6, 0), (1, -5, 9, -9), 32, range(1, 41), True))
 @example(((0, 1, 0), (1, -1, -1), 3, range(0, 64), False))  # 3^63 counts 126 bits: pow at every index
 @example(((0, 1, 0), (1, -1, -1), 3, range(0, 65), False))  # 3^64 counts 128 bits: the range steps

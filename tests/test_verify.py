@@ -56,6 +56,8 @@ def test_verify_term_range_validation():
         verify_term(oracle, term, 0, 5, 4)
     with pytest.raises(ValueError, match="oracle covers"):
         verify_term(oracle, term, 0, 0, 11)
+    with pytest.raises(ValueError, match="shift must be a natural number"):
+        verify_term(oracle, term, -1, 0, 10)
 
 
 def test_verify_term_aborts_on_budget():
@@ -208,15 +210,17 @@ def test_extraction_value_matches_the_oracle_far_out(fid, n):
     [
         pytest.param("A000045", 2000, 2000, id="A000045-2000"),
         pytest.param("A088137", 2000, 2000, id="A088137-2000"),
+        pytest.param("A088137", 100, 100, id="A088137-100"),
         pytest.param("A001081", 800, 800, id="A001081-800"),
         pytest.param("A000045", 1, 600, id="A000045-1-600"),
         pytest.param("A088137", 1, 600, id="A088137-1-600"),
     ],
 )
 def test_far_point_peak_is_x_times_a_residue(fid, n_lo, n):
-    # D(X) is monic: a far point with x of thousands of bits takes its
-    # residue from Z[X] mod D(X), and a range [1, n] steps that residue
-    # from n = 1 on, so neither forms A = N(x) times a residue mod D(x)
+    # D(X) is monic: a point or a range [1, n] whose last x has 128 bits
+    # or more takes its residue from Z[X] mod D(X) (x = 32^100 has 500),
+    # and steps it from n = 1 on, so neither forms A = N(x) times a
+    # residue mod D(x)
     fix = get_fixture(fid)
     num, den, base = read_extraction(fix.term)
     x = base**n
@@ -246,22 +250,26 @@ def _random_batch_specs(seed, count):
 def test_stepped_replay_peak_is_at_most_the_index_by_index_peak():
     # random_batch's own check replays [1, 30]; where b^30 counts 128 bits
     # or more, stepping the residue keeps y = S(x) a few bits past D(x),
-    # where index by index (each a range of one, x below the ring's
-    # cut-off) y is A times pow's residue; a smaller range takes pow at
-    # every index, as index by index (Fibonacci's base 3, for one)
+    # where pow at each index forms y = A times a residue mod D(x); a
+    # smaller range takes pow at every index (Fibonacci's base 3, for one)
     peaks = []
     for rec in [FIB, *_random_batch_specs(1, 50)]:
         r = synthesize(rec, horizon=30)
         report = verify_term(eval_oracle(rec, 31).values, r.term, r.c, 1, 30)
         assert report.ok
-        stats = EvalStats()
+        num, den, base = read_extraction(r.term)
+        pow_peak = 0
         for n in range(1, 31):
-            extraction_value(*read_extraction(r.term), n, stats=stats)
-        if 30 * r.b.bit_length() < 128:
-            assert report.peak_bits == stats.peak_bits, rec
+            x = base**n
+            a, d = extraction_fraction(num, den, x)
+            if a > 0 and d > 0:
+                y = a * pow(x, n - 1, d)
+                pow_peak = max(pow_peak, y.bit_length(), (x * (y % d)).bit_length())
+        if 30 * base.bit_length() < 128:
+            assert report.peak_bits == pow_peak, rec
         else:
-            assert report.peak_bits <= stats.peak_bits, rec
-        peaks.append((report.peak_bits, stats.peak_bits))
+            assert report.peak_bits <= pow_peak, rec
+        peaks.append((report.peak_bits, pow_peak))
     assert max(new for new, _ in peaks) < max(old for _, old in peaks)
 
 
