@@ -13,9 +13,11 @@ generating function of t(n) = s(n) + c^(n+1).  The pipeline is:
    polynomials (generating_function, which never leaves Z[z]);
 3. derive bound data (growth constant of t, a lower bound for the radius
    of convergence) giving a base b2 that is always valid from n = 1 on,
-   plus a witness (b1, m): m is written down from bit lengths with margin
-   to spare, and pow_lt decides its inequalities in powers of b1 exactly
-   from rounded interval powers, never built in full;
+   plus a witness (b1, m): find_b1_m writes m down from bit lengths with
+   margin to spare and proves it, and validate checks such an m through
+   that proof's premises, in bit lengths; for any other m pow_lt decides
+   the inequalities in powers of b1 exactly, from rounded interval powers
+   never built in full;
 4. walk upward from a digit floor (no smaller base can fit t(n) into n
    digits) for the least base that validates: the dominance lemma gives a
    cutoff m_b past which the term provably equals t(n), and the indices
@@ -253,19 +255,28 @@ def pow_lt(a: int, p: int, b: int, q: int) -> bool:
         prec *= 2
 
 
+def _size_cutoff(c_t: int) -> int:
+    """2 + ceil(21 L (2c + 1)/20) for c = c_t and L its bit length: from
+    this index on c^(m+1) < (c + 1)^(m-2), by find_b1_m's proof."""
+    return 2 + -(-21 * c_t.bit_length() * (2 * c_t + 1) // 20)
+
+
 def find_b1_m(c_t: int, rho: Fraction) -> tuple[int, int]:
     """Base b1 = c_t + 1 just above the growth constant, and a cutoff m for it.
 
     m is an index from which both c_t^(m+1) < b1^(m-2) and b1^(-m) < rho
     hold; past it the digit-size and radius requirements are met at base
     b1.  It need not be the least such index, so it is written down:
-    m = max(2 + ceil(21 L (2c + 1)/20), k + 1) for c = c_t, L the bit
-    length of c and k that of floor(1/rho).
+    m = max(_size_cutoff(c), k + 1) = max(2 + ceil(21 L (2c + 1)/20), k + 1)
+    for c = c_t, L the bit length of c and k that of floor(1/rho).
 
     Proof.  The size condition is (m - 2) ln(1 + 1/c) > 3 ln c.  As
     c < 2^L, ln c < L ln 2 < 7L/10, and ln(1 + 1/c) > 2/(2c + 1), so
     (m - 2) ln(1 + 1/c) > 21L/10 > 3 ln c.  The radius condition is
     floor(1/rho) < b1^m in integers, and b1^m >= 2^m > 2^k > floor(1/rho).
+    Both steps hold for every m at or past their bound and every b1 > c,
+    so BoundsCertificate.validate checks those two premises, in bit
+    lengths, and leaves pow_lt only the certificates they do not cover.
 
     The work stays bounded: a cutoff of more than _M_BITS_CAP bits raises
     SynthesisError before any power is compared, which ends order-1 specs
@@ -273,8 +284,7 @@ def find_b1_m(c_t: int, rho: Fraction) -> tuple[int, int]:
     """
     if c_t < 1 or rho <= 0:
         raise ValueError("need c_t >= 1 and rho > 0")
-    size = 2 + -(-21 * c_t.bit_length() * (2 * c_t + 1) // 20)
-    m = max(size, (rho.denominator // rho.numerator).bit_length() + 1)
+    m = max(_size_cutoff(c_t), (rho.denominator // rho.numerator).bit_length() + 1)
     if m.bit_length() > _M_BITS_CAP:
         raise SynthesisError(f"bound data needs a cutoff m of more than {_M_BITS_CAP} bits")
     return c_t + 1, m
@@ -308,18 +318,23 @@ class BoundsCertificate:
         """Raise ValueError naming the first inequality the data violates.
 
         Checks run in order, so the two inequalities in b1^m are only reached
-        with m >= 3, b1 > c_t >= 1 and rho > 0.  pow_lt decides them exactly
-        without building the powers, the radius one as floor(1/rho) < b1^m.
+        with m >= 3, b1 > c_t >= 1 and rho > 0, the radius one as
+        floor(1/rho) < b1^m.  Each first checks the premise find_b1_m's
+        proof rests on, in bit lengths: m >= _size_cutoff(c_t), which gives
+        c_t^(m+1) < (c_t + 1)^(m-2) <= b1^(m-2), and floor(1/rho) of fewer
+        than m bits, which gives floor(1/rho) < 2^m <= b1^m.  So an m that
+        find_b1_m wrote down builds no power; for any other m pow_lt decides
+        the inequality exactly, without building the powers either.
         """
-        rho = self.rho
+        c_t, b1, m, rho = self.c_t, self.b1, self.m, self.rho
         checks = [
-            ("m >= 3", lambda: self.m >= 3),
-            ("c_t >= 1", lambda: self.c_t >= 1),
-            ("b1 > c_t", lambda: self.b1 > self.c_t),
+            ("m >= 3", lambda: m >= 3),
+            ("c_t >= 1", lambda: c_t >= 1),
+            ("b1 > c_t", lambda: b1 > c_t),
             ("rho > 0", lambda: rho > 0),
-            ("c_t^(m+1) < b1^(m-2)", lambda: pow_lt(self.c_t, self.m + 1, self.b1, self.m - 2)),
-            ("b1^(-m) < rho", lambda: pow_lt(rho.denominator // rho.numerator, 1, self.b1, self.m)),
-            ("b2 >= max(8, c_t^6 + 1)", lambda: self.b2 >= max(8, self.c_t**6 + 1)),
+            ("c_t^(m+1) < b1^(m-2)", lambda: m >= _size_cutoff(c_t) or pow_lt(c_t, m + 1, b1, m - 2)),
+            ("b1^(-m) < rho", lambda: (k := rho.denominator // rho.numerator).bit_length() < m or pow_lt(k, 1, b1, m)),
+            ("b2 >= max(8, c_t^6 + 1)", lambda: self.b2 >= max(8, c_t**6 + 1)),
             ("b2^(-1) < rho", lambda: rho.numerator * self.b2 > rho.denominator),
         ]
         for label, ok in checks:

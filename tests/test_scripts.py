@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import sys
@@ -31,3 +32,16 @@ def test_dump_results_prints_one_json_line_per_input(capsys, monkeypatch):
     assert [line["id"] for line in lines[23:]] == ["random:1:0", "random:1:1", "random:1:2"]
     for line in lines:
         assert "error" in line or ("probes" not in line["report"] and "term" in line)
+
+
+# sha256 of `PYTHONPATH=src python3 scripts/dump_results.py --count 200 --seed 1`;
+# regenerate it with that command piped through sha256sum.  Any change to a
+# result's b, c, certificate, term or report moves it: a change meant to
+# alter results updates the digest here and says so in CHANGES.md.
+RESULTS_SHA256 = "9512d5be3db1417ef8779f4985e63f42a82c9aa28b715c232e9f0ef5a1268ca6"
+
+
+def test_dump_results_digest_is_pinned(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["dump_results.py", "--count", "200", "--seed", "1"])
+    assert _load("dump_results").main() == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == RESULTS_SHA256

@@ -278,6 +278,81 @@ def test_certificate_validate_checks_the_power_inequalities():
         bad.validate()
 
 
+def _reference_violation(cert):
+    # validate's clauses by their definitions, with both powers built exactly
+    c_t, rho, b1, m, b2 = cert.c_t, cert.rho, cert.b1, cert.m, cert.b2
+    checks = [
+        ("m >= 3", lambda: m >= 3),
+        ("c_t >= 1", lambda: c_t >= 1),
+        ("b1 > c_t", lambda: b1 > c_t),
+        ("rho > 0", lambda: rho > 0),
+        ("c_t^(m+1) < b1^(m-2)", lambda: c_t ** (m + 1) < b1 ** (m - 2)),
+        ("b1^(-m) < rho", lambda: Fraction(1, b1**m) < rho),
+        ("b2 >= max(8, c_t^6 + 1)", lambda: b2 >= max(8, c_t**6 + 1)),
+        ("b2^(-1) < rho", lambda: Fraction(1, b2) < rho),
+    ]
+    return next((label for label, ok in checks if not ok()), None)
+
+
+@given(st.integers(1, 60), st.integers(1, 4), st.integers(3, 90), st.integers(1, 10**4), st.integers(1, 10**4))
+# m at the written size cutoff and one below it (c_t = 5: 37; c_t = 2: 13)
+@example(5, 1, 37, 1, 2)
+@example(5, 1, 36, 1, 2)
+@example(2, 1, 13, 1, 2)
+@example(2, 1, 12, 1, 2)
+@example(2, 1, 7, 1, 2)  # below the cutoff and false: 2^8 > 3^5
+# floor(1/rho) of m - 1 and of m bits, m = 13 >= the cutoff 6 for c_t = 1,
+# and of m + 1 bits at a tie: 2^13 = 1/rho is refused
+@example(1, 1, 13, 1, 4095)
+@example(1, 1, 13, 1, 4096)
+@example(1, 1, 13, 1, 8192)
+@example(1, 2, 8, 1, 6560)
+@example(1, 2, 8, 1, 6561)  # 3^8 = 1/rho: the tie is refused
+def test_certificate_validate_agrees_with_exact_powers(c_t, db1, m, p, q):
+    assume(p <= q)
+    rho = Fraction(p, q)
+    cert = BoundsCertificate(c=0, c_t=c_t, rho=rho, b1=c_t + db1, m=m, b2=find_b2(c_t, rho))
+    label = _reference_violation(cert)
+    if label is None:
+        cert.validate()
+    else:
+        with pytest.raises(ValueError) as err:
+            cert.validate()
+        assert str(err.value) == f"certificate violates {label}"
+
+
+def test_written_down_witness_validates_without_pow_lt(monkeypatch):
+    calls = []
+    monkeypatch.setattr(synthesis, "pow_lt", lambda *args: calls.append(args) or pow_lt(*args))
+    certs = []
+    for rho in (Fraction(1), Fraction(1, 2), Fraction(7, 10), Fraction(1, 1000), Fraction(1, 3**20)):
+        for c_t in range(1, 201):
+            b1, m = find_b1_m(c_t, rho)
+            certs.append(BoundsCertificate(c=0, c_t=c_t, rho=rho, b1=b1, m=m, b2=find_b2(c_t, rho)))
+    # floor(1/rho) of 4,000,001 bits
+    rho = Fraction(1, 2**4000000)
+    b1, m = find_b1_m(2, rho)
+    certs.append(BoundsCertificate(c=0, c_t=2, rho=rho, b1=b1, m=m, b2=find_b2(2, rho)))
+    for cert in certs:
+        cert.validate()
+    # synthesize validates its own certificate: FibConv4 (m = 176920), and
+    # a c_t of 182 bits
+    assert synthesize(get_fixture("FibConv4").recurrence).certificate.m == 176920
+    rec = Recurrence(2, (-1, -1), (2**181, 2**181 + 7))
+    assert _bound_data(_prepare(rec, find_shift(rec), _prefix(rec, 40))).c_t.bit_length() == 182
+    assert calls == []
+    # hand-made m below the written-down 37 still reach pow_lt, with the
+    # same outcomes: m = 29 holds, m = 28 does not, the 6^29 tie is refused
+    BoundsCertificate(c=0, c_t=5, rho=Fraction(1, 2), b1=6, m=29, b2=15626).validate()
+    assert calls == [(5, 30, 6, 27)]
+    with pytest.raises(ValueError, match=r"c_t\^\(m\+1\)"):
+        BoundsCertificate(c=0, c_t=5, rho=Fraction(1, 2), b1=6, m=28, b2=15626).validate()
+    assert calls[1:] == [(5, 29, 6, 26)]
+    with pytest.raises(ValueError, match=r"b1\^\(-m\) < rho"):
+        BoundsCertificate(c=0, c_t=5, rho=Fraction(1, 6**29), b1=6, m=29, b2=6**29 + 1).validate()
+    assert calls[2:] == [(5, 30, 6, 27), (6**29, 1, 6, 29)]
+
+
 def test_fibconv4_certificate_unchanged():
     cert = synthesize(get_fixture("FibConv4").recurrence).certificate
     assert (cert.c_t, cert.b1, cert.m) == (6480, 6481, 176920)
