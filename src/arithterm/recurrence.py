@@ -193,17 +193,13 @@ def growth_constant(rec: Recurrence) -> int:
 
 def _growth_constant(den: Sequence[int], init: Sequence[int]) -> int:
     """growth_constant of sum_i den_i s(n-i) = 0, den_0 > 0, with s = init on
-    the first d = len(den) - 1 indices: start from d * sum_{i>=1} |den_i| //
-    den_0 + 1, which dominates the step inductively once the initial terms
-    comply, and bump until they satisfy |s(k)| < c^(k+1) as well."""
+    the first d = len(den) - 1 indices: the least c at or past the start
+    bound d * sum_{i>=1} |den_i| // den_0 + 1, which dominates the step
+    inductively once the initial terms comply, with |s(k)| < c^(k+1) for
+    k < d, which floor_root(|s(k)|, k + 1) + 1 is the least c to meet."""
     d = len(den) - 1
-    init = init[:d]
-    c = d * sum(abs(a) for a in den[1:]) // den[0] + 1
-    while True:
-        if all(abs(v) < c ** (k + 1) for k, v in enumerate(init)):
-            return c
-        # smallest c violating term k needs c^(k+1) > |s(k)|
-        c = max(floor_root(abs(v), k + 1) + 1 for k, v in enumerate(init))
+    start = d * sum(abs(a) for a in den[1:]) // den[0] + 1
+    return max(start, *(floor_root(abs(v), k + 1) + 1 for k, v in enumerate(init[:d])))
 
 
 def is_provably_nonnegative(rec: Recurrence) -> bool:

@@ -16,8 +16,9 @@ generating function of t(n) = s(n) + c^(n+1).  The pipeline is:
    plus a witness (b1, m): find_b1_m writes m down from bit lengths with
    margin to spare and proves it, and validate checks such an m through
    that proof's premises, in bit lengths; for any other m pow_lt decides
-   the inequalities in powers of b1 exactly, from rounded interval powers
-   never built in full;
+   the inequalities in powers of b1 exactly, from bit lengths where they
+   tell and otherwise from the powers themselves, within the evaluator's
+   bit budget;
 4. walk upward from a digit floor (no smaller base can fit t(n) into n
    digits) for the least base that validates: the dominance lemma gives a
    cutoff m_b past which the term provably equals t(n), and the indices
@@ -52,8 +53,9 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import terms
 from .recurrence import Recurrence, _growth_constant, _int_den, _nonnegative, eval_oracle, floor_root, generating_function
-from .terms import _MAX_MATCHED_H, Term, build_extraction_term, extraction_fraction, extraction_values, read_extraction
+from .terms import _MAX_MATCHED_H, BudgetExceededError, Term, build_extraction_term, extraction_fraction, extraction_values, read_extraction
 
 _WINDOW_CAP = 64  # how far to look for the digit-size window of a shift or base
 _M_BITS_CAP = 256  # longest cutoff m find_b1_m returns, in bits
@@ -185,74 +187,31 @@ def _find_shift(rec: Recurrence, s: Sequence[int]) -> int:
     return c
 
 
-def _round_down(x: int, e: int, prec: int) -> tuple[int, int]:
-    """x * 2^e with x cut to its top prec bits, rounded down."""
-    s = x.bit_length() - prec
-    return (x >> s, e + s) if s > 0 else (x, e)
-
-
-def _round_up(x: int, e: int, prec: int) -> tuple[int, int]:
-    """x * 2^e with x cut to its top prec bits, rounded up."""
-    s = x.bit_length() - prec
-    return (-(-x >> s), e + s) if s > 0 else (x, e)
-
-
-def _pow_bounds(a: int, p: int, prec: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """(lo, lo_exp), (hi, hi_exp) with lo * 2^lo_exp <= a^p <= hi * 2^hi_exp.
-
-    Left-to-right square-and-multiply on both bounds at once; each exponent
-    bit's square (times a, for a one bit) is truncated once, to about prec
-    bits in its own direction.  Every intermediate is a^k with k <= p, so
-    once prec covers the bit length of a^p nothing is truncated and both
-    bounds equal a^p.
-    """
-    (a_lo, a_lo_exp), (a_hi, a_hi_exp) = _round_down(a, 0, prec), _round_up(a, 0, prec)
-    lo, lo_exp, hi, hi_exp = 1, 0, 1, 0
-    for bit in bin(p)[2:]:
-        if bit == "1":
-            lo, lo_exp = _round_down(lo * lo * a_lo, 2 * lo_exp + a_lo_exp, prec)
-            hi, hi_exp = _round_up(hi * hi * a_hi, 2 * hi_exp + a_hi_exp, prec)
-        else:
-            lo, lo_exp = _round_down(lo * lo, 2 * lo_exp, prec)
-            hi, hi_exp = _round_up(hi * hi, 2 * hi_exp, prec)
-    return (lo, lo_exp), (hi, hi_exp)
-
-
-def _scaled_lt(x: tuple[int, int], y: tuple[int, int]) -> bool:
-    """x[0] * 2^x[1] < y[0] * 2^y[1] for positive mantissas."""
-    (mx, ex), (my, ey) = x, y
-    lx, ly = mx.bit_length() + ex, my.bit_length() + ey
-    if lx != ly:
-        return lx < ly
-    if ex >= ey:
-        return mx << (ex - ey) < my
-    return mx < my << (ey - ex)
-
-
 def pow_lt(a: int, p: int, b: int, q: int) -> bool:
-    """Exactly whether a^p < b^q, for naturals a, b, p, q, without either power.
+    """Exactly whether a^p < b^q, for naturals a, b, p, q.
 
-    Both powers are enclosed in intervals of prec-bit mantissas times powers
-    of two (see _pow_bounds).  Disjoint intervals decide the comparison;
-    overlapping ones double prec.  At the bit length of the larger power the
-    bounds are exact, so the loop always ends, with the exact answer.  Each
-    round costs O(log p + log q) multiplications of prec-bit numbers.
+    For x >= 1 of bit length L, x^k lies in [2^(k(L-1)), 2^(kL)), so bit
+    lengths decide every pair whose ranges are disjoint.  Any other pair
+    is decided on the powers built exactly, when both fit in
+    DEFAULT_BIT_BUDGET bits, read at call time as evaluate reads it;
+    past it BudgetExceededError is raised instead.
     """
     if min(a, p, b, q) < 0:
         raise ValueError("pow_lt needs natural numbers")
-    # x^0 = 1 (also for x = 0), and 0^k = 0 for k >= 1
-    a, b = (a if p else 1), (b if q else 1)
+    # x^0 = 1 (also for x = 0) and 1^k = 1; 0^k = 0 for k >= 1
+    a, p = (a, p) if p and a != 1 else (1, 1)
+    b, q = (b, q) if q and b != 1 else (1, 1)
     if a == 0 or b == 0:
         return a < b
-    prec = 64
-    while True:
-        a_lo, a_hi = _pow_bounds(a, p, prec)
-        b_lo, b_hi = _pow_bounds(b, q, prec)
-        if _scaled_lt(a_hi, b_lo):
-            return True
-        if not _scaled_lt(a_lo, b_hi):
-            return False
-        prec *= 2
+    la, lb = a.bit_length(), b.bit_length()
+    if p * la <= q * (lb - 1):
+        return True
+    if q * lb <= p * (la - 1):
+        return False
+    bits, budget = max(p * la, q * lb), terms.DEFAULT_BIT_BUDGET
+    if bits > budget:
+        raise BudgetExceededError(f"comparing powers of about {bits} bits exceeds the budget of {budget} bits")
+    return a**p < b**q
 
 
 def _size_cutoff(c_t: int) -> int:
@@ -324,7 +283,9 @@ class BoundsCertificate:
         c_t^(m+1) < (c_t + 1)^(m-2) <= b1^(m-2), and floor(1/rho) of fewer
         than m bits, which gives floor(1/rho) < 2^m <= b1^m.  So an m that
         find_b1_m wrote down builds no power; for any other m pow_lt decides
-        the inequality exactly, without building the powers either.
+        the inequality exactly.  A hand-made certificate whose powers go
+        past DEFAULT_BIT_BUDGET bits, and that bit lengths cannot decide,
+        raises BudgetExceededError instead.
         """
         c_t, b1, m, rho = self.c_t, self.b1, self.m, self.rho
         checks = [

@@ -9,6 +9,7 @@ from arithterm.polys import int_poly_gcd
 from arithterm.recurrence import (
     NonIntegerTermError,
     Recurrence,
+    _growth_constant,
     eval_oracle,
     floor_root,
     generating_function,
@@ -231,11 +232,11 @@ def test_gf_shift_series(rec, c):
         (Recurrence(2, ("-1/2", "1/3"), (3, 6)), 3, ((36, -36, -75), (6, -21, 11, -6))),
     ],
 )
-def test_shifted_gf_int_reduces_common_factors(rec, c, expected):
+def test_generating_function_reduces_common_factors(rec, c, expected):
     assert generating_function(rec, c) == expected
 
 
-def test_shifted_gf_int_rejects_a_negative_shift():
+def test_generating_function_rejects_a_negative_shift():
     with pytest.raises(ValueError, match="natural"):
         generating_function(FIB, -1)
 
@@ -250,6 +251,28 @@ def test_growth_constant_bumps_for_large_initial_terms():
     rec = Recurrence(1, (-1,), (1000,))
     c = growth_constant(rec)
     assert c == 1001  # need c^1 > 1000 at index 0
+
+
+@given(
+    st.integers(1, 6).flatmap(
+        lambda d: st.tuples(
+            st.integers(1, 50),
+            st.lists(st.integers(-10**6, 10**6), min_size=d, max_size=d),
+            st.lists(st.integers(-10**40, 10**40), min_size=d, max_size=d),
+        )
+    )
+)
+def test_growth_constant_is_the_least_c_past_the_start_bound(data):
+    den0, rest, init = data
+    d = len(rest)
+
+    def holds(c):
+        # the start bound, then |s(k)| < c^(k+1) on the initial terms
+        start = d * sum(abs(a) for a in rest) // den0 + 1
+        return c >= start and all(abs(v) < c ** (k + 1) for k, v in enumerate(init))
+
+    c = _growth_constant((den0, *rest), init)
+    assert holds(c) and not holds(c - 1)
 
 
 @given(small_recurrences())

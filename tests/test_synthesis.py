@@ -33,7 +33,6 @@ from arithterm.synthesis import (
     _first_mismatch,
     _least,
     _n1_candidate,
-    _pow_bounds,
     _prefix,
     _prepare,
     _shift_certified,
@@ -170,6 +169,8 @@ def test_find_b1_m_witness_grid():
 @example(0, 0, 0, 1)
 @example(1, 0, 1, 1)
 @example(7, 1, 7, 1)
+@example(7, 1, 8, 1)  # bit lengths decide: 7 < 2^3 <= 8
+@example(8, 1, 7, 1)
 @example(2, 6, 4, 3)  # equal powers
 @example(2, 6, 8, 2)
 def test_pow_lt_matches_exact_powers(a, p, b, q):
@@ -188,27 +189,28 @@ def test_pow_lt_near_ties(c, m):
 
 @given(st.integers(3, 10**6), st.integers(1, 40), st.integers(1, 40))
 def test_pow_lt_equal_large_powers(x, j, k):
-    # (x^j)^k == (x^k)^j: the intervals overlap until prec covers the power
+    # (x^j)^k == (x^k)^j: bit lengths cannot decide a tie, the powers do
     assert not pow_lt(x**j, k, x**k, j)
     assert pow_lt(x**j, k, x**k + 1, j)
     assert not pow_lt(x**k + 1, j, x**j, k)
 
 
-@given(st.integers(0, 10**30), st.integers(0, 300), st.integers(1, 200))
-@example(0, 0, 1)
-@example(2**64, 5, 1)
-@example(10**30, 300, 64)
-def test_pow_bounds_bracket_the_power(a, p, prec):
-    (lo, lo_exp), (hi, hi_exp) = _pow_bounds(a, p, prec)
-    power = a**p
-
-    def value(m, e):
-        return Fraction(m) * Fraction(2) ** e
-
-    assert value(lo, lo_exp) <= power <= value(hi, hi_exp)
-    # at a precision that covers a^p nothing is cut
-    (lo, lo_exp), (hi, hi_exp) = _pow_bounds(a, p, max(prec, power.bit_length()))
-    assert value(lo, lo_exp) == power == value(hi, hi_exp)
+@given(st.integers(2, 10**6), st.integers(1, 40), st.integers(1, 40))
+@example(3, 1, 2)
+def test_pow_lt_builds_powers_only_within_the_bit_budget(x, j, k):
+    # a tie is decided at a budget that holds both powers, refused one below
+    bits = max(k * (x**j).bit_length(), j * (x**k).bit_length())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(terms, "DEFAULT_BIT_BUDGET", bits)
+        assert not pow_lt(x**j, k, x**k, j)
+        mp.setattr(terms, "DEFAULT_BIT_BUDGET", bits - 1)
+        with pytest.raises(terms.BudgetExceededError):
+            pow_lt(x**j, k, x**k, j)
+        # bit lengths decide 2^k < (2x)^k without a budget
+        mp.setattr(terms, "DEFAULT_BIT_BUDGET", 0)
+        assert pow_lt(2, k, 2 * x, k) and not pow_lt(2 * x, k, 2, k)
+    # 1^k is 1 for every k, however long k is
+    assert not pow_lt(1, 10**30, 1, 10**30) and pow_lt(1, 10**30, 2, 1)
 
 
 def test_pow_lt_rejects_negative_operands():
@@ -276,6 +278,22 @@ def test_certificate_validate_checks_the_power_inequalities():
     bad = BoundsCertificate(c=0, c_t=5, rho=Fraction(0), b1=6, m=29, b2=15626)
     with pytest.raises(ValueError, match="rho > 0"):
         bad.validate()
+
+
+def test_certificate_validate_decides_an_exact_tie():
+    # (3^400)^1203 == (3^401)^1200: bit lengths cannot tell, the powers can
+    bad = BoundsCertificate(c=0, c_t=3**400, rho=Fraction(1, 2), b1=3**401, m=1202, b2=3**2400 + 1)
+    with pytest.raises(ValueError, match=r"^certificate violates c_t\^\(m\+1\) < b1\^\(m-2\)$"):
+        bad.validate()
+
+
+def test_certificate_validate_refuses_a_tie_past_the_bit_budget():
+    # (3^10000)^30003 == (3^10001)^30000 needs powers of about 475M bits
+    big = BoundsCertificate(c=0, c_t=3**10000, rho=Fraction(1, 2), b1=3**10001, m=30002, b2=3**60000 + 1)
+    started = time.perf_counter()
+    with pytest.raises(terms.BudgetExceededError):
+        big.validate()
+    assert time.perf_counter() - started < 1
 
 
 def _reference_violation(cert):
@@ -778,16 +796,25 @@ def _count_checks(mp):
 @example(FIB)
 @example(SIGNED_U)
 @example(SIGNED_V)
+# b = 226 proven from n = 3; the probe of base 16 before it has the window
+# start m_16 = 7 and fails at n = 3, past certified_from
+@example(Recurrence(1, (5,), (4,)))
 def test_proven_shift_direct_checks_only_below_certified_from(rec):
-    # the dominance window proves every n >= certified_from, so no probe
-    # replays an index there
+    # each base's window proves every n >= its cutoff m_x, so a probe of x
+    # replays a prefix of [1, m_x - 1] only, and the accepted base all of it
     with pytest.MonkeyPatch.context() as mp:
         checks = _count_checks(mp)
         r = synthesize(rec)
     assert r.report["minimal_proven"] is True and r.report["evidence"] == "certified"
     assert r.report["checked_to"] == r.certified_from - 1
-    assert max(n for _, n in checks) < r.certified_from
-    assert sorted(n for b, n in checks if b == r.b) == list(range(1, r.certified_from))
+    pipe = _prepare(rec, r.c, _prefix(rec, r.horizon))
+    by_base = {}
+    for b, n in checks:
+        by_base.setdefault(b, []).append(n)
+    for b, ns in by_base.items():
+        assert ns == list(range(1, len(ns) + 1))
+        assert len(ns) <= _window_cutoff(pipe, b) - 1
+    assert by_base[r.b] == list(range(1, r.certified_from))
 
 
 def test_unproven_shift_replays_every_probe_to_the_horizon(monkeypatch):
