@@ -24,12 +24,12 @@ generating function of t(n) = s(n) + c^(n+1).  The pipeline is:
    cutoff m_b past which the term provably equals t(n), and the indices
    below m_b direct-check.  That proof needs t(n) >= 0 for every n, so
    under a forced shift without a proof each base direct-checks on
-   [1, horizon] as well, the only evidence past m_b.
-   A base that fails the coefficient criterion, or whose n = 1 carry F(b)
-   is no multiple of b, fails too and is never probed; for a proven shift
-   F does not increase once the criterion holds, so _least jumps from one
-   base the carry leaves to the next, and from a base with no dominance
-   window to the first base with one.  _least also finds the shift c.
+   [1, horizon] as well, and so does a forced base (_checked).  One loop
+   direct-checks only bases with a window that the n = 1 carry F(b) keeps;
+   for a proven shift F does not increase once the criterion holds, so
+   _least jumps from a base the carry leaves to the next, and from a base
+   with no window (none has one below the criterion) to the first base
+   with one.  _least also finds the shift c.
    The term is then built from the signed (num, den, b) the direct checks
    ran on, and read_extraction must read exactly that data back off it.
    It reads every node, so such a term equals extraction_value of that
@@ -250,9 +250,13 @@ def find_b1_m(c_t: int, rho: Fraction) -> tuple[int, int]:
 
 
 def find_b2(c_t: int, rho: Fraction) -> int:
-    """A base that is valid from n = 1 on, with no cutoff needed."""
+    """A base that is valid from n = 1 on, with no cutoff needed; past
+    DEFAULT_BIT_BUDGET bits of c_t^6 it raises BudgetExceededError."""
     if c_t < 1 or rho <= 0:
         raise ValueError("need c_t >= 1 and rho > 0")
+    bits, budget = 6 * c_t.bit_length(), terms.DEFAULT_BIT_BUDGET
+    if bits > budget:
+        raise BudgetExceededError(f"c_t^6 of about {bits} bits exceeds the budget of {budget} bits")
     return max(8, c_t**6 + 1, rho.denominator // rho.numerator + 1)
 
 
@@ -285,9 +289,10 @@ class BoundsCertificate:
         find_b1_m wrote down builds no power; for any other m pow_lt decides
         the inequality exactly.  A hand-made certificate whose powers go
         past DEFAULT_BIT_BUDGET bits, and that bit lengths cannot decide,
-        raises BudgetExceededError instead.
+        raises BudgetExceededError instead.  b2 fails when it has at most
+        6 (bits(c_t) - 1) bits; else c_t^6 has at most bits(b2) + 6 bits.
         """
-        c_t, b1, m, rho = self.c_t, self.b1, self.m, self.rho
+        c_t, b1, m, rho, b2 = self.c_t, self.b1, self.m, self.rho, self.b2
         checks = [
             ("m >= 3", lambda: m >= 3),
             ("c_t >= 1", lambda: c_t >= 1),
@@ -295,8 +300,8 @@ class BoundsCertificate:
             ("rho > 0", lambda: rho > 0),
             ("c_t^(m+1) < b1^(m-2)", lambda: m >= _size_cutoff(c_t) or pow_lt(c_t, m + 1, b1, m - 2)),
             ("b1^(-m) < rho", lambda: (k := rho.denominator // rho.numerator).bit_length() < m or pow_lt(k, 1, b1, m)),
-            ("b2 >= max(8, c_t^6 + 1)", lambda: self.b2 >= max(8, c_t**6 + 1)),
-            ("b2^(-1) < rho", lambda: rho.numerator * self.b2 > rho.denominator),
+            ("b2 >= max(8, c_t^6 + 1)", lambda: b2 >= 8 and b2.bit_length() > 6 * c_t.bit_length() - 6 and b2 > c_t**6),
+            ("b2^(-1) < rho", lambda: rho.numerator * b2 > rho.denominator),
         ]
         for label, ok in checks:
             if not ok():
@@ -334,11 +339,15 @@ def _prefix(rec: Recurrence, horizon: int) -> tuple[int, ...]:
 def _prepare(rec: Recurrence, c: int, s: Sequence[int]) -> _Pipeline:
     """Pipeline for shift c, with t(n) = s(n) + c^(n+1) on the prefix s of
     _prefix.  Raises SynthesisError when t is eventually zero or negative on
-    s, or when its denominator's degree h is past _MAX_MATCHED_H, the
-    largest h read_extraction reads back."""
+    s, when its denominator's degree h is past _MAX_MATCHED_H, the largest
+    h read_extraction reads back, or when den[0] != 1: by Fatou's lemma
+    the series has integer coefficients exactly when its reduced primitive
+    denominator has den[0] = 1, so s is then not integral at some n."""
     num, den = generating_function(rec, c)
     if not num:
         raise SynthesisError("shifted sequence is identically zero")
+    if den[0] != 1:
+        raise SynthesisError(f"not an integer sequence: its generating function's reduced denominator has constant term {den[0]}")
     h = len(den) - 1
     if h < 1:
         raise SynthesisError("shifted sequence is eventually zero; no proper pole")
@@ -404,41 +413,24 @@ def _carry(pipe: _Pipeline, b: int) -> int | None:
     return b * num // den - pipe.t_values[0] * b - pipe.t_values[1]
 
 
-def _n1_candidate(pipe: _Pipeline, b: int, b2: int) -> int | None:
-    """Least base in [b, b2] that the n = 1 carry leaves to probe, or None.
-
-    Gallops past the bases where the coefficient criterion fails.  At a
-    base x with _coefficient_slack > 0 and carry F(x) (_carry) no multiple
-    of x, it goes on at the x' > x that _least finds with F(x') <= k x',
-    k = F(x) // x; bases with slack 0 or no carry are returned as they are.
-    """
-    b = _least(lambda x: _coefficient_slack(pipe.den, x) >= 0, b, b2)
-    while b is not None and _coefficient_slack(pipe.den, b) > 0:
-        f = _carry(pipe, b)
-        if f is None or f % b == 0:
-            return b
-        k = f // b
-        b = _least(lambda x: (g := _carry(pipe, x)) is None or g <= k * x, b + 1, b2)
-    return b
+def _checked(replay: int, m_b: int | None) -> range:
+    """The indices a base direct-checks: [1, m_b - 1] below its cutoff, and
+    [1, replay]; replay is 0 where the window proves every n >= m_b."""
+    return range(1, max(replay, (m_b or 1) - 1) + 1)
 
 
-def _search_minimal_base(pipe: _Pipeline, b2: int, horizon: int, shift_proven: bool) -> tuple[int, int, dict]:
+def _search_minimal_base(pipe: _Pipeline, b2: int, horizon: int, replay: int) -> tuple[int, int, dict]:
     """Least base in [digit floor, b2] with a _window_cutoff m_b that
-    direct-checks on [1, m_b - 1], and under an unproven shift on
-    [1, horizon] too, with m_b and a report; report["probes"] counts the
-    bases probed, not carry evaluations or the window checks of a jump.
+    direct-checks on _checked(replay, m_b), with m_b and a report;
+    report["probes"] counts the bases direct-checked.  replay is 0 under a
+    proven shift, whose dominance window covers every n >= m_b, and the
+    horizon otherwise, where the window proves nothing past the checked
+    prefix.
 
-    With a proven shift the dominance window covers every n >= m_b, so a
-    probe direct-checks only [1, m_b - 1] and report["checked_to"] is
-    m_b - 1.  Without one the window proves nothing past the checked
-    prefix, so each probe replays [1, max(horizon, m_b - 1)] as evidence.
-
-    Only the bases _n1_candidate returns are probed.  With A(b) and D(b)
-    as in extraction_value at x = b, the term at n = 1 is
+    With A(b) and D(b) as in extraction_value at x = b, the term at n = 1 is
     floor(b A(b) / D(b)) mod b = (t(1) + F(b)) mod b for the carry F(b) of
     _carry, so b passes n = 1 iff b divides F(b), as t(1) < b above the
-    digit floor.  Bases below the coefficient criterion fail in
-    _dominated_from.  Suppose the shift is proven (t(k) >= 0 for every k)
+    digit floor.  Suppose the shift is proven (t(k) >= 0 for every k)
     and _coefficient_slack(den, b) > 0, so D(b') > 0 and den has no root in
     |z| <= 1/b' for every b' >= b.  Then F(b') is
     floor(sum_{k>=2} t(k) b'^(1-k)) >= 0 and does not increase in b', so
@@ -447,27 +439,26 @@ def _search_minimal_base(pipe: _Pipeline, b2: int, horizon: int, shift_proven: b
     is no multiple of b, each b' > b with g_k(b') > 0 fails at n = 1, since
     k b' < F(b') <= F(b) < (k + 1) b < (k + 1) b'; these are exactly the
     bases before the least b* with g_k(b*) <= 0, where b* passes or k
-    drops.  So the carry walk skips only bases that fail at n = 1.  Every
-    other base below the result misses the coefficient criterion
-    (_n1_candidate gallops past those), or is probed and rejected: invalid
-    when a direct check fails, unproven when _dominated_from finds no
-    window in t(0.._WINDOW_CAP + h).  A window for a base is one for every
-    larger base, so after an unproven probe the walk goes on at the least
+    drops.  So at such a base the loop goes on at b*, found by _least, and
+    this carry walk skips only bases that fail at n = 1.  A base with
+    slack 0 or no carry is not stepped past.  Every other base below the
+    result is direct-checked and fails, so it is invalid, or has no window
+    in t(0.._WINDOW_CAP + h), as every base below the coefficient
+    criterion, so it is unproven.  A window for a base is one for every
+    larger base, so from a base without one the loop goes on at the least
     base with a window (_least), skipping only bases it would reject the
-    same way.  Missing the criterion or the window leaves a base unproven,
-    not invalid.  So the result is the least base the lemma certifies
-    within _WINDOW_CAP terms, and the least valid base only among the
-    bases whose window starts that early.
+    same way.  So the result is the least base the lemma certifies within
+    _WINDOW_CAP terms, and the least valid base only among the bases
+    whose window starts that early.
 
     A forced shift without a proof runs the same walk, but t may turn
     negative past the checked prefix, so F need not be monotone and a
-    skipped base might validate: synthesize reports minimal_proven False.
+    skipped base might validate: report["minimal_proven"] is False.
     """
     lo = b = min(_digit_floor(pipe, horizon), b2)
-    replay = 0 if shift_proven else horizon
     probes = 0
-    # a jump's _least finds the window of the base it lands on, which the
-    # probe of that base then reuses
+    # a window jump's _least finds the window of the base it lands on,
+    # which the loop then reuses
     cutoffs: dict[int, int | None] = {}
 
     def cutoff(x: int) -> int | None:
@@ -475,24 +466,17 @@ def _search_minimal_base(pipe: _Pipeline, b2: int, horizon: int, shift_proven: b
             cutoffs[x] = _window_cutoff(pipe, x)
         return cutoffs[x]
 
-    while (b := _n1_candidate(pipe, b, b2)) is not None:
-        probes += 1
-        m_b = cutoff(b)
-        if m_b is None:
-            # unproven, and so is every base before the next one with a window
+    while b is not None and b <= b2:
+        if _coefficient_slack(pipe.den, b) > 0 and (f := _carry(pipe, b)) is not None and f % b:
+            k = f // b
+            b = _least(lambda x: (g := _carry(pipe, x)) is None or g <= k * x, b + 1, b2)
+        elif (m_b := cutoff(b)) is None:
             b = _least(lambda x: cutoff(x) is not None, b + 1, b2)
-            if b is None:
-                break
-        elif _first_mismatch(pipe, b, range(1, max(replay, m_b - 1) + 1)) is None:
-            return b, m_b, {
-                "strategy": "scan",
-                "probes": probes,
-                "scanned_from": lo,
-                "minimal_proven": shift_proven,
-                "evidence": "certified",
-                "checked_to": max(m_b - 1, replay),
-            }
         else:
+            probes += 1
+            if _first_mismatch(pipe, b, _checked(replay, m_b)) is None:
+                # replay is 0 exactly under a proven shift
+                return b, m_b, {"strategy": "scan", "probes": probes, "scanned_from": lo, "minimal_proven": not replay}
             b += 1
     raise SynthesisError("no base up to b2 validated; bound data is inconsistent")
 
@@ -543,12 +527,12 @@ def synthesize(
     is direct-checked only below certified_from, from where the dominance
     window proves it; report["checked_to"] is always the last index that
     was direct-checked, certified_from - 1 there.
-    force_c / force_b pin the shift or base instead of searching; a forced
-    base that cannot be certified is still accepted if it direct-checks up
-    to the horizon, and rejected with the first failing index otherwise.
-    A forced shift without a proof leaves the result horizon-only, with
-    certified_from None, and a searched base with
-    report["minimal_proven"] False.
+    force_c / force_b pin the shift or base instead of searching.  A forced
+    base direct-checks on [1, max(horizon, m_b - 1)] (_checked) and is
+    rejected at the first failure anywhere in that range; one without a
+    window m_b is accepted, horizon-only, on [1, horizon].  A forced shift
+    without a proof leaves the result horizon-only, with certified_from
+    None, and a searched base with report["minimal_proven"] False.
 
     The direct checks run extraction_values over each checked range on the
     signed (num, den, b) the term is built from, by the route rule of
@@ -577,28 +561,24 @@ def synthesize(
     pipe = _prepare(rec, c, s)
     cert = _bound_data(pipe)
 
+    # a forced base has no other evidence, and the base certificate assumes
+    # t(n) >= 0 for every n, which only the checked prefix backs under an
+    # unproven shift
+    replay = 0 if shift_proven and force_b is None else horizon
     if force_b is not None:
         if force_b < 2:
             raise ValueError("force_b must be at least 2")
-        b = force_b
-        mismatch = _first_mismatch(pipe, b, range(1, horizon + 1))
+        b, m_b = force_b, _window_cutoff(pipe, force_b)
+        mismatch = _first_mismatch(pipe, b, _checked(replay, m_b))
         if mismatch is not None:
             n, got = mismatch
             raise SynthesisError(f"base {b} fails at n={n}: term gives {got}, sequence needs {pipe.t_values[n]}")
-        m_b = _window_cutoff(pipe, b)
-        if m_b is not None and _first_mismatch(pipe, b, range(horizon + 1, m_b)) is None:
-            certified_from = m_b
-            report = {"strategy": "forced", "evidence": "certified", "checked_to": max(m_b - 1, horizon)}
-        else:
-            certified_from = None
-            report = {"strategy": "forced", "evidence": "horizon-only", "checked_to": horizon}
+        report = {"strategy": "forced"}
     else:
-        b, certified_from, report = _search_minimal_base(pipe, cert.b2, horizon, shift_proven)
-    if not shift_proven:
-        # the base certificate assumes t(n) >= 0 for every n, which only
-        # the checked prefix backs here
-        report["evidence"] = "horizon-only"
-        certified_from = None
+        b, m_b, report = _search_minimal_base(pipe, cert.b2, horizon, replay)
+    certified_from = m_b if shift_proven else None
+    report["evidence"] = "horizon-only" if certified_from is None else "certified"
+    report["checked_to"] = _checked(replay, m_b)[-1]
 
     term = build_extraction_term(pipe.num, pipe.den, b)
     padded = pipe.num + (0,) * (len(pipe.den) - len(pipe.num))

@@ -32,7 +32,6 @@ from arithterm.synthesis import (
     _dominated_from,
     _first_mismatch,
     _least,
-    _n1_candidate,
     _prefix,
     _prepare,
     _shift_certified,
@@ -296,6 +295,39 @@ def test_certificate_validate_refuses_a_tie_past_the_bit_budget():
     assert time.perf_counter() - started < 1
 
 
+def test_certificate_validate_refuses_a_small_b2_by_bit_lengths():
+    # c_t of 2^22 bits passes the clauses before b2 from bit lengths;
+    # c_t^6 would have about 25M bits, and b2 = 8 has 4
+    c_t = 2 ** (2**22) - 1
+    cert = BoundsCertificate(c=0, c_t=c_t, rho=Fraction(1, 2), b1=2 ** (2**23), m=6, b2=8)
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^certificate violates b2 >= max\(8, c_t\^6 \+ 1\)$"):
+        cert.validate()
+    assert time.perf_counter() - started < 1
+
+
+def test_find_b2_refuses_c_t_to_the_sixth_past_the_bit_budget(monkeypatch):
+    monkeypatch.setattr(terms, "DEFAULT_BIT_BUDGET", 600)
+    assert find_b2(2**100 - 1, Fraction(1, 2)) == (2**100 - 1) ** 6 + 1
+    with pytest.raises(terms.BudgetExceededError):
+        find_b2(2**100, Fraction(1, 2))
+
+
+@pytest.mark.parametrize("c_t", [1, 2, 5, 255, 256, 3**40])
+def test_certificate_validate_decides_b2_as_exact_powers_do(c_t):
+    # b2 around c_t^6 + 1 and around the bit-length bound 2^(6 (bits(c_t) - 1))
+    # with the written-down witness, so every clause before it holds
+    b1, m = find_b1_m(c_t, Fraction(1, 2))
+    low = 2 ** (6 * (c_t.bit_length() - 1))
+    for b2 in (7, 8, 9, low - 1, low, low + 1, c_t**6, c_t**6 + 1, c_t**6 + 2):
+        cert = BoundsCertificate(c=0, c_t=c_t, rho=Fraction(1, 2), b1=b1, m=m, b2=b2)
+        if b2 >= max(8, c_t**6 + 1):
+            cert.validate()
+        else:
+            with pytest.raises(ValueError, match=r"^certificate violates b2 >= max\(8, c_t\^6 \+ 1\)$"):
+                cert.validate()
+
+
 def _reference_violation(cert):
     # validate's clauses by their definitions, with both powers built exactly
     c_t, rho, b1, m, b2 = cert.c_t, cert.rho, cert.b1, cert.m, cert.b2
@@ -469,6 +501,45 @@ def test_synthesize_rejects_a_shift_that_cancels_the_sequence():
 def test_synthesize_force_b_invalid_base_reports_first_failure():
     with pytest.raises(SynthesisError, match="n=1"):
         synthesize(FIB, force_b=2)
+
+
+def test_synthesize_force_b_fails_anywhere_in_its_checked_range():
+    # s(n) = 1: base 4 passes n = 1 but not n = 2, below its cutoff, so a
+    # horizon of 1 does not let it through
+    with pytest.raises(SynthesisError, match="^base 4 fails at n=2: "):
+        synthesize(Recurrence(1, (1,), (1,)), horizon=1, force_b=4)
+
+
+@pytest.mark.parametrize("fid", ["A001081", "A001045", "A000045"])
+def test_probes_count_the_bases_direct_checked(monkeypatch, fid):
+    bases = []
+    first_mismatch = synthesis._first_mismatch
+
+    def counted(pipe, b, ns):
+        bases.append(b)
+        return first_mismatch(pipe, b, ns)
+
+    monkeypatch.setattr(synthesis, "_first_mismatch", counted)
+    r = synthesize(get_fixture(fid).recurrence)
+    assert r.report["probes"] == len(bases) == len(set(bases))
+    assert bases[-1] == r.b
+    if fid == "A001081":
+        # its first base with a window is 143, the result
+        assert bases == [143]
+
+
+def test_synthesize_refuses_a_recurrence_integral_only_on_its_prefix():
+    # s(n) = 2^(100 - n): integers on every index the prefix holds, but
+    # s(101) = 1/2; the reduced denominator 2 - z says so for every n
+    rec = Recurrence(1, ("-1/2",), (2**100,))
+    assert all(isinstance(v, int) for v in _prefix(rec, 40))
+    with pytest.raises(SynthesisError, match="^not an integer sequence: "):
+        synthesize(rec)
+    # rational coefficients whose reduced denominator starts 1 still synthesize
+    r = synthesize(Recurrence(2, ("-1/2", "-1/2"), (2**90, 2**90)))  # s(n) = 2^90, den 1 - z
+    assert (r.report["evidence"], r.certified_from) == ("certified", 3)
+    r = synthesize(Recurrence(2, ("3/2", -1), (1, -2)))  # s(n) = (-2)^n
+    assert (r.b, r.c) == (4, 2)
 
 
 def test_synthesize_force_b_valid_base():
@@ -927,23 +998,32 @@ PELL = Recurrence(2, (-2, -1), (0, 1))  # passes n = 1 at b = 3 with carry 3
 @example(Recurrence(1, (2,), (2,)))  # carries >= b that are not multiples of b
 @example(Recurrence(2, (-5, 5), (0, 1)))  # the criterion fails at the digit floor 4 and at 5
 def test_carry_jumps_skip_only_bases_that_fail_at_n1(rec):
-    # walk the candidates from the digit floor as base search does, but on
-    # past every one; each base passed over fails the coefficient criterion
-    # (the first gallop) or n = 1 (a step of any k)
+    # make the first 20 direct checks fail, so the search walks on past
+    # them; each base it passes over without a direct check has no window
+    # (every base below the coefficient criterion) or fails n = 1
     c = find_shift(rec)
     pipe = _prepare(rec, c, _prefix(rec, 40))
     b2 = _bound_data(pipe).b2
-    b = _digit_floor(pipe, 40)
-    for _ in range(20):
-        candidate = _n1_candidate(pipe, b, b2)
-        assert candidate is not None
-        for x in range(b, candidate):
-            assert _coefficient_slack(pipe.den, x) < 0 or (
+    checked = []
+    first_mismatch = synthesis._first_mismatch
+
+    def failing(pipe, b, ns):
+        checked.append(b)
+        return (1, -1) if len(checked) <= 20 else first_mismatch(pipe, b, ns)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(synthesis, "_first_mismatch", failing)
+        try:
+            b = synthesis._search_minimal_base(pipe, b2, 40, 0)[0]
+            assert b == checked[-1]
+        except SynthesisError:  # the walk ran past b2
+            pass
+    assert checked == sorted(set(checked))
+    for x in range(_digit_floor(pipe, 40), checked[-1]):
+        if x not in checked:
+            assert _window_cutoff(pipe, x) is None or (
                 extraction_value(pipe.num, pipe.den, x, 1) != pipe.t_values[1]
             ), x
-        if candidate == b2:
-            break
-        b = candidate + 1
 
 
 def _validated_cutoff(pipe, b, horizon):
