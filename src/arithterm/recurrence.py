@@ -118,21 +118,34 @@ def _int_den(rec: Recurrence) -> tuple[int, ...]:
 
 
 def eval_oracle(rec: Recurrence, count: int) -> SequenceWindow:
-    """First ``count`` terms of the sequence, computed exactly.
+    """First ``count`` terms of the sequence, computed exactly by _extend.
 
-    The coefficients are scaled by their common denominator, and each new
-    value costs one integer multiply-add per nonzero coefficient, followed,
-    only when that denominator exceeds 1, by an exact division by it.
     Raises NonIntegerTermError as soon as a rational non-integer shows up;
     the recurrence then does not define an integer sequence.
     """
     if count < 0:
         raise ValueError("count must be a natural number")
+    vals = list(rec.init[:count])
+    _extend(rec, vals, count)
+    return SequenceWindow(tuple(vals))
+
+
+def _extend(rec: Recurrence, vals: list[int], count: int) -> None:
+    """Append s(len(vals)), ..., s(count - 1) to vals, which holds s(0) to
+    s(len(vals) - 1) and, unless it already holds count values, at least
+    the d initial ones.
+
+    The coefficients are scaled by their common denominator, and each new
+    value costs one integer multiply-add per nonzero coefficient, followed,
+    only when that denominator exceeds 1, by an exact division by it, which
+    raises NonIntegerTermError at the first value that is not an integer.
+    """
+    if len(vals) >= count:
+        return
     scale, *den = _int_den(rec)
     # s(n) = -(sum_i den_i * s(n-i)) / scale over the nonzero lags i; the
     # last coefficient is nonzero, so there is at least one
     (w1, k1), *lags = [(-a, -i) for i, a in enumerate(den, 1) if a]
-    vals: list[int] = list(rec.init[:count])
     append = vals.append
     for n in range(len(vals), count):
         acc = w1 * vals[k1]
@@ -144,7 +157,6 @@ def eval_oracle(rec: Recurrence, count: int) -> SequenceWindow:
                 raise NonIntegerTermError(n, Fraction(acc, scale))
             acc = q
         append(acc)
-    return SequenceWindow(tuple(vals))
 
 
 def generating_function(rec: Recurrence, c: int = 0) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -29,7 +29,10 @@ generating function of t(n) = s(n) + c^(n+1).  The pipeline is:
    for a proven shift F does not increase once the criterion holds, so
    _least jumps from a base the carry leaves to the next, and from a base
    with no window (none has one below the criterion) to the first base
-   with one.  _least also finds the shift c.
+   with one.  A carry jump with quotient k starts past every base x with
+   k x^2 + x <= t(2), where F(x) >= floor(t(2)/x) > k x already rules x
+   out, and no carry or window is computed twice in one search.  _least
+   also finds the shift c.
    The term is then built from the signed (num, den, b) the direct checks
    ran on, and read_extraction must read exactly that data back off it.
    It reads every node, so such a term equals extraction_value of that
@@ -37,10 +40,12 @@ generating function of t(n) = s(n) + c^(n+1).  The pipeline is:
    evaluated.  Only build_extraction_term splits num and den into the
    positive and negative parts the term's truncated subtractions need.
 
-synthesize expands s once, and every stage reads that prefix.  Everything
-is exact integer arithmetic, apart from the radius bound rho, a Fraction of
-two integers, and is_provably_nonnegative's order-2 minorant, in Fractions
-on the recurrence's own coefficients.  Certificates are only ever
+synthesize expands s once, into one prefix that every stage reads and that
+grows in place only as far as they ask (_prefix), so most specs form a
+dozen values rather than the whole capped prefix.  Everything is exact
+integer arithmetic, apart from the radius bound rho, a Fraction of two
+integers, and is_provably_nonnegative's order-2 minorant, in Fractions on
+the recurrence's own coefficients.  Certificates are only ever
 sufficient: a reported base is backed by a proof sketch (coefficient
 dominance + a window of digit-size checks), and nearly every base rejected
 during the search passes that certificate but fails the direct check,
@@ -49,12 +54,24 @@ mostly at n = 1.
 
 from __future__ import annotations
 
+import functools
+import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import terms
-from .recurrence import Recurrence, _growth_constant, _int_den, _nonnegative, eval_oracle, floor_root, generating_function
+from .recurrence import (
+    _NONNEG_PROBE,
+    Recurrence,
+    _extend,
+    _growth_constant,
+    _int_den,
+    _nonnegative,
+    eval_oracle,
+    floor_root,
+    generating_function,
+)
 from .terms import _MAX_MATCHED_H, BudgetExceededError, Term, build_extraction_term, extraction_fraction, extraction_values, read_extraction
 
 _WINDOW_CAP = 64  # how far to look for the digit-size window of a shift or base
@@ -123,17 +140,51 @@ def _dominated_from(den: tuple[int, ...], base: int, values: tuple[int, ...], of
     return None
 
 
+class _Prefix(list):
+    """The first len(self) values of a sequence, grown in place on demand.
+
+    need(count) makes it hold min(count, cap) values, through the function
+    grow(prefix, count) it was made with; readers index and slice it as
+    the list it is.
+    """
+
+    __slots__ = ("grow", "cap")
+
+    def __init__(self, values: Sequence[int], grow: Callable[[list[int], int], None], cap: int):
+        super().__init__(values)
+        self.grow, self.cap = grow, cap
+
+    def need(self, count: int) -> None:
+        count = min(count, self.cap)
+        if len(self) < count:
+            self.grow(self, count)
+
+
+def _window(den: tuple[int, ...], base: int, values: Sequence[int], offset: int, count: int) -> int | None:
+    """_dominated_from over values[:count], for a whole prefix or a _Prefix
+    whose cap is at least count: a scan that runs out of formed values while
+    the coefficient criterion holds grows the prefix to count and scans
+    again.  Most windows start within the first few values, and a window
+    past them mostly needs the whole count."""
+    start = _dominated_from(den, base, values[:count], offset)
+    if start is None and len(values) < count and _coefficient_slack(den, base) >= 0:
+        values.need(count)
+        start = _dominated_from(den, base, values[:count], offset)
+    return start
+
+
 def _shift_certified(den: tuple[int, ...], c: int, s: Sequence[int]) -> bool:
     """Proof that s(n) + c^(n+1) > 0 for every n, for den = _int_den(rec).
 
     den is a positive multiple of (1, *coeffs), so _coefficient_slack keeps
     its sign.  _dominated_from proves |s(n)| < c^(n+1) from a window in
-    s[:_WINDOW_CAP + d] on, and the indices before its end are checked.
+    s[:_WINDOW_CAP + d] on (_window), and the indices before its end,
+    formed by then, are checked.
     """
     if c < 1:
         return False
     d = len(den) - 1
-    start = _dominated_from(den, c, s[: _WINDOW_CAP + d], 1)
+    start = _window(den, c, s, 1, _WINDOW_CAP + d)
     if start is None:
         return False
     return all(s[n] + c ** (n + 1) > 0 for n in range(start + d))
@@ -177,7 +228,8 @@ def find_shift(rec: Recurrence) -> int:
 
 
 def _find_shift(rec: Recurrence, s: Sequence[int]) -> int:
-    """find_shift(rec), given a prefix s of at least _WINDOW_CAP + d terms."""
+    """find_shift(rec), given a prefix s of at least _WINDOW_CAP + d terms
+    or a _Prefix that grows that far."""
     if _nonnegative(rec, s):
         return 0
     den = _int_den(rec)
@@ -320,29 +372,56 @@ class BoundsCertificate:
 
 @dataclass(frozen=True, slots=True)
 class _Pipeline:
-    """Everything derived from (rec, c) that base search needs."""
+    """Everything derived from (rec, c) that base search needs; t_values
+    grows with the prefix s it is read off."""
 
     c: int
     num: tuple[int, ...]
     den: tuple[int, ...]
-    t_values: tuple[int, ...]
+    t_values: _Prefix
 
 
-def _prefix(rec: Recurrence, horizon: int) -> tuple[int, ...]:
-    """The prefix of s that synthesize expands once and every stage reads:
-    the shift proofs read s(0.._WINDOW_CAP + d - 1), and base search reads
+def _prefix(rec: Recurrence, horizon: int) -> _Prefix:
+    """The prefix of s that synthesize expands once and every stage reads,
+    capped at max(_WINDOW_CAP + d + 2, horizon + 1) values: the shift
+    proofs read at most s(0.._WINDOW_CAP + d - 1), and base search at most
     t(0.._WINDOW_CAP + h), h <= d + 1, in the dominance window, whose start
-    is at most _WINDOW_CAP + 1, and t(1..horizon) in the direct checks."""
-    return eval_oracle(rec, max(_WINDOW_CAP + rec.order + 2, horizon + 1)).values
+    is at most _WINDOW_CAP + 1, and t(1..horizon) in the direct checks.
+
+    It holds s(0.._NONNEG_PROBE + d - 1) at first, all that
+    is_provably_nonnegative, the growth constant and the digit floor read,
+    and readers grow it by _extend, so no value is formed twice.  Rational
+    coefficients (a scale past 1) form the whole capped prefix at once, so
+    NonIntegerTermError is raised whatever the stages go on to read.
+    """
+    cap = max(_WINDOW_CAP + rec.order + 2, horizon + 1)
+    s = _Prefix(rec.init, lambda vals, count: _extend(rec, vals, count), cap)
+    s.need(cap if any(a.denominator != 1 for a in rec.coeffs) else _NONNEG_PROBE + rec.order)
+    return s
 
 
-def _prepare(rec: Recurrence, c: int, s: Sequence[int]) -> _Pipeline:
-    """Pipeline for shift c, with t(n) = s(n) + c^(n+1) on the prefix s of
-    _prefix.  Raises SynthesisError when t is eventually zero or negative on
-    s, when its denominator's degree h is past _MAX_MATCHED_H, the largest
-    h read_extraction reads back, or when den[0] != 1: by Fatou's lemma
-    the series has integer coefficients exactly when its reduced primitive
-    denominator has den[0] = 1, so s is then not integral at some n."""
+def _shifted(c: int, s: _Prefix, t: list[int], count: int) -> None:
+    """Append t(n) = s(n) + c^(n+1) to t up to n = count - 1, first growing
+    the prefix s that far; SynthesisError names the first negative t(n)."""
+    s.need(count)
+    power = c ** len(t)
+    for n in range(len(t), count):
+        power *= c
+        t.append(s[n] + power)
+        if t[-1] < 0:
+            raise SynthesisError(f"shift {c} leaves a negative term at n={n}")
+
+
+def _prepare(rec: Recurrence, c: int, s: _Prefix) -> _Pipeline:
+    """Pipeline for shift c, with t(n) = s(n) + c^(n+1) formed on the
+    prefix s of _prefix as far as it is formed, and grown with it.  Raises
+    SynthesisError when t is eventually zero or negative on the values
+    formed, when its denominator's degree h is past _MAX_MATCHED_H, the
+    largest h read_extraction reads back, or when den[0] != 1: by Fatou's
+    lemma the series has integer coefficients exactly when its reduced
+    primitive denominator has den[0] = 1, so s is then not integral at
+    some n.  A shift without a proof that t >= 0 gets the whole capped
+    prefix first (synthesize), so every negative t(n) in it is found."""
     num, den = generating_function(rec, c)
     if not num:
         raise SynthesisError("shifted sequence is identically zero")
@@ -353,13 +432,9 @@ def _prepare(rec: Recurrence, c: int, s: Sequence[int]) -> _Pipeline:
         raise SynthesisError("shifted sequence is eventually zero; no proper pole")
     if h > _MAX_MATCHED_H:
         raise SynthesisError(f"the term's denominator would have degree {h}, past the cap of {_MAX_MATCHED_H}")
-    t, power = [], 1
-    for n, v in enumerate(s):
-        power *= c
-        t.append(v + power)
-        if t[-1] < 0:
-            raise SynthesisError(f"shift {c} leaves a negative term at n={n}")
-    return _Pipeline(c=c, num=num, den=den, t_values=tuple(t))
+    t = _Prefix((), lambda t, count: _shifted(c, s, t, count), s.cap)
+    t.need(len(s))
+    return _Pipeline(c=c, num=num, den=den, t_values=t)
 
 
 def _bound_data(pipe: _Pipeline) -> BoundsCertificate:
@@ -374,7 +449,9 @@ def _bound_data(pipe: _Pipeline) -> BoundsCertificate:
 
 def _first_mismatch(pipe: _Pipeline, b: int, ns: range) -> tuple[int, int] | None:
     """(n, value) at the least n in ns where the term with base b misses
-    t(n), or None; the values come from extraction_values over ns."""
+    t(n), or None; the values come from extraction_values over ns, and t
+    is grown to the last index of ns first."""
+    pipe.t_values.need(ns.stop)
     for n, got in zip(ns, extraction_values(pipe.num, pipe.den, b, ns)):
         if got != pipe.t_values[n]:
             return n, got
@@ -392,7 +469,7 @@ def _window_cutoff(pipe: _Pipeline, b: int) -> int | None:
     pole at modulus >= 1/b > b^(-n), and the window proves t(k) < b^(k-2).
     A window for b is a window for every larger base.
     """
-    start = _dominated_from(pipe.den, b, pipe.t_values[: _WINDOW_CAP + len(pipe.den)], -2)
+    start = _window(pipe.den, b, pipe.t_values, -2, _WINDOW_CAP + len(pipe.den))
     return None if start is None else max(start, 2)
 
 
@@ -411,6 +488,18 @@ def _carry(pipe: _Pipeline, b: int) -> int | None:
     if num <= 0 or den <= 0:
         return None
     return b * num // den - pipe.t_values[0] * b - pipe.t_values[1]
+
+
+def _carry_floor(k: int, t2: int) -> int:
+    """Least x >= 1 with k x^2 + x > t2, for k, t2 >= 0.  With every t(n) >= 0,
+    F(x) >= floor(t(2)/x) > k x below it, so no smaller base has F(x) <= k x.
+
+    For k >= 1 the condition is (2kx + 1)^2 > 4k t2 + 1, that is
+    2kx + 1 > r for r = isqrt(4k t2 + 1), so x = ceil(r / 2k).
+    """
+    if k == 0:
+        return t2 + 1
+    return -(-math.isqrt(4 * k * t2 + 1) // (2 * k))
 
 
 def _checked(replay: int, m_b: int | None) -> range:
@@ -451,25 +540,26 @@ def _search_minimal_base(pipe: _Pipeline, b2: int, horizon: int, replay: int) ->
     _WINDOW_CAP terms, and the least valid base only among the bases
     whose window starts that early.
 
+    A carry jump with quotient k starts at max(b + 1, x0), x0 the least x
+    with k x^2 + x > t(2) (_carry_floor): below x0, t(n) >= 0 for every n
+    gives F(x) >= floor(t(2)/x) > k x, so each such x fails n = 1 and the
+    gallop from b + 1 would only step over it.  Carries and cutoffs are
+    memoised per call, since a jump's _least has mostly computed the one
+    of the base it lands on.
+
     A forced shift without a proof runs the same walk, but t may turn
     negative past the checked prefix, so F need not be monotone and a
     skipped base might validate: report["minimal_proven"] is False.
     """
     lo = b = min(_digit_floor(pipe, horizon), b2)
-    probes = 0
-    # a window jump's _least finds the window of the base it lands on,
-    # which the loop then reuses
-    cutoffs: dict[int, int | None] = {}
-
-    def cutoff(x: int) -> int | None:
-        if x not in cutoffs:
-            cutoffs[x] = _window_cutoff(pipe, x)
-        return cutoffs[x]
+    probes, t2 = 0, pipe.t_values[2]
+    carry = functools.cache(lambda x: _carry(pipe, x))
+    cutoff = functools.cache(lambda x: _window_cutoff(pipe, x))
 
     while b is not None and b <= b2:
-        if _coefficient_slack(pipe.den, b) > 0 and (f := _carry(pipe, b)) is not None and f % b:
+        if _coefficient_slack(pipe.den, b) > 0 and (f := carry(b)) is not None and f % b:
             k = f // b
-            b = _least(lambda x: (g := _carry(pipe, x)) is None or g <= k * x, b + 1, b2)
+            b = _least(lambda x: (g := carry(x)) is None or g <= k * x, max(b + 1, _carry_floor(k, t2)), b2)
         elif (m_b := cutoff(b)) is None:
             b = _least(lambda x: cutoff(x) is not None, b + 1, b2)
         else:
@@ -555,6 +645,9 @@ def synthesize(
             raise ValueError("force_c must be a natural number")
         c = force_c
         shift_proven = _nonnegative(rec, s) or _shift_certified(_int_den(rec), c, s)
+        if not shift_proven:
+            # t may turn negative anywhere, and _prepare is to find where
+            s.need(s.cap)
     else:
         c = _find_shift(rec, s)
         shift_proven = True

@@ -60,35 +60,46 @@ class UnboundVariableError(KeyError):
         return f"unbound variable: {self.name}"
 
 
-@dataclass(frozen=True, slots=True)
+# The node classes take eq, hash, repr, match args and FrozenInstanceError
+# from the dataclass, but validate in a written-out __init__ that sets each
+# field through object.__setattr__, which is cheaper than the generated
+# __init__ plus a __post_init__; a term build makes dozens of nodes.
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Const:
     value: int
 
-    def __post_init__(self):
-        if not isinstance(self.value, int) or isinstance(self.value, bool):
+    def __init__(self, value: int):
+        if not isinstance(value, int) or isinstance(value, bool):
             raise TypeError("constant must be an int")
-        if self.value < 0:
+        if value < 0:
             raise ValueError("constants are natural numbers")
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Var:
     name: str
 
-    def __post_init__(self):
-        if not self.name.isidentifier():
-            raise ValueError(f"bad variable name: {self.name!r}")
+    def __init__(self, name: str):
+        if not name.isidentifier():
+            raise ValueError(f"bad variable name: {name!r}")
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class BinOp:
     op: str
     left: Term
     right: Term
 
-    def __post_init__(self):
-        if self.op not in _OPS:
-            raise ValueError(f"unknown operator: {self.op!r}")
+    def __init__(self, op: str, left: Term, right: Term):
+        if op not in _OPS:
+            raise ValueError(f"unknown operator: {op!r}")
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
 @dataclass
@@ -439,34 +450,6 @@ def variables(t: Term) -> set[str]:
 # --- construction of extraction terms ----------------------------------------
 
 
-def _nat_terms(coeffs: tuple[int, ...], h: int, base: int, square: bool) -> Iterator[Term]:
-    """Terms base^(n^2 + j*n) (square) or base^(j*n) weighted by coeffs,
-    j = h - i, i ascending; without the square, j = 0 is the bare constant."""
-    n = Var("n")
-    nsq = BinOp("pow", n, Const(2))
-    for i, coeff in enumerate(coeffs):
-        if coeff == 0:
-            continue
-        j = h - i
-        jn = None if j == 0 else n if j == 1 else BinOp("mul", Const(j), n)
-        if square:
-            expo = nsq if jn is None else BinOp("add", nsq, jn)
-        elif jn is None:
-            yield Const(coeff)
-            continue
-        else:
-            expo = jn
-        powt: Term = BinOp("pow", Const(base), expo)
-        yield powt if coeff == 1 else BinOp("mul", Const(coeff), powt)
-
-
-def _sum_terms(parts: Iterator[Term]) -> Term | None:
-    acc: Term | None = None
-    for part in parts:
-        acc = part if acc is None else BinOp("add", acc, part)
-    return acc
-
-
 def _degree(coeffs: tuple[int, ...]) -> int:
     """Largest index of a nonzero coefficient, or -1."""
     return max((i for i, coeff in enumerate(coeffs) if coeff), default=-1)
@@ -482,6 +465,10 @@ def build_extraction_term(num: tuple[int, ...], den: tuple[int, ...], base: int)
     stay natural.  The term language has truncated subtraction only, so
     each side is written as its positive part -. its negative part, and
     each positive part must be nonzero.
+
+    Nodes are immutable, so the term is a tree whose equal subterms are
+    shared: n, n^2, the constant base and each j*n are built once, and
+    base^n is both the modulus and the denominator's j = 1 power.
     """
     if base < 2:
         raise ValueError("base must be at least 2")
@@ -491,16 +478,38 @@ def build_extraction_term(num: tuple[int, ...], den: tuple[int, ...], base: int)
     if _degree(num) >= h:
         raise ValueError("numerator degree must be below h")
 
+    n, b = Var("n"), Const(base)
+    nsq = BinOp("pow", n, Const(2))
+    x = BinOp("pow", b, n)
+    times_n: dict[int, Term] = {1: n}
+
+    def summand(coeff: int, j: int, square: bool) -> Term:
+        """coeff*base^(n^2 + j*n) (square) or coeff*base^(j*n); without the
+        square, j = 0 is the bare constant."""
+        if j == 0 and not square:
+            return Const(coeff)
+        if j and j not in times_n:
+            times_n[j] = BinOp("mul", Const(j), n)
+        if square:
+            power = BinOp("pow", b, nsq if j == 0 else BinOp("add", nsq, times_n[j]))
+        else:
+            power = x if j == 1 else BinOp("pow", b, times_n[j])
+        return power if coeff == 1 else BinOp("mul", Const(coeff), power)
+
     sides = []
     for coeffs, square in ((num, True), (den, False)):
-        plus = _sum_terms(_nat_terms(tuple(max(x, 0) for x in coeffs), h, base, square))
-        minus = _sum_terms(_nat_terms(tuple(max(-x, 0) for x in coeffs), h, base, square))
+        plus = minus = None
+        for i, coeff in enumerate(coeffs):
+            if coeff:
+                part = summand(abs(coeff), h - i, square)
+                if coeff > 0:
+                    plus = part if plus is None else BinOp("add", plus, part)
+                else:
+                    minus = part if minus is None else BinOp("add", minus, part)
         if plus is None:
             raise ValueError("positive parts must be nonzero")
         sides.append(plus if minus is None else BinOp("truncsub", plus, minus))
-    quot = BinOp("floordiv", *sides)
-    modulus = BinOp("pow", Const(base), Var("n"))
-    return BinOp("mod", quot, modulus)
+    return BinOp("mod", BinOp("floordiv", *sides), x)
 
 
 def _poly_at(coeffs: tuple[int, ...], h: int, x: int) -> int:
@@ -700,7 +709,7 @@ def _summand(t: Term, base: int, numerator: bool) -> tuple[int, int] | None:
         coeff, t = t.left.value, t.right
     if isinstance(t, Const) and not numerator:
         return 0, coeff * t.value
-    if not (isinstance(t, BinOp) and t.op == "pow" and t.left == Const(base)):
+    if not (isinstance(t, BinOp) and t.op == "pow" and isinstance(t.left, Const) and t.left.value == base):
         return None
     expo = t.right
     if numerator:

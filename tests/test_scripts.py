@@ -39,9 +39,19 @@ def test_dump_results_prints_one_json_line_per_input(capsys, monkeypatch):
 # result's b, c, certificate, term or report moves it: a change meant to
 # alter results updates the digest here and says so in CHANGES.md.
 RESULTS_SHA256 = "9512d5be3db1417ef8779f4985e63f42a82c9aa28b715c232e9f0ef5a1268ca6"
+# the same with --seed 20261017, the benchmark's held-out seed
+HELD_OUT_RESULTS_SHA256 = "3773825b40d6c532011fa68ed9959d30656d9ea2269672c3a7d1062466414118"
+
+
+def _dump_digest(seed, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["dump_results.py", "--count", "200", "--seed", str(seed)])
+    assert _load("dump_results").main() == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
 
 
 def test_dump_results_digest_is_pinned(capsys, monkeypatch):
-    monkeypatch.setattr(sys, "argv", ["dump_results.py", "--count", "200", "--seed", "1"])
-    assert _load("dump_results").main() == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == RESULTS_SHA256
+    assert _dump_digest(1, capsys, monkeypatch) == RESULTS_SHA256
+
+
+def test_dump_results_digest_is_pinned_at_the_held_out_seed(capsys, monkeypatch):
+    assert _dump_digest(20261017, capsys, monkeypatch) == HELD_OUT_RESULTS_SHA256

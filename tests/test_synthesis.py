@@ -27,6 +27,8 @@ from arithterm.synthesis import (
     _WINDOW_CAP,
     _bound_data,
     _carry,
+    _carry_floor,
+    _checked,
     _coefficient_slack,
     _digit_floor,
     _dominated_from,
@@ -645,11 +647,22 @@ def test_synthesize_force_c_too_small_is_rejected():
         synthesize(SIGNED_U, force_c=1)
 
 
-def test_forced_shift_checks_the_whole_prefix_for_negative_terms():
-    # s(n) = 66 - n: the prefix synthesize expands reaches n = 65 + d for
-    # every shift, so a forced c = 0 is refused at n = 67 even though h = 2
-    with pytest.raises(SynthesisError, match="^shift 0 leaves a negative term at n=67$"):
-        synthesize(Recurrence(2, (-2, 1), (66, 65)), force_c=0)
+@pytest.mark.parametrize(
+    "rec, force_c, horizon, message",
+    [
+        # s(n) = 66 - n: the prefix reaches n = 65 + d for every shift, so a
+        # forced c = 0 is refused at n = 67 even though h = 2
+        (Recurrence(2, (-2, 1), (66, 65)), 0, 40, "^shift 0 leaves a negative term at n=67$"),
+        # s(n) = 30 - n with c = 1: t(n) = 31 - n first goes negative at
+        # n = 32, past the horizon and inside the cap, which an unproven
+        # shift forms whole
+        (Recurrence(2, (-2, 1), (30, 29)), 1, 30, "^shift 1 leaves a negative term at n=32$"),
+    ],
+    ids=["past-the-window", "past-the-horizon"],
+)
+def test_forced_shift_checks_the_whole_prefix_for_negative_terms(rec, force_c, horizon, message):
+    with pytest.raises(SynthesisError, match=message):
+        synthesize(rec, force_c=force_c, horizon=horizon)
 
 
 def test_synthesize_raises_a_non_integer_term_past_the_initial_values():
@@ -669,6 +682,9 @@ def test_prepare_names_the_read_back_cap(monkeypatch):
         synthesize(FIB)
 
 
+BIG_COEFF = Recurrence(2, (-(10**30), 1), (1, 2))  # no base has a window before n = 65
+
+
 @pytest.mark.parametrize(
     "rec, kwargs, evidence",
     [
@@ -676,26 +692,43 @@ def test_prepare_names_the_read_back_cap(monkeypatch):
         (SIGNED_U, {"force_c": 3}, "certified"),
         (SIGNED_U, {"force_c": 2}, "horizon-only"),
         (FIB, {"force_b": 4}, "certified"),
+        (FIB, {}, "certified"),
+        (BIG_COEFF, {}, "certified"),
     ],
-    ids=["searched", "force_c-proven", "force_c-unproven", "force_b"],
+    ids=["searched", "force_c-proven", "force_c-unproven", "force_b", "fibonacci", "window-at-65"],
 )
 def test_synthesize_expands_the_sequence_once_and_builds_no_recurrence(monkeypatch, rec, kwargs, evidence):
-    counts = []
-    oracle = recurrence.eval_oracle
+    # every value of s comes from _extend, appended to the one prefix, so
+    # none is formed twice, and only as far as the stages read it
+    formed = []
+    extend = recurrence._extend
 
-    def counted(rec, count):
-        counts.append(count)
-        return oracle(rec, count)
+    def counted(rec, vals, count):
+        formed.extend(range(len(vals), count))
+        extend(rec, vals, count)
 
-    def no_recurrence(*args, **kwargs):
-        raise AssertionError("synthesize built a Recurrence")
+    def no_call(*args, **kwargs):
+        raise AssertionError("synthesize built a Recurrence or called eval_oracle")
 
-    monkeypatch.setattr(synthesis, "eval_oracle", counted)
-    monkeypatch.setattr(recurrence, "eval_oracle", counted)
-    monkeypatch.setattr(Recurrence, "__init__", no_recurrence)
+    monkeypatch.setattr(synthesis, "_extend", counted)
+    monkeypatch.setattr(synthesis, "eval_oracle", no_call)
+    monkeypatch.setattr(Recurrence, "__init__", no_call)
     r = synthesize(rec, **kwargs)
-    assert counts == [_WINDOW_CAP + rec.order + 2]
     assert r.report["evidence"] == evidence
+    assert formed == list(range(rec.order, rec.order + len(formed)))
+    cap = _WINDOW_CAP + rec.order + 2
+    if rec == FIB:
+        # the window at base 3 starts at n = 3: no scan runs out of values
+        assert rec.order + len(formed) < _WINDOW_CAP
+    if kwargs == {"force_c": 2}:
+        # an unproven shift forms the whole capped prefix, to look for a
+        # negative t(n) anywhere in it
+        assert rec.order + len(formed) == cap
+    if rec == BIG_COEFF:
+        # the window scans run out of values and grow the prefix to all the
+        # window reads, t(0.._WINDOW_CAP + h) for h = 2, where t(65) and
+        # t(66) make the window
+        assert r.certified_from == 65 and rec.order + len(formed) == _WINDOW_CAP + 3
 
 
 def test_synthesize_validation():
@@ -761,6 +794,8 @@ def test_synthesize_random_small_batch():
 
 
 def _window_start(pipe, b):
+    # form all of t that a window scan may read, then scan it
+    pipe.t_values.need(_WINDOW_CAP + len(pipe.den))
     return _dominated_from(pipe.den, b, pipe.t_values[: _WINDOW_CAP + len(pipe.den)], -2)
 
 
@@ -1024,6 +1059,107 @@ def test_carry_jumps_skip_only_bases_that_fail_at_n1(rec):
             assert _window_cutoff(pipe, x) is None or (
                 extraction_value(pipe.num, pipe.den, x, 1) != pipe.t_values[1]
             ), x
+
+
+def _reference_walk(pipe, b2, horizon, replay):
+    # _search_minimal_base as it was before the t(2) bound and the carry
+    # memo: each carry jump gallops from b + 1, and every carry is computed
+    # afresh; also the quotient k of each carry jump, None for a window jump
+    lo = b = min(_digit_floor(pipe, horizon), b2)
+    probes, jumps = 0, []
+    while b is not None and b <= b2:
+        if _coefficient_slack(pipe.den, b) > 0 and (f := _carry(pipe, b)) is not None and f % b:
+            k = f // b
+            jumps.append(k)
+            b = _least(lambda x: (g := _carry(pipe, x)) is None or g <= k * x, b + 1, b2)
+        elif (m_b := _window_cutoff(pipe, b)) is None:
+            jumps.append(None)
+            b = _least(lambda x: _window_cutoff(pipe, x) is not None, b + 1, b2)
+        else:
+            probes += 1
+            if synthesis._first_mismatch(pipe, b, _checked(replay, m_b)) is None:
+                report = {"strategy": "scan", "probes": probes, "scanned_from": lo, "minimal_proven": not replay}
+                return (b, m_b, report), jumps
+            b += 1
+    return None, jumps
+
+
+@given(_recurrences())
+@example(PELL)
+@example(FIB)
+@example(Recurrence(1, (2,), (2,)))
+@example(Recurrence(2, (-5, 5), (0, 1)))
+def test_carry_walk_starts_past_t2_and_computes_each_carry_once(rec):
+    # the first 8 direct checks fail, so both walks go on past them; each
+    # counts its own checks
+    pipe = _prepare(rec, find_shift(rec), _prefix(rec, 40))
+    b2, t2 = _bound_data(pipe).b2, pipe.t_values[2]
+    first_mismatch = synthesis._first_mismatch
+    checked = []
+
+    def failing(pipe, b, ns):
+        checked.append(b)
+        return (1, -1) if len(checked) <= 8 else first_mismatch(pipe, b, ns)
+
+    def walk():
+        try:
+            return synthesis._search_minimal_base(pipe, b2, 40, 0)
+        except SynthesisError:  # the walk ran past b2
+            return None
+
+    # carries computed inside each _least call, and outside any
+    jumps, outside, current = [], [], None
+    least = synthesis._least
+
+    def recorded_least(pred, lo, hi):
+        nonlocal current
+        current = []
+        jumps.append(current)
+        try:
+            return least(pred, lo, hi)
+        finally:
+            current = None
+
+    def recorded_carry(pipe, x):
+        (outside if current is None else current).append(x)
+        return _carry(pipe, x)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(synthesis, "_first_mismatch", failing)
+        expected, ks = _reference_walk(pipe, b2, 40, 0)
+        checked.clear()
+        mp.setattr(synthesis, "_least", recorded_least)
+        mp.setattr(synthesis, "_carry", recorded_carry)
+        assert walk() == expected
+    # the same jumps in the same order: a carry jump with quotient k computes
+    # no carry at a base x with k x^2 + x <= t(2), where F(x) > k x
+    assert len(jumps) == len(ks)
+    for k, xs in zip(ks, jumps):
+        assert all(k * x * x + x > t2 for x in xs) if k is not None else xs == []
+    carries = outside + [x for xs in jumps for x in xs]
+    assert len(carries) == len(set(carries))
+
+
+@given(st.integers(0, 10**6), st.integers(0, 10**40))
+@example(0, 0)
+@example(1, 0)
+@example(1, 2)  # 1 + 1 = 2 is not past t(2): x = 2
+@example(3, 14)  # 3*4 + 2 = 14: x = 3
+def test_carry_floor_is_the_least_x_past_t2(k, t2):
+    x = _carry_floor(k, t2)
+    assert x >= 1 and k * x * x + x > t2
+    assert x == 1 or k * (x - 1) ** 2 + (x - 1) <= t2
+
+
+def test_carry_walk_computes_at_most_half_the_carries_of_the_gallop_from_b_plus_1(monkeypatch, random_specs):
+    # galloping from b + 1 with no memo, the first 200 seed-1 specs of the
+    # benchmark's random_batch computed 3,198 carries
+    calls = []
+    carry = synthesis._carry
+    monkeypatch.setattr(synthesis, "_carry", lambda pipe, x: calls.append(x) or carry(pipe, x))
+    for rec in random_specs(1, 200):
+        synthesize(rec, horizon=30)
+    assert len(calls) <= 3198 // 2
 
 
 def _validated_cutoff(pipe, b, horizon):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import time
@@ -357,6 +358,49 @@ def test_build_extraction_term_without_minus_parts():
     assert render(t) == "fl(4^(n^2 + n) / (4^(2*n) + 1 -. 2*4^n)) % 4^n"
     assert parse("fl(4^(n^2 + n) / ((4^(2*n) + 1) -. 2*4^n)) % 4^n") == t
     assert evaluate(t, {"n": 9}) == 9
+
+
+def _distinct_nodes(t):
+    seen, stack = {}, [t]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            if isinstance(node, BinOp):
+                stack += [node.left, node.right]
+    return len(seen)
+
+
+def test_build_extraction_term_shares_equal_subterms():
+    # n, n^2, the constant 7, each j*n and the modulus 7^n are built once:
+    # 40 node objects where building every summand afresh took 61
+    t = build_extraction_term((3, -1, 2, 1), (1, -2, 1, -3, 2), 7)
+    assert _distinct_nodes(t) <= 40
+    assert read_extraction(t) == ((3, -1, 2, 1, 0), (1, -2, 1, -3, 2), 7)
+    assert render(t) == (
+        "fl((3*7^(n^2 + 4*n) + 2*7^(n^2 + 2*n) + 7^(n^2 + n) -. 7^(n^2 + 3*n))"
+        " / (7^(4*n) + 7^(2*n) + 2 -. (2*7^(3*n) + 3*7^n))) % 7^n"
+    )
+
+
+def test_built_terms_round_trip_on_the_benchmark_data(random_specs):
+    # a term of shared nodes equals, and hashes as, the tree that parse and
+    # term_from_json build from its text and JSON
+    from arithterm.synthesis import synthesize
+
+    for rec in random_specs(1, 100):
+        t = synthesize(rec, horizon=30).term
+        for back in (parse(render(t)), term_from_json(term_to_json(t))):
+            assert back == t and hash(back) == hash(t)
+
+
+@pytest.mark.parametrize(
+    "node, field",
+    [(Const(3), "value"), (Var("n"), "name"), (BinOp("add", Const(1), Var("n")), "op"), (BinOp("add", Const(1), Var("n")), "left")],
+)
+def test_term_nodes_are_frozen(node, field):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(node, field, getattr(node, field))
 
 
 def test_build_extraction_term_validation():
