@@ -91,12 +91,9 @@ def _load_result(path: str):
             raise ValueError("result file nests too deeply") from None
     if not isinstance(data, dict):
         raise ValueError("result file must be a JSON object")
-    if "term_json" in data:
-        term = term_from_json(data["term_json"])
-    elif isinstance(data.get("term"), str):
-        term = parse(data["term"])
-    else:
-        raise ValueError("result file needs a term_json object or a term string")
+    if "term_json" not in data:
+        raise ValueError("result file is missing field 'term_json'")
+    term = term_from_json(data["term_json"])
     try:
         rec = Recurrence.from_json_dict(data["recurrence"])
         return rec, term, _as_int(data["c"])
@@ -129,7 +126,7 @@ def _cmd_eval(args) -> int:
     env = {"n": args.n} if args.n is not None else {}
     for binding in args.env:
         name, sep, value = binding.partition("=")
-        if not sep or not name.isidentifier() or not value.isdigit():
+        if not sep or not name.isidentifier() or not value.isdecimal():
             raise ValueError(f"bad --env binding {binding!r}, expected name=NAT")
         env[name] = int(value)
     print(evaluate(term, env))

@@ -126,26 +126,29 @@ def eval_oracle(rec: Recurrence, count: int) -> SequenceWindow:
     if count < 0:
         raise ValueError("count must be a natural number")
     vals = list(rec.init[:count])
-    _extend(rec, vals, count)
+    _extend(_int_den(rec), vals, count)
     return SequenceWindow(tuple(vals))
 
 
-def _extend(rec: Recurrence, vals: list[int], count: int) -> None:
-    """Append s(len(vals)), ..., s(count - 1) to vals, which holds s(0) to
-    s(len(vals) - 1) and, unless it already holds count values, at least
-    the d initial ones.
+def _extend(den: Sequence[int], vals: list[int], count: int) -> None:
+    """Append v(len(vals)), ..., v(count - 1) to vals, for the integer
+    recurrence sum_i den_i v(n-i) = 0 with the scale den_0 > 0 first and a
+    nonzero last coefficient: _int_den(rec) for s, or the reduced
+    denominator of a generating function, with scale 1, for its series.
+    vals holds v(0) to v(len(vals) - 1) and, unless it already holds count
+    values, at least the len(den) - 1 initial ones.
 
-    The coefficients are scaled by their common denominator, and each new
-    value costs one integer multiply-add per nonzero coefficient, followed,
-    only when that denominator exceeds 1, by an exact division by it, which
-    raises NonIntegerTermError at the first value that is not an integer.
+    Each new value costs one integer multiply-add per nonzero coefficient,
+    followed, only when the scale exceeds 1, by an exact division by it,
+    which raises NonIntegerTermError at the first value that is not an
+    integer.
     """
     if len(vals) >= count:
         return
-    scale, *den = _int_den(rec)
-    # s(n) = -(sum_i den_i * s(n-i)) / scale over the nonzero lags i; the
-    # last coefficient is nonzero, so there is at least one
-    (w1, k1), *lags = [(-a, -i) for i, a in enumerate(den, 1) if a]
+    scale, *coeffs = den
+    # v(n) = -(sum_{i>=1} den_i * v(n-i)) / scale over the nonzero lags i;
+    # the last coefficient is nonzero, so there is at least one
+    (w1, k1), *lags = [(-a, -i) for i, a in enumerate(coeffs, 1) if a]
     append = vals.append
     for n in range(len(vals), count):
         acc = w1 * vals[k1]

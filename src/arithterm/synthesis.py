@@ -40,12 +40,14 @@ generating function of t(n) = s(n) + c^(n+1).  The pipeline is:
    evaluated.  Only build_extraction_term splits num and den into the
    positive and negative parts the term's truncated subtractions need.
 
-synthesize expands s once, into one prefix that every stage reads and that
-grows in place only as far as they ask (_prefix), so most specs form a
-dozen values rather than the whole capped prefix.  Everything is exact
-integer arithmetic, apart from the radius bound rho, a Fraction of two
-integers, and is_provably_nonnegative's order-2 minorant, in Fractions on
-the recurrence's own coefficients.  Certificates are only ever
+synthesize expands s once, into a prefix that the shift stage reads and
+alone grows (_prefix).  t starts from the values of s formed by then and
+grows from its own denominator (_prepare), by the same expander.  Each
+grows in place only as far as its readers ask, so most specs form a dozen
+values rather than the whole capped prefix.  Everything is exact integer
+arithmetic, apart from the radius bound rho, a Fraction of two integers,
+and is_provably_nonnegative's order-2 minorant, in Fractions on the
+recurrence's own coefficients.  Certificates are only ever
 sufficient: a reported base is backed by a proof sketch (coefficient
 dominance + a window of digit-size checks), and nearly every base rejected
 during the search passes that certificate but fails the direct check,
@@ -115,8 +117,9 @@ def _coefficient_slack(den: tuple[int, ...], base: int) -> int:
     return den[0] * base**h - sum(abs(d) * base ** (h - i) for i, d in enumerate(den[1:], start=1))
 
 
-def _dominated_from(den: tuple[int, ...], base: int, values: tuple[int, ...], offset: int) -> int | None:
-    """First index of h = len(den) - 1 consecutive |v(k)| < base^(k+offset).
+def _dominated_from(den: tuple[int, ...], base: int, values: Sequence[int], offset: int, count: int) -> int | None:
+    """First index of h = len(den) - 1 consecutive |v(k)| < base^(k+offset)
+    in values[:count].
 
     ``values`` obey sum_i den_i v(k-i) = 0, den_0 > 0.  The coefficient
     criterion (_coefficient_slack >= 0) carries the bound from k-h..k-1 to
@@ -124,7 +127,12 @@ def _dominated_from(den: tuple[int, ...], base: int, values: tuple[int, ...], of
     term denominator D(base^n) positive and puts every root of den at
     modulus >= 1/base.  The shift
     uses it for |s(k)| < c^(k+1), base search for t(k) < b^(k-2).  None
-    when the criterion fails or ``values`` hold no window.
+    when the criterion fails or values[:count] hold no window.
+
+    ``values`` is a whole prefix of at least count values, or a _Prefix
+    whose cap is at least count: a scan that runs out of formed values
+    grows it to count and goes on.  Most windows start within the first
+    few values, and a window past them mostly needs the whole count.
     """
     h = len(den) - 1
     if _coefficient_slack(den, base) < 0:
@@ -132,8 +140,10 @@ def _dominated_from(den: tuple[int, ...], base: int, values: tuple[int, ...], of
     # |v| < base^(k+offset), decided in integers
     scale, pw = base ** max(-offset, 0), base ** max(offset, 0)
     run = 0
-    for k, v in enumerate(values):
-        run = run + 1 if abs(v) * scale < pw else 0
+    for k in range(count):
+        if k == len(values):
+            values.need(count)
+        run = run + 1 if abs(values[k]) * scale < pw else 0
         if run == h:
             return k - h + 1
         pw *= base
@@ -141,36 +151,21 @@ def _dominated_from(den: tuple[int, ...], base: int, values: tuple[int, ...], of
 
 
 class _Prefix(list):
-    """The first len(self) values of a sequence, grown in place on demand.
+    """The first len(self) values of a sequence that obeys the integer
+    recurrence den (as _extend takes it), grown in place on demand.
 
-    need(count) makes it hold min(count, cap) values, through the function
-    grow(prefix, count) it was made with; readers index and slice it as
-    the list it is.
+    need(count) makes it hold min(count, cap) values, by _extend; readers
+    index and slice it as the list it is.
     """
 
-    __slots__ = ("grow", "cap")
+    __slots__ = ("den", "cap")
 
-    def __init__(self, values: Sequence[int], grow: Callable[[list[int], int], None], cap: int):
+    def __init__(self, values: Sequence[int], den: tuple[int, ...], cap: int):
         super().__init__(values)
-        self.grow, self.cap = grow, cap
+        self.den, self.cap = den, cap
 
     def need(self, count: int) -> None:
-        count = min(count, self.cap)
-        if len(self) < count:
-            self.grow(self, count)
-
-
-def _window(den: tuple[int, ...], base: int, values: Sequence[int], offset: int, count: int) -> int | None:
-    """_dominated_from over values[:count], for a whole prefix or a _Prefix
-    whose cap is at least count: a scan that runs out of formed values while
-    the coefficient criterion holds grows the prefix to count and scans
-    again.  Most windows start within the first few values, and a window
-    past them mostly needs the whole count."""
-    start = _dominated_from(den, base, values[:count], offset)
-    if start is None and len(values) < count and _coefficient_slack(den, base) >= 0:
-        values.need(count)
-        start = _dominated_from(den, base, values[:count], offset)
-    return start
+        _extend(self.den, self, min(count, self.cap))
 
 
 def _shift_certified(den: tuple[int, ...], c: int, s: Sequence[int]) -> bool:
@@ -178,13 +173,13 @@ def _shift_certified(den: tuple[int, ...], c: int, s: Sequence[int]) -> bool:
 
     den is a positive multiple of (1, *coeffs), so _coefficient_slack keeps
     its sign.  _dominated_from proves |s(n)| < c^(n+1) from a window in
-    s[:_WINDOW_CAP + d] on (_window), and the indices before its end,
-    formed by then, are checked.
+    s[:_WINDOW_CAP + d] on, growing a _Prefix s that far if it must, and
+    the indices before its end, formed by then, are checked.
     """
     if c < 1:
         return False
     d = len(den) - 1
-    start = _window(den, c, s, 1, _WINDOW_CAP + d)
+    start = _dominated_from(den, c, s, 1, _WINDOW_CAP + d)
     if start is None:
         return False
     return all(s[n] + c ** (n + 1) > 0 for n in range(start + d))
@@ -224,15 +219,14 @@ def find_shift(rec: Recurrence) -> int:
     coefficient criterion gets easier as c grows, a window for c is one for
     every larger c, and s(n) + c^(n+1) grows with c.
     """
-    return _find_shift(rec, eval_oracle(rec, _WINDOW_CAP + rec.order).values)
+    return _find_shift(rec, _int_den(rec), eval_oracle(rec, _WINDOW_CAP + rec.order).values)
 
 
-def _find_shift(rec: Recurrence, s: Sequence[int]) -> int:
-    """find_shift(rec), given a prefix s of at least _WINDOW_CAP + d terms
-    or a _Prefix that grows that far."""
+def _find_shift(rec: Recurrence, den: tuple[int, ...], s: Sequence[int]) -> int:
+    """find_shift(rec), given den = _int_den(rec) and a prefix s of at
+    least _WINDOW_CAP + d terms or a _Prefix that grows that far."""
     if _nonnegative(rec, s):
         return 0
-    den = _int_den(rec)
     c = _least(lambda c: _shift_certified(den, c, s), 1, _growth_constant(den, rec.init))
     if c is None:  # dead: the growth constant always passes the certificate
         raise SynthesisError("no certified shift at or below the growth constant")
@@ -373,7 +367,7 @@ class BoundsCertificate:
 @dataclass(frozen=True, slots=True)
 class _Pipeline:
     """Everything derived from (rec, c) that base search needs; t_values
-    grows with the prefix s it is read off."""
+    grows from den."""
 
     c: int
     num: tuple[int, ...]
@@ -382,46 +376,39 @@ class _Pipeline:
 
 
 def _prefix(rec: Recurrence, horizon: int) -> _Prefix:
-    """The prefix of s that synthesize expands once and every stage reads,
-    capped at max(_WINDOW_CAP + d + 2, horizon + 1) values: the shift
-    proofs read at most s(0.._WINDOW_CAP + d - 1), and base search at most
-    t(0.._WINDOW_CAP + h), h <= d + 1, in the dominance window, whose start
-    is at most _WINDOW_CAP + 1, and t(1..horizon) in the direct checks.
+    """The prefix of s, on den = _int_den(rec), that synthesize expands
+    once, capped at max(_WINDOW_CAP + d + 2, horizon + 1) values, which is
+    also the cap of t: the shift proofs read at most
+    s(0.._WINDOW_CAP + d - 1), and base search at most t(0.._WINDOW_CAP + h),
+    h <= d + 1, in the dominance window, whose start is at most
+    _WINDOW_CAP + 1, and t(1..horizon) in the direct checks.
 
     It holds s(0.._NONNEG_PROBE + d - 1) at first, all that
-    is_provably_nonnegative, the growth constant and the digit floor read,
-    and readers grow it by _extend, so no value is formed twice.  Rational
-    coefficients (a scale past 1) form the whole capped prefix at once, so
-    NonIntegerTermError is raised whatever the stages go on to read.
+    is_provably_nonnegative, the growth constant, the digit floor and the
+    carry read, and the shift proofs grow it by _extend, so no value is
+    formed twice.  Rational coefficients (a scale past 1) form the whole
+    capped prefix at once, so NonIntegerTermError is raised whatever the
+    stages go on to read.
     """
+    den = _int_den(rec)
     cap = max(_WINDOW_CAP + rec.order + 2, horizon + 1)
-    s = _Prefix(rec.init, lambda vals, count: _extend(rec, vals, count), cap)
-    s.need(cap if any(a.denominator != 1 for a in rec.coeffs) else _NONNEG_PROBE + rec.order)
+    s = _Prefix(rec.init, den, cap)
+    s.need(cap if den[0] > 1 else _NONNEG_PROBE + rec.order)
     return s
-
-
-def _shifted(c: int, s: _Prefix, t: list[int], count: int) -> None:
-    """Append t(n) = s(n) + c^(n+1) to t up to n = count - 1, first growing
-    the prefix s that far; SynthesisError names the first negative t(n)."""
-    s.need(count)
-    power = c ** len(t)
-    for n in range(len(t), count):
-        power *= c
-        t.append(s[n] + power)
-        if t[-1] < 0:
-            raise SynthesisError(f"shift {c} leaves a negative term at n={n}")
 
 
 def _prepare(rec: Recurrence, c: int, s: _Prefix) -> _Pipeline:
     """Pipeline for shift c, with t(n) = s(n) + c^(n+1) formed on the
-    prefix s of _prefix as far as it is formed, and grown with it.  Raises
-    SynthesisError when t is eventually zero or negative on the values
-    formed, when its denominator's degree h is past _MAX_MATCHED_H, the
-    largest h read_extraction reads back, or when den[0] != 1: by Fatou's
-    lemma the series has integer coefficients exactly when its reduced
-    primitive denominator has den[0] = 1, so s is then not integral at
-    some n.  A shift without a proof that t >= 0 gets the whole capped
-    prefix first (synthesize), so every negative t(n) in it is found."""
+    prefix s of _prefix as far as it is formed, at least _NONNEG_PROBE + d
+    values, and grown past it from t's own denominator: deg num < h, so
+    sum_i den_i t(n-i) = 0 from n = h on, and den[0] = 1, so _extend never
+    divides.  Raises SynthesisError when t is eventually zero, when its
+    denominator's degree h is past _MAX_MATCHED_H, the largest h
+    read_extraction reads back, or when den[0] != 1: by Fatou's lemma the
+    series has integer coefficients exactly when its reduced primitive
+    denominator has den[0] = 1, so s is then not integral at some n.
+    Nothing here looks at the sign of t; synthesize does, where no proof
+    covers it."""
     num, den = generating_function(rec, c)
     if not num:
         raise SynthesisError("shifted sequence is identically zero")
@@ -432,8 +419,7 @@ def _prepare(rec: Recurrence, c: int, s: _Prefix) -> _Pipeline:
         raise SynthesisError("shifted sequence is eventually zero; no proper pole")
     if h > _MAX_MATCHED_H:
         raise SynthesisError(f"the term's denominator would have degree {h}, past the cap of {_MAX_MATCHED_H}")
-    t = _Prefix((), lambda t, count: _shifted(c, s, t, count), s.cap)
-    t.need(len(s))
+    t = _Prefix((v + c ** (n + 1) for n, v in enumerate(s)), den, s.cap)
     return _Pipeline(c=c, num=num, den=den, t_values=t)
 
 
@@ -469,7 +455,7 @@ def _window_cutoff(pipe: _Pipeline, b: int) -> int | None:
     pole at modulus >= 1/b > b^(-n), and the window proves t(k) < b^(k-2).
     A window for b is a window for every larger base.
     """
-    start = _window(pipe.den, b, pipe.t_values, -2, _WINDOW_CAP + len(pipe.den))
+    start = _dominated_from(pipe.den, b, pipe.t_values, -2, _WINDOW_CAP + len(pipe.den))
     return None if start is None else max(start, 2)
 
 
@@ -644,14 +630,18 @@ def synthesize(
         if force_c < 0:
             raise ValueError("force_c must be a natural number")
         c = force_c
-        shift_proven = _nonnegative(rec, s) or _shift_certified(_int_den(rec), c, s)
-        if not shift_proven:
-            # t may turn negative anywhere, and _prepare is to find where
-            s.need(s.cap)
+        shift_proven = _nonnegative(rec, s) or _shift_certified(s.den, c, s)
     else:
-        c = _find_shift(rec, s)
+        c = _find_shift(rec, s.den, s)
         shift_proven = True
     pipe = _prepare(rec, c, s)
+    if not shift_proven:
+        # t may turn negative anywhere in the capped prefix; a proof of the
+        # shift is a proof that it does not
+        pipe.t_values.need(pipe.t_values.cap)
+        for n, v in enumerate(pipe.t_values):
+            if v < 0:
+                raise SynthesisError(f"shift {c} leaves a negative term at n={n}")
     cert = _bound_data(pipe)
 
     # a forced base has no other evidence, and the base certificate assumes

@@ -197,16 +197,18 @@ def _tokenize(src: str) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        # decimal digits are what int() reads; a digit such as '²' is not one
+        if ch.isdecimal():
             j = i
-            while j < n and src[j].isdigit():
+            while j < n and src[j].isdecimal():
                 j += 1
             toks.append(_Token("num", src[i:j], i))
             i = j
             continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
+        # an identifier ends where the next character would stop it being one
+        if ch.isidentifier():
+            j = i + 1
+            while j < n and ("_" + src[j]).isidentifier():
                 j += 1
             toks.append(_Token("ident", src[i:j], i))
             i = j
@@ -352,12 +354,13 @@ def _render_latex(t: Term, need: int) -> str:
             return (
                 r"\left\lfloor\frac{" + _render_latex(left, 0) + "}{" + _render_latex(right, 0) + r"}\right\rfloor"
             )
-        case BinOp(op="pow", left=left, right=right):
-            return _render_latex(left, 4) + "^{" + _render_latex(right, 0) + "}"
         case BinOp(op=op, left=left, right=right):
-            glue = {"add": " + ", "truncsub": r" \dotdiv ", "mul": r" \cdot ", "mod": r" \bmod "}[op]
             prec = _PREC[op]
-            body = _render_latex(left, prec) + glue + _render_latex(right, prec + 1)
+            if op == "pow":
+                body = _render_latex(left, 4) + "^{" + _render_latex(right, 0) + "}"
+            else:
+                glue = {"add": " + ", "truncsub": r" \dotdiv ", "mul": r" \cdot ", "mod": r" \bmod "}[op]
+                body = _render_latex(left, prec) + glue + _render_latex(right, prec + 1)
             return r"\left(" + body + r"\right)" if prec < need else body
     raise TypeError(f"not a term: {t!r}")
 
@@ -380,7 +383,7 @@ def term_to_json(t: Term) -> dict:
         raise BudgetExceededError(_TOO_DEEP) from None
 
 
-def dump_term_json(data, **kwargs) -> str:
+def dump_term_json(data) -> str:
     """json.dumps for data that holds term_to_json output.
 
     json.dumps recurses once or twice per term level, so a term that
@@ -388,7 +391,7 @@ def dump_term_json(data, **kwargs) -> str:
     BudgetExceededError, as term_to_json does.
     """
     try:
-        return json.dumps(data, **kwargs)
+        return json.dumps(data)
     except RecursionError:
         raise BudgetExceededError(_TOO_DEEP) from None
 
@@ -427,8 +430,6 @@ def render(t: Term, fmt: str = "text") -> str:
             return _render_text(t, 0)
         if fmt == "latex":
             return _render_latex(t, 0)
-        if fmt == "json":
-            return dump_term_json(_json_node(t))
     except RecursionError:
         raise BudgetExceededError(_TOO_DEEP) from None
     raise ValueError(f"unknown format: {fmt!r}")

@@ -143,6 +143,39 @@ def test_eval_parse_error(capsys):
     assert "arithterm:" in err
 
 
+def test_eval_refuses_a_digit_that_is_not_decimal(capsys):
+    # '²' passes str.isdigit, but int() does not read it
+    code, out, err = run(capsys, "eval", "2²")
+    assert (code, out, err) == (1, "", "arithterm: unexpected character '²' (at position 1)\n")
+    code, out, err = run(capsys, "eval", "n", "--env", "n=²")
+    assert (code, out, err) == (1, "", "arithterm: bad --env binding 'n=²', expected name=NAT\n")
+    # Arabic-Indic digits are decimal, and int() reads them
+    assert run(capsys, "eval", "n + ١", "--env", "n=٣")[:2] == (0, "4\n")
+
+
+def test_synth_reads_a_spec_file(capsys, tmp_path):
+    path = tmp_path / "fib.json"
+    path.write_text(FIB, encoding="utf-8")
+    code, out, _ = run(capsys, "synth", str(path))
+    assert code == 0
+    assert out.splitlines()[0] == f"term: {FIB_TERM}"
+
+
+def test_synth_refuses_a_spec_file_that_is_not_json(capsys, tmp_path):
+    path = tmp_path / "fib.txt"
+    path.write_text("order 2, coeffs -1 -1", encoding="utf-8")
+    code, out, err = run(capsys, "synth", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("arithterm: spec is not valid JSON: ") and err.count("\n") == 1
+
+
+def test_verify_prints_an_aborted_replay(capsys):
+    # 2^(2^30) is past the bit budget at the first index replayed
+    code, out, err = run(capsys, "verify", FIB, "2^(2^30) % 7", "--to", "3")
+    assert code == 3 and err == ""
+    assert out.startswith("aborted: n=1: ") and out.count("\n") == 1
+
+
 def test_eval_blown_budget_is_one_line_error(capsys):
     code, out, err = run(capsys, "eval", "2^2^2^2^2^2")
     assert code == 1
@@ -210,7 +243,9 @@ def test_verify_malformed_result_is_one_line_error(capsys, tmp_path):
     term_json = {"const": "0"}
     cases = [
         ([], "result file must be a JSON object"),
-        ({"recurrence": json.loads(FIB), "c": 0}, "result file needs a term_json object or a term string"),
+        ({"recurrence": json.loads(FIB), "c": 0}, "result file is missing field 'term_json'"),
+        # synth --format json always writes term_json; a term string alone is not read
+        ({"recurrence": json.loads(FIB), "c": 0, "term": FIB_TERM}, "result file is missing field 'term_json'"),
         ({"recurrence": json.loads(FIB), "term_json": term_json}, "result file is missing field 'c'"),
         ({"c": 0, "term_json": term_json}, "result file is missing field 'recurrence'"),
         ({"recurrence": [], "c": 0, "term_json": term_json}, "recurrence spec must be a JSON object"),

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from arithterm import recurrence, synthesis, terms
 from arithterm.catalog import get_fixture
 from arithterm.recurrence import (
+    _NONNEG_PROBE,
     NonIntegerTermError,
     Recurrence,
     _growth_constant,
@@ -698,37 +699,51 @@ BIG_COEFF = Recurrence(2, (-(10**30), 1), (1, 2))  # no base has a window before
     ids=["searched", "force_c-proven", "force_c-unproven", "force_b", "fibonacci", "window-at-65"],
 )
 def test_synthesize_expands_the_sequence_once_and_builds_no_recurrence(monkeypatch, rec, kwargs, evidence):
-    # every value of s comes from _extend, appended to the one prefix, so
-    # none is formed twice, and only as far as the stages read it
-    formed = []
-    extend = recurrence._extend
+    # every value of s and of t comes from _extend, appended to its one
+    # prefix, so none is formed twice, and only as far as the stages read it
+    formed, seen = {}, {}
+    extend, prepare = recurrence._extend, synthesis._prepare
 
-    def counted(rec, vals, count):
-        formed.extend(range(len(vals), count))
-        extend(rec, vals, count)
+    def counted(den, vals, count):
+        formed.setdefault(id(vals), []).extend(range(len(vals), count))
+        extend(den, vals, count)
+
+    def kept(rec, c, s):
+        pipe = prepare(rec, c, s)
+        seen.update(s=s, t=pipe.t_values)
+        return pipe
 
     def no_call(*args, **kwargs):
         raise AssertionError("synthesize built a Recurrence or called eval_oracle")
 
     monkeypatch.setattr(synthesis, "_extend", counted)
+    monkeypatch.setattr(synthesis, "_prepare", kept)
     monkeypatch.setattr(synthesis, "eval_oracle", no_call)
     monkeypatch.setattr(Recurrence, "__init__", no_call)
     r = synthesize(rec, **kwargs)
     assert r.report["evidence"] == evidence
-    assert formed == list(range(rec.order, rec.order + len(formed)))
+    s, t = seen["s"], seen["t"]
+    assert set(formed) <= {id(s), id(t)}
+    # s is formed past its d initial values, and t past the values of s it
+    # starts from, which are all of s: only the shift stage grows s
+    assert formed.get(id(s), []) == list(range(rec.order, len(s)))
+    assert formed.get(id(t), []) == list(range(len(s), len(t)))
     cap = _WINDOW_CAP + rec.order + 2
     if rec == FIB:
-        # the window at base 3 starts at n = 3: no scan runs out of values
-        assert rec.order + len(formed) < _WINDOW_CAP
+        # s(0..9), the _NONNEG_PROBE + d values _prefix forms first, is all
+        # the shift stage reads; the window at base 3 starts at n = 3, so no
+        # scan runs out of values
+        assert len(s) == _NONNEG_PROBE + rec.order == 10
+        assert len(t) < _WINDOW_CAP
     if kwargs == {"force_c": 2}:
-        # an unproven shift forms the whole capped prefix, to look for a
-        # negative t(n) anywhere in it
-        assert rec.order + len(formed) == cap
+        # an unproven shift grows t to the cap, to look for a negative t(n)
+        # anywhere in it, and leaves s alone
+        assert len(t) == cap and len(s) == _NONNEG_PROBE + rec.order
     if rec == BIG_COEFF:
-        # the window scans run out of values and grow the prefix to all the
-        # window reads, t(0.._WINDOW_CAP + h) for h = 2, where t(65) and
-        # t(66) make the window
-        assert r.certified_from == 65 and rec.order + len(formed) == _WINDOW_CAP + 3
+        # the window scans run out of values and grow t to all the window
+        # reads, t(0.._WINDOW_CAP + h) for h = 2, where t(65) and t(66) make
+        # the window
+        assert r.certified_from == 65 and len(t) == _WINDOW_CAP + 3 == 67
 
 
 def test_synthesize_validation():
@@ -794,9 +809,8 @@ def test_synthesize_random_small_batch():
 
 
 def _window_start(pipe, b):
-    # form all of t that a window scan may read, then scan it
-    pipe.t_values.need(_WINDOW_CAP + len(pipe.den))
-    return _dominated_from(pipe.den, b, pipe.t_values[: _WINDOW_CAP + len(pipe.den)], -2)
+    # the scan grows t as far as it reads
+    return _dominated_from(pipe.den, b, pipe.t_values, -2, _WINDOW_CAP + len(pipe.den))
 
 
 @st.composite
@@ -994,7 +1008,7 @@ def _rational_recurrences(draw):
 
 def _fraction_shift_certified(rec, c, s):
     # the shift certificate on the recurrence's own Fraction coefficients
-    start = _dominated_from((1, *rec.coeffs), c, s[: _WINDOW_CAP + rec.order], 1)
+    start = _dominated_from((1, *rec.coeffs), c, s, 1, _WINDOW_CAP + rec.order)
     return start is not None and all(s[n] + c ** (n + 1) > 0 for n in range(start + rec.order))
 
 
@@ -1022,6 +1036,31 @@ def test_integer_shift_and_growth_data_match_their_fraction_forms(rec):
     h, d0 = len(pipe.den) - 1, pipe.den[0]
     rec_t = Recurrence(h, [Fraction(a, d0) for a in pipe.den[1:]], pipe.t_values[:h])
     assert _growth_constant(pipe.den, pipe.t_values) == _fraction_growth_constant(rec_t)
+
+
+@given(st.one_of(_recurrences(), _rational_recurrences()))
+@example(SIGNED_U)
+@example(Recurrence(2, ("3/2", -1), (1, -2)))
+def test_shifted_sequence_grows_from_its_own_denominator(rec):
+    # t starts from the first _NONNEG_PROBE + d values of s, shifted, and
+    # _extend grows it past them on its reduced denominator alone; the
+    # oracle forms s(n) + c^(n+1) on the whole capped prefix directly
+    cap = _prefix(rec, 40).cap
+    oracle = eval_oracle(rec, cap).values
+    c = find_shift(rec)
+    # below the least certified shift, c - 1 is a forced shift without a proof
+    for shift in (c, c - 1) if c else (c,):
+        s = synthesis._Prefix(oracle[: _NONNEG_PROBE + rec.order], _int_den(rec), cap)
+        try:
+            pipe = _prepare(rec, shift, s)
+        except SynthesisError as err:
+            # only an unproven shift can leave t identically or eventually zero
+            assert shift < c and "zero" in str(err)
+            continue
+        t = pipe.t_values
+        t.need(cap)
+        assert t == [v + shift ** (n + 1) for n, v in enumerate(oracle)], shift
+        assert len(s) == _NONNEG_PROBE + rec.order
 
 
 PELL = Recurrence(2, (-2, -1), (0, 1))  # passes n = 1 at b = 3 with carry 3

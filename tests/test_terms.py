@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import random
 import time
@@ -9,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from arithterm import terms
+from arithterm.catalog import fixtures
 from arithterm.terms import (
     BinOp,
     BudgetExceededError,
@@ -121,7 +123,7 @@ def test_deep_terms_raise_budget_exceeded():
     # a left-deep sum past the recursion limit: the parser builds it in a
     # loop, but every walker recurses through it
     deep = parse("+".join(["1"] * 3000))
-    for walk in (evaluate, render, term_to_json, lambda t: render(t, "latex"), lambda t: render(t, "json")):
+    for walk in (evaluate, render, term_to_json, lambda t: render(t, "latex")):
         with pytest.raises(BudgetExceededError, match="^term nests too deeply$"):
             walk(deep)
 
@@ -136,9 +138,8 @@ def test_deep_term_json_raises_typed_errors():
     deep = []
     for _ in range(100_000):
         deep = [deep]
-    for kwargs in ({}, {"indent": 2}):
-        with pytest.raises(BudgetExceededError, match="^term nests too deeply$"):
-            dump_term_json(deep, **kwargs)
+    with pytest.raises(BudgetExceededError, match="^term nests too deeply$"):
+        dump_term_json(deep)
 
 
 def test_deep_parentheses_raise_parse_error():
@@ -178,6 +179,20 @@ def test_parse_error_positions():
     assert "trailing" in str(err.value)
 
 
+@pytest.mark.parametrize("src", ["2²", "x²"])
+def test_parse_refuses_a_digit_that_is_not_decimal(src):
+    # '²' is a digit to str.isdigit and alphanumeric, but int() does not
+    # read it and no identifier holds it
+    with pytest.raises(ParseError, match="^unexpected character '²' \\(at position 1\\)$") as err:
+        parse(src)
+    assert err.value.position == 1
+
+
+def test_parse_reads_every_decimal_digit():
+    # Arabic-Indic digits are decimal, and int() reads them
+    assert parse("١٢ + x٣") == BinOp("add", Const(12), Var("x٣"))
+
+
 def test_fl_is_an_identity_marker():
     assert parse("fl(6 / 4)") == BinOp("floordiv", Const(6), Const(4))
     assert parse("fl(n)") == Var("n")
@@ -213,14 +228,30 @@ def test_render_latex():
     assert render(parse("2*n"), "latex") == r"2 \cdot n"
 
 
+def test_render_latex_brackets_a_power_of_a_power():
+    # 2^{3}^{4} is a double superscript, which LaTeX rejects
+    assert render(parse("(2^3)^4"), "latex") == r"\left(2^{3}\right)^{4}"
+    assert render(parse("2^3^4"), "latex") == "2^{3^{4}}"
+    assert render(parse("(2^n)*3"), "latex") == r"2^{n} \cdot 3"
+
+
+def test_render_latex_of_the_catalog_terms_is_pinned():
+    # sha256 of the LaTeX of every fixture term, one per line, which no
+    # power of a power reaches
+    text = "\n".join(render(fix.term, "latex") for fix in fixtures())
+    assert hashlib.sha256(text.encode()).hexdigest() == "fc60025993393af7c1b2e750342a69b515593b1aaa8082a974629c52c853af4a"
+
+
 def test_render_unknown_format():
-    with pytest.raises(ValueError):
-        render(Const(1), "html")
+    # JSON text comes from dump_term_json(term_to_json(t)) alone
+    for fmt in ("html", "json"):
+        with pytest.raises(ValueError, match="unknown format"):
+            render(Const(1), fmt)
 
 
 def test_json_round_trip():
     t = parse("fl((2*9^(n^2 + 2*n) -. 2*9^(n^2 + n)) / (9^(2*n) -. (2*9^n + 1))) % 9^n")
-    data = json.loads(render(t, "json"))
+    data = json.loads(dump_term_json(term_to_json(t)))
     assert term_from_json(data) == t
     assert term_to_json(Const(5)) == {"const": "5"}
     assert term_from_json({"var": "n"}) == Var("n")
