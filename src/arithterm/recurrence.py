@@ -219,36 +219,35 @@ def _growth_constant(den: Sequence[int], init: Sequence[int]) -> int:
 
 def is_provably_nonnegative(rec: Recurrence) -> bool:
     """Conservative check that s(n) >= 0 for every n (see _nonnegative)."""
-    return _nonnegative(rec, eval_oracle(rec, _NONNEG_PROBE + rec.order).values)
+    return _nonnegative(_int_den(rec), eval_oracle(rec, _NONNEG_PROBE + rec.order).values)
 
 
-def _nonnegative(rec: Recurrence, s: Sequence[int]) -> bool:
-    """is_provably_nonnegative(rec) from a prefix s of the sequence.
+def _nonnegative(den: Sequence[int], s: Sequence[int]) -> bool:
+    """is_provably_nonnegative from den = _int_den(rec) and a prefix s.
 
     True is only returned with a proof in hand; False just means no proof
     was found, not that the sequence goes negative.  Both routes read
     exactly s[:_NONNEG_PROBE + d] (more would let route 2 find more base
-    pairs), which must be nonnegative:
+    pairs), which must be nonnegative.  Both run in integers on den, a
+    positive multiple of (1, *coeffs):
 
-    1. all recurrence coefficients are <= 0, so every new term is a
-       nonnegative combination of earlier ones;
-    2. order 2 with s(n+2) = p*s(n+1) + q*s(n), q < 0: a linear minorant
-       s(n+1) >= L*s(n) survives the step when 0 <= L <= p and
-       L*(p - L) >= -q, so one valid base pair settles everything after it;
-       this runs in Fractions, on the recurrence's own coefficients.
+    1. all den_i, i >= 1, are <= 0, so every new term is a nonnegative
+       combination of earlier ones;
+    2. order 2 with den = (S, -P, -Q), P > 0 > Q: a linear minorant
+       s(n+1) >= L s(n) survives the step when 0 <= L <= P/S and
+       L (P/S - L) >= -Q/S, so one valid base pair settles everything
+       after it.  L = a/e > 0 is 1, P/2S or -2Q/P, and in integers that
+       is a S <= P e, a (P e - a S) >= -Q e^2 and e s(k+1) >= a s(k).
     """
-    window = s[: _NONNEG_PROBE + rec.order]
+    window = s[: _NONNEG_PROBE + len(den) - 1]
     if any(v < 0 for v in window):
         return False
-    if all(c <= 0 for c in rec.coeffs):
+    if all(a <= 0 for a in den[1:]):
         return True
-    if rec.order == 2:
-        p, q = -rec.coeffs[0], -rec.coeffs[1]
-        if p > 0 > q:
-            for lam in (Fraction(1), p / 2, 2 * (-q) / p):
-                if not (0 <= lam <= p and lam * (p - lam) >= -q):
-                    continue
-                for k in range(len(window) - 1):
-                    if window[k + 1] >= lam * window[k] >= 0:
-                        return True
+    if len(den) == 3 and (P := -den[1]) > 0 > (Q := -den[2]):
+        S = den[0]
+        return any(
+            a * S <= P * e and a * (P * e - a * S) >= -Q * e * e and any(e * y >= a * x for x, y in zip(window, window[1:]))
+            for a, e in ((1, 1), (P, 2 * S), (-2 * Q, P))
+        )
     return False

@@ -45,13 +45,11 @@ alone grows (_prefix).  t starts from the values of s formed by then and
 grows from its own denominator (_prepare), by the same expander.  Each
 grows in place only as far as its readers ask, so most specs form a dozen
 values rather than the whole capped prefix.  Everything is exact integer
-arithmetic, apart from the radius bound rho, a Fraction of two integers,
-and is_provably_nonnegative's order-2 minorant, in Fractions on the
-recurrence's own coefficients.  Certificates are only ever
-sufficient: a reported base is backed by a proof sketch (coefficient
-dominance + a window of digit-size checks), and nearly every base rejected
-during the search passes that certificate but fails the direct check,
-mostly at n = 1.
+arithmetic, apart from the radius bound rho, a Fraction of two integers.
+Certificates are only ever sufficient: a reported base is backed by a
+proof sketch (coefficient dominance + a window of digit-size checks), and
+nearly every base rejected during the search passes that certificate but
+fails the direct check, mostly at n = 1.
 """
 
 from __future__ import annotations
@@ -174,10 +172,10 @@ def _shift_certified(den: tuple[int, ...], c: int, s: Sequence[int]) -> bool:
     den is a positive multiple of (1, *coeffs), so _coefficient_slack keeps
     its sign.  _dominated_from proves |s(n)| < c^(n+1) from a window in
     s[:_WINDOW_CAP + d] on, growing a _Prefix s that far if it must, and
-    the indices before its end, formed by then, are checked.
+    the indices before its end, formed by then, are checked.  c = 0 fails
+    at once, as its slack is -|den_d| < 0.  The growth constant of s always
+    passes: its slack is positive and its window starts at 0.
     """
-    if c < 1:
-        return False
     d = len(den) - 1
     start = _dominated_from(den, c, s, 1, _WINDOW_CAP + d)
     if start is None:
@@ -213,24 +211,17 @@ def _least(pred: Callable[[int], bool], lo: int, hi: int) -> int | None:
 
 
 def find_shift(rec: Recurrence) -> int:
-    """Least certified shift c; 0 exactly when s is provably nonnegative.
+    """Least proven shift c; 0 exactly when s is provably nonnegative.
 
-    _least can search c because _shift_certified is monotone in c: its
-    coefficient criterion gets easier as c grows, a window for c is one for
-    every larger c, and s(n) + c^(n+1) grows with c.
+    c is proven, as in synthesize, when _nonnegative or _shift_certified
+    holds.  _least searches that from 0, as it is monotone in c: at c = 0
+    only _nonnegative can hold, the certificate's coefficient criterion
+    gets easier as c grows, a window for c is one for every larger c, and
+    s(n) + c^(n+1) grows with c.  The growth constant is always proven.
     """
-    return _find_shift(rec, _int_den(rec), eval_oracle(rec, _WINDOW_CAP + rec.order).values)
-
-
-def _find_shift(rec: Recurrence, den: tuple[int, ...], s: Sequence[int]) -> int:
-    """find_shift(rec), given den = _int_den(rec) and a prefix s of at
-    least _WINDOW_CAP + d terms or a _Prefix that grows that far."""
-    if _nonnegative(rec, s):
-        return 0
-    c = _least(lambda c: _shift_certified(den, c, s), 1, _growth_constant(den, rec.init))
-    if c is None:  # dead: the growth constant always passes the certificate
-        raise SynthesisError("no certified shift at or below the growth constant")
-    return c
+    den, s = _int_den(rec), eval_oracle(rec, _WINDOW_CAP + rec.order).values
+    nonneg = _nonnegative(den, s)
+    return _least(lambda c: nonneg or _shift_certified(den, c, s), 0, _growth_constant(den, rec.init))
 
 
 def pow_lt(a: int, p: int, b: int, q: int) -> bool:
@@ -384,7 +375,7 @@ def _prefix(rec: Recurrence, horizon: int) -> _Prefix:
     _WINDOW_CAP + 1, and t(1..horizon) in the direct checks.
 
     It holds s(0.._NONNEG_PROBE + d - 1) at first, all that
-    is_provably_nonnegative, the growth constant, the digit floor and the
+    _nonnegative, the growth constant, the digit floor and the
     carry read, and the shift proofs grow it by _extend, so no value is
     formed twice.  Rational coefficients (a scale past 1) form the whole
     capped prefix at once, so NonIntegerTermError is raised whatever the
@@ -596,13 +587,14 @@ def synthesize(
 ) -> SynthesisResult:
     """Produce a validated representation s(n) = E(n) - c^(n+1) for n >= 1.
 
-    horizon is how far the direct checks replay where no proof covers
-    every n: under a forced shift without a proof that s(n) + c^(n+1) >= 0
-    for every n (is_provably_nonnegative, or the certificate find_shift
-    uses), and for a forced base.  A searched base under a proven shift
-    is direct-checked only below certified_from, from where the dominance
-    window proves it; report["checked_to"] is always the last index that
-    was direct-checked, certified_from - 1 there.
+    A shift c is proven when _nonnegative, decided once, or
+    _shift_certified(c) holds; a searched c is the least proven one, found
+    as in find_shift.  horizon is how far the direct checks replay where no
+    proof covers every n: under a forced shift without one, and for a
+    forced base.  A searched base under a proven shift is direct-checked
+    only below certified_from, from where the dominance window proves it;
+    report["checked_to"] is always the last index that was direct-checked,
+    certified_from - 1 there.
     force_c / force_b pin the shift or base instead of searching.  A forced
     base direct-checks on [1, max(horizon, m_b - 1)] (_checked) and is
     rejected at the first failure anywhere in that range; one without a
@@ -625,15 +617,15 @@ def synthesize(
     if not any(rec.init):
         raise AllZeroSequenceError("the sequence is identically zero")
     s = _prefix(rec, horizon)
+    if force_c is not None and force_c < 0:
+        raise ValueError("force_c must be a natural number")
+    nonneg = _nonnegative(s.den, s)
 
-    if force_c is not None:
-        if force_c < 0:
-            raise ValueError("force_c must be a natural number")
-        c = force_c
-        shift_proven = _nonnegative(rec, s) or _shift_certified(s.den, c, s)
-    else:
-        c = _find_shift(rec, s.den, s)
-        shift_proven = True
+    def proven(c: int) -> bool:
+        return nonneg or _shift_certified(s.den, c, s)
+
+    c = _least(proven, 0, _growth_constant(s.den, rec.init)) if force_c is None else force_c
+    shift_proven = force_c is None or proven(c)
     pipe = _prepare(rec, c, s)
     if not shift_proven:
         # t may turn negative anywhere in the capped prefix; a proof of the

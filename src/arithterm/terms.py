@@ -435,19 +435,6 @@ def render(t: Term, fmt: str = "text") -> str:
     raise ValueError(f"unknown format: {fmt!r}")
 
 
-def variables(t: Term) -> set[str]:
-    out: set[str] = set()
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Var):
-            out.add(node.name)
-        elif isinstance(node, BinOp):
-            stack.append(node.left)
-            stack.append(node.right)
-    return out
-
-
 # --- construction of extraction terms ----------------------------------------
 
 

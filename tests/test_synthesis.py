@@ -16,6 +16,7 @@ from arithterm.recurrence import (
     Recurrence,
     _growth_constant,
     _int_den,
+    _nonnegative,
     eval_oracle,
     floor_root,
     growth_constant,
@@ -964,21 +965,32 @@ def test_certified_from_is_the_window_start():
 @example(SIGNED_U)
 @example(SIGNED_V)
 def test_find_shift_is_the_least_certified_shift(rec):
-    # reference: the least certified c by a linear scan
-    if is_provably_nonnegative(rec):
-        expected = 0
-    else:
-        s = eval_oracle(rec, _WINDOW_CAP + rec.order).values
-        expected = next(c for c in range(1, growth_constant(rec) + 1) if _shift_certified(_int_den(rec), c, s))
+    # reference: the least c from 0 that either Fraction proof covers, by a
+    # linear scan
+    s = eval_oracle(rec, _WINDOW_CAP + rec.order).values
+    nonneg = _fraction_nonnegative(rec, s)
+    expected = next(c for c in range(growth_constant(rec) + 1) if nonneg or _fraction_shift_certified(rec, c, s))
     assert find_shift(rec) == expected
 
 
-@pytest.mark.parametrize("rec", [FIB, SIGNED_U, Recurrence(2, ("3/2", -1), (1, -2))], ids=["FIB", "SIGNED_U", "rational"])
+@pytest.mark.parametrize(
+    "rec",
+    [
+        FIB,
+        SIGNED_U,
+        Recurrence(2, ("3/2", -1), (1, -2)),
+        # both proved nonnegative by the order-2 minorant, which runs in
+        # integers, on a scale of 1 and of 2
+        Recurrence(2, (-2, 1), (0, 1)),
+        Recurrence(2, ("-5/2", 1), (1, 2)),
+    ],
+    ids=["FIB", "SIGNED_U", "rational", "minorant", "minorant-rational"],
+)
 def test_synthesis_builds_fractions_only_for_rho(monkeypatch, rec):
-    # none of these reaches the order-2 minorant, the other place that
-    # computes in Fractions; Python 3.12 and later build the results of
-    # Fraction arithmetic without __new__, so there only explicit
-    # constructions are seen
+    # the recurrence's coefficients are Fractions built before the call;
+    # synthesize builds none but rho, order-2 minorant included.  Python
+    # 3.12 and later build the results of Fraction arithmetic without
+    # __new__, so there only explicit constructions are seen
     outside = []
     new = Fraction.__new__
 
@@ -1006,6 +1018,48 @@ def _rational_recurrences(draw):
     return Recurrence(rec.order + 1, coeffs, eval_oracle(rec, rec.order + 1).values)
 
 
+def _fraction_nonnegative(rec, s):
+    # the two nonnegativity routes on the recurrence's own Fraction
+    # coefficients, the reference for _nonnegative's integer form
+    window = s[: _NONNEG_PROBE + rec.order]
+    if any(v < 0 for v in window):
+        return False
+    if all(c <= 0 for c in rec.coeffs):
+        return True
+    if rec.order == 2:
+        p, q = -rec.coeffs[0], -rec.coeffs[1]
+        if p > 0 > q:
+            for lam in (Fraction(1), p / 2, 2 * (-q) / p):
+                if not (0 <= lam <= p and lam * (p - lam) >= -q):
+                    continue
+                for k in range(len(window) - 1):
+                    if window[k + 1] >= lam * window[k] >= 0:
+                        return True
+    return False
+
+
+@given(st.one_of(_recurrences(), _rational_recurrences()))
+@example(Recurrence(2, (-2, 1), (0, 1)))
+@example(Recurrence(2, ("-5/2", 1), (1, 2)))
+def test_integer_nonnegativity_routes_match_their_fraction_forms(rec):
+    s = eval_oracle(rec, _NONNEG_PROBE + rec.order).values
+    assert _nonnegative(_int_den(rec), s) == _fraction_nonnegative(rec, s)
+
+
+@given(
+    st.fractions(-8, 8, max_denominator=6),
+    st.fractions(-8, 8, max_denominator=6).filter(bool),
+    st.lists(st.integers(0, 50), min_size=_NONNEG_PROBE + 2, max_size=_NONNEG_PROBE + 2),
+)
+@example(Fraction(-5, 2), Fraction(1), [1, 2] + [2**k for k in range(2, _NONNEG_PROBE + 2)])
+@example(Fraction(-4), Fraction(4), [1, 2, 3, 4, 5, 6, 7, 8, 9, 10])  # L = p/2 = 2: L (p - L) = -q and s(1) = L s(0) are ties
+def test_order_two_minorant_matches_its_fraction_form_on_any_window(c1, c2, window):
+    # the routes read only den and the window, so any nonnegative window
+    # exercises every lambda, whether or not it obeys the recurrence
+    rec = Recurrence(2, (c1, c2), window[:2])
+    assert _nonnegative(_int_den(rec), window) == _fraction_nonnegative(rec, window)
+
+
 def _fraction_shift_certified(rec, c, s):
     # the shift certificate on the recurrence's own Fraction coefficients
     start = _dominated_from((1, *rec.coeffs), c, s, 1, _WINDOW_CAP + rec.order)
@@ -1028,7 +1082,10 @@ def test_integer_shift_and_growth_data_match_their_fraction_forms(rec):
     assert den[0] > 0 and all(Fraction(a, den[0]) == b for a, b in zip(den[1:], rec.coeffs))
     c_s = _growth_constant(den, rec.init)
     assert c_s == _fraction_growth_constant(rec)
-    for c in range(1, c_s + 1):
+    # the shift predicate is nonneg or _shift_certified: both parts match
+    # their Fraction forms, from c = 0
+    assert _nonnegative(den, s) == _fraction_nonnegative(rec, s)
+    for c in range(c_s + 1):
         assert _shift_certified(den, c, s) == _fraction_shift_certified(rec, c, s), c
     # the bound data's growth constant, against the shifted recurrence
     # with Fraction coefficients that _bound_data used to build
@@ -1036,6 +1093,33 @@ def test_integer_shift_and_growth_data_match_their_fraction_forms(rec):
     h, d0 = len(pipe.den) - 1, pipe.den[0]
     rec_t = Recurrence(h, [Fraction(a, d0) for a in pipe.den[1:]], pipe.t_values[:h])
     assert _growth_constant(pipe.den, pipe.t_values) == _fraction_growth_constant(rec_t)
+
+
+@given(st.one_of(_recurrences(), _rational_recurrences()))
+@example(SIGNED_U)
+@example(Recurrence(2, ("3/2", -1), (1, -2)))
+def test_growth_constant_is_always_a_certified_shift(rec):
+    # so the shift search, which ends at the growth constant, always finds
+    # a shift; and c = 0 fails the certificate, so only _nonnegative can
+    # prove it
+    den, s = _int_den(rec), eval_oracle(rec, _WINDOW_CAP + rec.order).values
+    assert _shift_certified(den, _growth_constant(den, rec.init), s)
+    assert not _shift_certified(den, 0, s)
+
+
+@pytest.mark.parametrize("force_c", [None, 1])
+@pytest.mark.parametrize("rec", [SIGNED_U, Recurrence(2, ("-5/2", 1), (1, 2))], ids=["SIGNED_U", "minorant-rational"])
+def test_synthesize_decides_nonnegative_once(monkeypatch, rec, force_c):
+    # searched or forced, every shift c is proven by nonneg or
+    # _shift_certified at c, with nonneg decided once
+    calls = []
+    nonnegative = synthesis._nonnegative
+    monkeypatch.setattr(synthesis, "_nonnegative", lambda den, s: calls.append(den) or nonnegative(den, s))
+    try:
+        synthesize(rec, force_c=force_c)
+    except SynthesisError:  # a forced shift too small for the sequence
+        pass
+    assert calls == [_int_den(rec)]
 
 
 @given(st.one_of(_recurrences(), _rational_recurrences()))

@@ -30,7 +30,6 @@ from arithterm.terms import (
     render,
     term_from_json,
     term_to_json,
-    variables,
 )
 from arithterm.verify import verify_term
 
@@ -362,12 +361,6 @@ def test_evaluate_matches_reference(t, n, budget):
             return
         assert evaluate(t, {"n": n}, stats=stats) == expected
     assert stats.peak_bits == peak
-
-
-def test_variables():
-    t = parse("n^2 + k*n")
-    assert variables(t) == {"n", "k"}
-    assert variables(Const(3)) == set()
 
 
 # --- extraction term construction -------------------------------------------
