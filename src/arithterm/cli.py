@@ -147,6 +147,9 @@ def _cmd_verify(args) -> int:
     if args.n_from is not None:
         n_lo = args.n_from
     n_hi = args.n_to
+    # before the oracle expands s(0..n_hi), which a bad range can make huge
+    if n_lo < 0 or n_hi < n_lo:
+        raise ValueError("need 0 <= n_lo <= n_hi")
     oracle = eval_oracle(rec, n_hi + 1).values
     report = verify_term(oracle, term, c, n_lo, n_hi)
     if args.json:

@@ -508,7 +508,8 @@ def _poly_at(coeffs: tuple[int, ...], h: int, x: int) -> int:
     acc = 0
     for coeff in coeffs:
         acc = acc * x + coeff
-    return acc * x ** (h + 1 - len(coeffs)) if acc else 0
+    pad = h + 1 - len(coeffs)
+    return acc * x**pad if acc and pad else acc
 
 
 def extraction_fraction(num: tuple[int, ...], den: tuple[int, ...], x: int) -> tuple[int, int]:
@@ -526,14 +527,14 @@ def extraction_fraction(num: tuple[int, ...], den: tuple[int, ...], x: int) -> t
 # at every index of a range when base^n at its last index counts at least
 # this many bits, as n * bits(base), the way the budget check counts them;
 # any other range takes pow at every index.  Below that, _shifted_residue,
-# a step and the Horner sum of S cost more than pow(x, n - 1, D) of such
-# small numbers.  Measured on CPython 3.11 over the synthesized data of
-# 1,000 random_batch specs (seed 1): the direct checks of synthesize,
-# mostly [1, 3], took 25.0 ms when every range of two or more stepped,
-# 14.4 ms with this cut-off and 13.3 ms with pow at every index; the
-# replays of [1, 30] took 271, 280 and 344 ms.  A single index of 140-800
-# bits costs 12-22 us more than pow at h <= 3 and 0.3 of pow's time at
-# 720 bits and h = 11.
+# a step and the Horner sums of D and S cost more than pow(x, n - 1, D) of
+# such small numbers.  Measured on CPython 3.11.7 (2-vCPU shared host) over
+# the synthesized data of 1,000 random_batch specs (seed 1): the 1,086
+# direct checks of synthesize, mostly [1, 3], took 11.1 ms when every
+# range stepped, 6.1 ms with this cut-off and 5.9 ms with pow at every
+# index; the replays of [1, 30] took 102, 103 and 169 ms.  A single index
+# of 140-800 bits costs from 11 us less to 18 us more than pow at h <= 3,
+# and 0.34 of pow's time at 720 bits and h = 11.
 _RESIDUE_MIN_BITS = 128
 
 
@@ -605,10 +606,22 @@ def extraction_values(
       then stepped once per index, S_(n+1) = X * S_n - lead * D(X) with
       lead the X^h coefficient of X * S_n: a shift and h small
       multiply-subtracts in place of a modular power per index.  No
-      division by D happens before S(x) mod D.  For k >= h each
-      coefficient of X^k mod D(X) is at most (1 + H)^(k-h+1), so those
+      division by D happens before S(x) mod D.  For e >= h each
+      coefficient of X^e mod D(X) is at most (1 + H)^(e-h+1), so those
       of S are at most (h + 1) * max |num[i]| * x: the ring's numbers
       stay O(bits(x)) bits, and S(x) has at most a few bits more than D.
+      This route forms D and S_n(x) at every index, and A only where its
+      sign or the budget needs it:
+      * D >= 1 for n >= 1: D(X) is monic and |den[i]| <= base - 1 <= x - 1,
+        so D >= x^h - (x - 1)(x^(h-1) + ... + 1) = 1; likewise D <= 2x^h - 1.
+      * sign (Cauchy): with num[k] the first nonzero coefficient, which
+        multiplies x^(h-k), A has num[k]'s sign once |num[k]| * x exceeds
+        the sum of the other |num[i]|.  x only grows along a range, so
+        A is formed for its sign only at the indices before that.
+      * budget: bits(x) <= n * bits(base), bits(D) <= h * n * bits(base)
+        + 1 and bits(A) <= bits(sum |num[i]|) + (h - k) * n * bits(base).
+        Where that bound of the check below fits the budget, the check
+        cannot raise and is skipped; elsewhere A is formed and checked.
     - pow: y = A * pow(x, n - 1, D), at every index of any other range.
       Data that is not ring-eligible always takes it; the data of an
       integer sequence never has D(X) non-monic: by Fatou's lemma its
@@ -618,18 +631,30 @@ def extraction_values(
     residue mod D on every route, plus y (A times pow's residue, or S(x)).
     At each index, n * bits(base) is checked against DEFAULT_BIT_BUDGET,
     the budget evaluate uses, before x = base^n is formed, and the larger
-    of bits(A) + bits(D) and bits(x) + bits(D) before any route, so both
-    raise on the same inputs, and a range raises at the index, and with
-    the message, that the index alone would.
+    of bits(A) + bits(D) and bits(x) + bits(D) before any route (on the
+    residue route, by the bit bound where it fits), so both raise on the
+    same inputs, and a range raises at the index, and with the message,
+    that the index alone would.
     """
     if base < 2 or (ns and ns.start < 0):
         raise ValueError("need base >= 2 and n >= 0")
     if ns.step != 1:
         raise ValueError("need a range of step 1")
+    if len(num) > len(den):
+        raise ValueError("num must not be longer than den")
     budget = DEFAULT_BIT_BUDGET
     h = len(den) - 1
     per_n = base.bit_length()
     ring = bool(ns) and ns[-1] * per_n >= _RESIDUE_MIN_BITS and h >= 0 and den[0] == 1 and max(map(abs, den)) < base
+    # on the ring, A has the sign of num's first nonzero coefficient num[k]
+    # once x > settle; up to n_fit, bits(sum |num[i]|) + 1 + n * bits(base)
+    # * (h + max(h - k, 1)), which bounds the budget check, fits the budget
+    settle = None
+    if ring and any(num):
+        k = next(i for i, c in enumerate(num) if c)
+        first, total = num[k], sum(map(abs, num))
+        settle = (total - abs(first)) // abs(first)
+        n_fit = (budget - total.bit_length() - 1) // (per_n * (h + max(h - k, 1)))
     # S_n once started, coefficient i multiplying X^(h-1-i) as in den
     x = s = None
     for n in ns:
@@ -639,13 +664,16 @@ def extraction_values(
         if s:
             lead = s[0]
             s = [p - lead * dc for p, dc in zip((*s[1:], 0), den[1:])]
-        a, d = extraction_fraction(num, den, x)
+        d = _poly_at(den, h, x)
+        cauchy = settle is not None and x > settle
+        a = first if cauchy else _poly_at(num, h, x)
         if n == 0 or a <= 0 or d <= 0:
             yield 0
             continue
-        bits = max(a.bit_length(), x.bit_length()) + d.bit_length()
-        if bits > budget:
-            raise BudgetExceededError(f"product needs about {bits} bits, budget is {budget}")
+        if not cauchy or n > n_fit:
+            bits = max((_poly_at(num, h, x) if cauchy else a).bit_length(), x.bit_length()) + d.bit_length()
+            if bits > budget:
+                raise BudgetExceededError(f"product needs about {bits} bits, budget is {budget}")
         if ring:
             if s is None:
                 r = _shifted_residue(num, den, n - 1)

@@ -11,7 +11,9 @@ both give the same values, but ``peak_bits`` then measures different
 computations: O(h*n*log b) bits on the fast path against O(n^2*log b)
 through ``evaluate``.  How the fast path reduces modulo D, by a modular
 power or by a residue in Z[X] stepped one index at a time, is the route
-rule of ``extraction_values``, chosen once per range.
+rule of ``extraction_values``, chosen once per range; on the residue
+route it forms D(b^n) and the residue at each index, and the numerator
+N(b^n) only where its sign or the bit budget needs it.
 ``verify_catalog`` replays every catalog fixture.  ``extraction_direct``
 recomputes the digit extraction by evaluating the generating function's
 (num, den) pair at b^(-n) in exact Fractions, completely bypassing both

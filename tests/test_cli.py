@@ -316,6 +316,18 @@ def test_verify_fixture_far_point_at_n_10000(capsys):
     assert out.strip() == "ok: checked n in [10000, 10000]"
 
 
+def test_verify_checks_its_range_before_expanding_the_oracle(capsys, monkeypatch):
+    # s(0..50000) alone would be about 100 MB; --to -3 is a range, not a count
+    def eval_oracle(*args):
+        raise AssertionError("eval_oracle called")
+
+    monkeypatch.setattr(cli, "eval_oracle", eval_oracle)
+    for argv in (("--from", "60000", "--to", "50000"), ("--to", "-3")):
+        code, out, err = run(capsys, "verify", "--fixture", "A000045", *argv)
+        assert (code, out) == (1, "")
+        assert err == "arithterm: need 0 <= n_lo <= n_hi\n"
+
+
 def test_verify_mismatch_exit_code(capsys):
     code, out, _ = run(capsys, "verify", FIB, "n", "--to", "10")
     assert code == 3

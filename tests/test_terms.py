@@ -487,6 +487,11 @@ def residue_data(draw):
 @example(((1, 0), (1, -1000), 3), 600)
 @example(((4, 0, -2, 1), (1, 0, 0, -3), 2**20), 400)  # den with interior zeros: the ring
 @example(((1, 0, 2), (2, 0, -7), 2**20), 400)  # D(X) not monic: pow
+# the ring past the sign threshold: A = x^2 - 100x > 0, A = 100x - x^2 < 0,
+# and A = x - 50 from num's second coefficient (k = 1)
+@example(((1, -100, 0), (1, -1, -1), 3), 64)
+@example(((-1, 100, 0), (1, -1, -1), 3), 64)
+@example(((0, 1, -50), (1, -1, -1), 3), 64)
 def test_extraction_value_matches_the_pow_formula_on_both_routes(data, n):
     num, den, base = data
     x = base**n
@@ -544,6 +549,12 @@ def _run(values):
 @example(((0, 1, 0), (1, -1, -1), 3, range(0, 65), False))  # 3^64 counts 128 bits: the range steps
 @example(((1, 0, 2), (1, 0, -7), 5, range(0, 30), False))  # |den[2]| >= base: pow
 @example(((), (1, -1, -1), 3, range(0, 5), False))
+# the ring forms A = x^2 - 100x while x <= 100, where A <= 0, and reads its
+# sign off num[0] from n = 5 on; likewise for 100x - x^2, which is 0 from
+# there, and for x - 50, whose first nonzero coefficient is num[1]
+@example(((1, -100, 0), (1, -1, -1), 3, range(1, 70), False))
+@example(((-1, 100, 0), (1, -1, -1), 3, range(1, 70), False))
+@example(((0, 1, -50), (1, -1, -1), 3, range(1, 70), False))
 def test_extraction_values_are_the_values_index_by_index(data):
     # the kernel steps X^(n-1) N mod D(X) along the range; index by index,
     # each value takes its own route, and budget errors come at the same
@@ -574,6 +585,56 @@ def test_extraction_values_are_the_values_index_by_index(data):
     assert report.first_failure is None
     assert report.checked == len(values)
     assert report.aborted == (None if message is None else f"n={ns.start + len(values)}: {message}")
+
+
+def _counting_num_evaluations(num):
+    """A mock.patch of terms._poly_at that counts its calls on num."""
+    calls = []
+
+    def poly_at(coeffs, h, x):
+        if tuple(coeffs) == num:
+            calls.append(x)
+        return real(coeffs, h, x)
+
+    real = terms._poly_at
+    return mock.patch.object(terms, "_poly_at", poly_at), calls
+
+
+def test_extraction_values_reads_the_sign_of_n_without_forming_it():
+    # A088137's data at 750-795 bits of x: A = 3x^3 - 5x^2 + 6x has num[0]'s
+    # sign, and its bit bound fits the budget, so N(x) is never formed
+    num, den, base = (3, -5, 6, 0), (1, -5, 9, -9), 32
+    ns = range(150, 160)
+    patch, calls = _counting_num_evaluations(num)
+    with patch:
+        got = list(extraction_values(num, den, base, ns))
+    assert calls == []
+    assert got == [extraction_value(num, den, base, n) for n in ns]
+    for n, value in zip(ns, got):
+        x = base**n
+        a, d = extraction_fraction(num, den, x)
+        assert value == x * (a * pow(x, n - 1, d) % d) // d
+
+
+def test_extraction_value_decides_a_loose_bit_bound_exactly():
+    # A088137 at n = 150: the bit bound of max(bits(A), bits(x)) + bits(D)
+    # is past a budget that the exact need fits, so N(x) is formed once and
+    # the exact check decides, as on the pow route
+    num, den, base, n = (3, -5, 6, 0), (1, -5, 9, -9), 32, 150
+    h, per_n = len(den) - 1, base.bit_length()
+    x = base**n
+    a, d = extraction_fraction(num, den, x)
+    need = max(a.bit_length(), x.bit_length()) + d.bit_length()
+    bound = max(sum(map(abs, num)).bit_length() + h * n * per_n, n * per_n) + h * n * per_n + 1
+    assert n * per_n <= need < bound
+    expected = x * (a * pow(x, n - 1, d) % d) // d
+    patch, calls = _counting_num_evaluations(num)
+    with patch, mock.patch.object(terms, "DEFAULT_BIT_BUDGET", need):
+        assert extraction_value(num, den, base, n) == expected
+    assert calls == [x]
+    with mock.patch.object(terms, "DEFAULT_BIT_BUDGET", need - 1):
+        with pytest.raises(BudgetExceededError, match=f"product needs about {need} bits"):
+            extraction_value(num, den, base, n)
 
 
 def test_extraction_value_stats_and_budget(monkeypatch):
