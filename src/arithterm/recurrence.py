@@ -8,6 +8,8 @@ together with the first d values s(0..d-1), which must be integers.  The
 last coefficient must be nonzero, so the order is exact.  Expansion steps
 in integers, with the coefficients scaled by their common denominator, and
 it is a hard error if any term of the sequence fails to be an integer.
+The proofs that a shift makes the sequence nonnegative, and its growth
+constant, live in synthesis beside the search that reads them.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ from typing import Iterable, Sequence
 from .polys import reduce_int_fraction
 
 Coeff = int | Fraction | str
-
-_NONNEG_PROBE = 8  # terms past the initial ones that is_provably_nonnegative inspects
 
 
 class NonIntegerTermError(ValueError):
@@ -40,7 +40,10 @@ def _as_fraction(value: Coeff) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, str)) and not isinstance(value, bool):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"expected int, str or Fraction, got {type(value).__name__}")
 
 
@@ -199,55 +202,3 @@ def floor_root(x: int, k: int) -> int:
     while (r + 1) ** k <= x:
         r += 1
     return r
-
-
-def growth_constant(rec: Recurrence) -> int:
-    """Small integer c >= 1 with |s(n)| < c^(n+1) for all n (see _growth_constant)."""
-    return _growth_constant(_int_den(rec), rec.init)
-
-
-def _growth_constant(den: Sequence[int], init: Sequence[int]) -> int:
-    """growth_constant of sum_i den_i s(n-i) = 0, den_0 > 0, with s = init on
-    the first d = len(den) - 1 indices: the least c at or past the start
-    bound d * sum_{i>=1} |den_i| // den_0 + 1, which dominates the step
-    inductively once the initial terms comply, with |s(k)| < c^(k+1) for
-    k < d, which floor_root(|s(k)|, k + 1) + 1 is the least c to meet."""
-    d = len(den) - 1
-    start = d * sum(abs(a) for a in den[1:]) // den[0] + 1
-    return max(start, *(floor_root(abs(v), k + 1) + 1 for k, v in enumerate(init[:d])))
-
-
-def is_provably_nonnegative(rec: Recurrence) -> bool:
-    """Conservative check that s(n) >= 0 for every n (see _nonnegative)."""
-    return _nonnegative(_int_den(rec), eval_oracle(rec, _NONNEG_PROBE + rec.order).values)
-
-
-def _nonnegative(den: Sequence[int], s: Sequence[int]) -> bool:
-    """is_provably_nonnegative from den = _int_den(rec) and a prefix s.
-
-    True is only returned with a proof in hand; False just means no proof
-    was found, not that the sequence goes negative.  Both routes read
-    exactly s[:_NONNEG_PROBE + d] (more would let route 2 find more base
-    pairs), which must be nonnegative.  Both run in integers on den, a
-    positive multiple of (1, *coeffs):
-
-    1. all den_i, i >= 1, are <= 0, so every new term is a nonnegative
-       combination of earlier ones;
-    2. order 2 with den = (S, -P, -Q), P > 0 > Q: a linear minorant
-       s(n+1) >= L s(n) survives the step when 0 <= L <= P/S and
-       L (P/S - L) >= -Q/S, so one valid base pair settles everything
-       after it.  L = a/e > 0 is 1, P/2S or -2Q/P, and in integers that
-       is a S <= P e, a (P e - a S) >= -Q e^2 and e s(k+1) >= a s(k).
-    """
-    window = s[: _NONNEG_PROBE + len(den) - 1]
-    if any(v < 0 for v in window):
-        return False
-    if all(a <= 0 for a in den[1:]):
-        return True
-    if len(den) == 3 and (P := -den[1]) > 0 > (Q := -den[2]):
-        S = den[0]
-        return any(
-            a * S <= P * e and a * (P * e - a * S) >= -Q * e * e and any(e * y >= a * x for x, y in zip(window, window[1:]))
-            for a, e in ((1, 1), (P, 2 * S), (-2 * Q, P))
-        )
-    return False

@@ -44,7 +44,10 @@ synthesize expands s once, into a prefix that the shift stage reads and
 alone grows (_prefix).  t starts from the values of s formed by then and
 grows from its own denominator (_prepare), by the same expander.  Each
 grows in place only as far as its readers ask, so most specs form a dozen
-values rather than the whole capped prefix.  Everything is exact integer
+values rather than the whole capped prefix, with rational coefficients or
+not: _prepare decides integrality for every n by Fatou's lemma.  The shift
+proofs (_nonnegative, _shift_certified, _growth_constant) live here, beside
+the search that reads them.  Everything is exact integer
 arithmetic, apart from the radius bound rho, a Fraction of two integers.
 Certificates are only ever sufficient: a reported base is backed by a
 proof sketch (coefficient dominance + a window of digit-size checks), and
@@ -61,21 +64,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import terms
-from .recurrence import (
-    _NONNEG_PROBE,
-    Recurrence,
-    _extend,
-    _growth_constant,
-    _int_den,
-    _nonnegative,
-    eval_oracle,
-    floor_root,
-    generating_function,
-)
+from .recurrence import Recurrence, _extend, _int_den, eval_oracle, floor_root, generating_function
 from .terms import _MAX_MATCHED_H, BudgetExceededError, Term, build_extraction_term, extraction_fraction, extraction_values, read_extraction
 
 _WINDOW_CAP = 64  # how far to look for the digit-size window of a shift or base
 _M_BITS_CAP = 256  # longest cutoff m find_b1_m returns, in bits
+_NONNEG_PROBE = 8  # terms past the initial ones that _nonnegative inspects
 
 
 class AllZeroSequenceError(ValueError):
@@ -181,6 +175,50 @@ def _shift_certified(den: tuple[int, ...], c: int, s: Sequence[int]) -> bool:
     if start is None:
         return False
     return all(s[n] + c ** (n + 1) > 0 for n in range(start + d))
+
+
+def _nonnegative(den: Sequence[int], s: Sequence[int]) -> bool:
+    """Conservative check that s(n) >= 0 for every n, from den = _int_den(rec)
+    and a prefix s.
+
+    True is only returned with a proof in hand; False just means no proof
+    was found, not that the sequence goes negative.  Both routes read
+    exactly s[:_NONNEG_PROBE + d] (more would let route 2 find more base
+    pairs), which must be nonnegative.  Both run in integers on den, a
+    positive multiple of (1, *coeffs):
+
+    1. all den_i, i >= 1, are <= 0, so every new term is a nonnegative
+       combination of earlier ones;
+    2. order 2 with den = (S, -P, -Q), P > 0 > Q: a linear minorant
+       s(n+1) >= L s(n) survives the step when 0 <= L <= P/S and
+       L (P/S - L) >= -Q/S, so one valid base pair settles everything
+       after it.  L = a/e > 0 is 1, P/2S or -2Q/P, and in integers that
+       is a S <= P e, a (P e - a S) >= -Q e^2 and e s(k+1) >= a s(k).
+    """
+    window = s[: _NONNEG_PROBE + len(den) - 1]
+    if any(v < 0 for v in window):
+        return False
+    if all(a <= 0 for a in den[1:]):
+        return True
+    if len(den) == 3 and (P := -den[1]) > 0 > (Q := -den[2]):
+        S = den[0]
+        return any(
+            a * S <= P * e and a * (P * e - a * S) >= -Q * e * e and any(e * y >= a * x for x, y in zip(window, window[1:]))
+            for a, e in ((1, 1), (P, 2 * S), (-2 * Q, P))
+        )
+    return False
+
+
+def _growth_constant(den: Sequence[int], init: Sequence[int]) -> int:
+    """Small integer c >= 1 with |v(n)| < c^(n+1) for all n, for the sequence
+    v of sum_i den_i v(n-i) = 0, den_0 > 0, with v = init on the first
+    d = len(den) - 1 indices: the least c at or past the start bound
+    d * sum_{i>=1} |den_i| // den_0 + 1, which dominates the step
+    inductively once the initial terms comply, with |v(k)| < c^(k+1) for
+    k < d, which floor_root(|v(k)|, k + 1) + 1 is the least c to meet."""
+    d = len(den) - 1
+    start = d * sum(abs(a) for a in den[1:]) // den[0] + 1
+    return max(start, *(floor_root(abs(v), k + 1) + 1 for k, v in enumerate(init[:d])))
 
 
 def _least(pred: Callable[[int], bool], lo: int, hi: int) -> int | None:
@@ -355,17 +393,6 @@ class BoundsCertificate:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class _Pipeline:
-    """Everything derived from (rec, c) that base search needs; t_values
-    grows from den."""
-
-    c: int
-    num: tuple[int, ...]
-    den: tuple[int, ...]
-    t_values: _Prefix
-
-
 def _prefix(rec: Recurrence, horizon: int) -> _Prefix:
     """The prefix of s, on den = _int_den(rec), that synthesize expands
     once, capped at max(_WINDOW_CAP + d + 2, horizon + 1) values, which is
@@ -376,29 +403,31 @@ def _prefix(rec: Recurrence, horizon: int) -> _Prefix:
 
     It holds s(0.._NONNEG_PROBE + d - 1) at first, all that
     _nonnegative, the growth constant, the digit floor and the
-    carry read, and the shift proofs grow it by _extend, so no value is
-    formed twice.  Rational coefficients (a scale past 1) form the whole
-    capped prefix at once, so NonIntegerTermError is raised whatever the
-    stages go on to read.
+    carry read, and _shift_certified, which lives in this module with the
+    other shift proofs, grows it by _extend, so no value is formed twice.
+    Rational coefficients form no more than integer ones: _prepare decides
+    integrality for every n, so NonIntegerTermError only comes from a value
+    formed here.
     """
     den = _int_den(rec)
-    cap = max(_WINDOW_CAP + rec.order + 2, horizon + 1)
-    s = _Prefix(rec.init, den, cap)
-    s.need(cap if den[0] > 1 else _NONNEG_PROBE + rec.order)
+    s = _Prefix(rec.init, den, max(_WINDOW_CAP + rec.order + 2, horizon + 1))
+    s.need(_NONNEG_PROBE + rec.order)
     return s
 
 
-def _prepare(rec: Recurrence, c: int, s: _Prefix) -> _Pipeline:
-    """Pipeline for shift c, with t(n) = s(n) + c^(n+1) formed on the
-    prefix s of _prefix as far as it is formed, at least _NONNEG_PROBE + d
-    values, and grown past it from t's own denominator: deg num < h, so
-    sum_i den_i t(n-i) = 0 from n = h on, and den[0] = 1, so _extend never
-    divides.  Raises SynthesisError when t is eventually zero, when its
-    denominator's degree h is past _MAX_MATCHED_H, the largest h
-    read_extraction reads back, or when den[0] != 1: by Fatou's lemma the
-    series has integer coefficients exactly when its reduced primitive
-    denominator has den[0] = 1, so s is then not integral at some n.
-    Nothing here looks at the sign of t; synthesize does, where no proof
+def _prepare(rec: Recurrence, c: int, s: _Prefix) -> tuple[tuple[int, ...], _Prefix]:
+    """(num, t) for shift c: num of t's generating function num/den, and
+    t(n) = s(n) + c^(n+1) formed on the prefix s of _prefix as far as it is
+    formed, at least _NONNEG_PROBE + d values, and grown past it from t's
+    own denominator t.den: deg num < h, so sum_i den_i t(n-i) = 0 from
+    n = h on, and den[0] = 1, so _extend never divides.  Raises
+    SynthesisError when t is eventually zero, when its denominator's
+    degree h is past _MAX_MATCHED_H, the largest h read_extraction reads
+    back, or when den[0] != 1: by Fatou's lemma the series has integer
+    coefficients exactly when its reduced primitive denominator has
+    den[0] = 1, so this is the one place integrality is decided, for
+    every n.  The shift proofs that pick c (_nonnegative, _shift_certified)
+    live in this module too.  Nothing here looks at the sign of t; synthesize does, where no proof
     covers it."""
     num, den = generating_function(rec, c)
     if not num:
@@ -410,32 +439,31 @@ def _prepare(rec: Recurrence, c: int, s: _Prefix) -> _Pipeline:
         raise SynthesisError("shifted sequence is eventually zero; no proper pole")
     if h > _MAX_MATCHED_H:
         raise SynthesisError(f"the term's denominator would have degree {h}, past the cap of {_MAX_MATCHED_H}")
-    t = _Prefix((v + c ** (n + 1) for n, v in enumerate(s)), den, s.cap)
-    return _Pipeline(c=c, num=num, den=den, t_values=t)
+    return num, _Prefix((v + c ** (n + 1) for n, v in enumerate(s)), den, s.cap)
 
 
-def _bound_data(pipe: _Pipeline) -> BoundsCertificate:
-    """Validated bound data for the shifted sequence of a prepared pipeline."""
-    c_t = _growth_constant(pipe.den, pipe.t_values)
-    rho = radius_lower_bound(pipe.den)
+def _bound_data(c: int, t: _Prefix) -> BoundsCertificate:
+    """Validated bound data for shift c and the shifted sequence t of _prepare."""
+    c_t = _growth_constant(t.den, t)
+    rho = radius_lower_bound(t.den)
     b1, m = find_b1_m(c_t, rho)
-    cert = BoundsCertificate(c=pipe.c, c_t=c_t, rho=rho, b1=b1, m=m, b2=find_b2(c_t, rho))
+    cert = BoundsCertificate(c=c, c_t=c_t, rho=rho, b1=b1, m=m, b2=find_b2(c_t, rho))
     cert.validate()
     return cert
 
 
-def _first_mismatch(pipe: _Pipeline, b: int, ns: range) -> tuple[int, int] | None:
+def _first_mismatch(num: tuple[int, ...], t: _Prefix, b: int, ns: range) -> tuple[int, int] | None:
     """(n, value) at the least n in ns where the term with base b misses
     t(n), or None; the values come from extraction_values over ns, and t
     is grown to the last index of ns first."""
-    pipe.t_values.need(ns.stop)
-    for n, got in zip(ns, extraction_values(pipe.num, pipe.den, b, ns)):
-        if got != pipe.t_values[n]:
+    t.need(ns.stop)
+    for n, got in zip(ns, extraction_values(num, t.den, b, ns)):
+        if got != t[n]:
             return n, got
     return None
 
 
-def _window_cutoff(pipe: _Pipeline, b: int) -> int | None:
+def _window_cutoff(t: _Prefix, b: int) -> int | None:
     """Cutoff m_b >= 2 from which the term with base b provably equals t(n),
     or None when _dominated_from finds no window in t(0.._WINDOW_CAP + h).
 
@@ -446,25 +474,25 @@ def _window_cutoff(pipe: _Pipeline, b: int) -> int | None:
     pole at modulus >= 1/b > b^(-n), and the window proves t(k) < b^(k-2).
     A window for b is a window for every larger base.
     """
-    start = _dominated_from(pipe.den, b, pipe.t_values, -2, _WINDOW_CAP + len(pipe.den))
+    start = _dominated_from(t.den, b, t, -2, _WINDOW_CAP + len(t.den))
     return None if start is None else max(start, 2)
 
 
-def _digit_floor(pipe: _Pipeline, horizon: int) -> int:
+def _digit_floor(t: _Prefix, horizon: int) -> int:
     """No base below this can represent the sequence: t(n) must fit n digits."""
     lo = 2
     for n in range(1, min(horizon, 8) + 1):
-        lo = max(lo, floor_root(pipe.t_values[n], n) + 1)
+        lo = max(lo, floor_root(t[n], n) + 1)
     return lo
 
 
-def _carry(pipe: _Pipeline, b: int) -> int | None:
+def _carry(num: tuple[int, ...], t: _Prefix, b: int) -> int | None:
     """F(b) = floor(b A(b) / D(b)) - t(0) b - t(1), or None when A(b) <= 0 or
     D(b) <= 0; the term with base b gives (t(1) + F(b)) mod b at n = 1."""
-    num, den = extraction_fraction(pipe.num, pipe.den, b)
-    if num <= 0 or den <= 0:
+    a, d = extraction_fraction(num, t.den, b)
+    if a <= 0 or d <= 0:
         return None
-    return b * num // den - pipe.t_values[0] * b - pipe.t_values[1]
+    return b * a // d - t[0] * b - t[1]
 
 
 def _carry_floor(k: int, t2: int) -> int:
@@ -485,7 +513,7 @@ def _checked(replay: int, m_b: int | None) -> range:
     return range(1, max(replay, (m_b or 1) - 1) + 1)
 
 
-def _search_minimal_base(pipe: _Pipeline, b2: int, horizon: int, replay: int) -> tuple[int, int, dict]:
+def _search_minimal_base(num: tuple[int, ...], t: _Prefix, b2: int, horizon: int, replay: int) -> tuple[int, int, dict]:
     """Least base in [digit floor, b2] with a _window_cutoff m_b that
     direct-checks on _checked(replay, m_b), with m_b and a report;
     report["probes"] counts the bases direct-checked.  replay is 0 under a
@@ -528,20 +556,20 @@ def _search_minimal_base(pipe: _Pipeline, b2: int, horizon: int, replay: int) ->
     negative past the checked prefix, so F need not be monotone and a
     skipped base might validate: report["minimal_proven"] is False.
     """
-    lo = b = min(_digit_floor(pipe, horizon), b2)
-    probes, t2 = 0, pipe.t_values[2]
-    carry = functools.cache(lambda x: _carry(pipe, x))
-    cutoff = functools.cache(lambda x: _window_cutoff(pipe, x))
+    lo = b = min(_digit_floor(t, horizon), b2)
+    probes, t2 = 0, t[2]
+    carry = functools.cache(lambda x: _carry(num, t, x))
+    cutoff = functools.cache(lambda x: _window_cutoff(t, x))
 
     while b is not None and b <= b2:
-        if _coefficient_slack(pipe.den, b) > 0 and (f := carry(b)) is not None and f % b:
+        if _coefficient_slack(t.den, b) > 0 and (f := carry(b)) is not None and f % b:
             k = f // b
             b = _least(lambda x: (g := carry(x)) is None or g <= k * x, max(b + 1, _carry_floor(k, t2)), b2)
         elif (m_b := cutoff(b)) is None:
             b = _least(lambda x: cutoff(x) is not None, b + 1, b2)
         else:
             probes += 1
-            if _first_mismatch(pipe, b, _checked(replay, m_b)) is None:
+            if _first_mismatch(num, t, b, _checked(replay, m_b)) is None:
                 # replay is 0 exactly under a proven shift
                 return b, m_b, {"strategy": "scan", "probes": probes, "scanned_from": lo, "minimal_proven": not replay}
             b += 1
@@ -563,12 +591,10 @@ class SynthesisResult:
     report: dict
 
     def to_json_dict(self) -> dict:
-        from .terms import render, term_to_json
-
         return {
             "recurrence": self.recurrence.to_json_dict(),
-            "term": render(self.term),
-            "term_json": term_to_json(self.term),
+            "term": terms.render(self.term),
+            "term_json": terms.term_to_json(self.term),
             "b": self.b,
             "c": self.c,
             "valid_at_zero": self.valid_at_zero,
@@ -589,12 +615,14 @@ def synthesize(
 
     A shift c is proven when _nonnegative, decided once, or
     _shift_certified(c) holds; a searched c is the least proven one, found
-    as in find_shift.  horizon is how far the direct checks replay where no
-    proof covers every n: under a forced shift without one, and for a
-    forced base.  A searched base under a proven shift is direct-checked
-    only below certified_from, from where the dominance window proves it;
-    report["checked_to"] is always the last index that was direct-checked,
-    certified_from - 1 there.
+    as in find_shift.  A spec that is not an integer sequence raises
+    SynthesisError from _prepare, or NonIntegerTermError at the first
+    non-integer value formed before that.  horizon is how far the direct
+    checks replay where no proof covers every n: under a forced shift
+    without one, and for a forced base.  A searched base under a proven
+    shift is direct-checked only below certified_from, from where the
+    dominance window proves it; report["checked_to"] is always the last
+    index that was direct-checked, certified_from - 1 there.
     force_c / force_b pin the shift or base instead of searching.  A forced
     base direct-checks on [1, max(horizon, m_b - 1)] (_checked) and is
     rejected at the first failure anywhere in that range; one without a
@@ -613,12 +641,14 @@ def synthesize(
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
+    if force_c is not None and force_c < 0:
+        raise ValueError("force_c must be a natural number")
+    if force_b is not None and force_b < 2:
+        raise ValueError("force_b must be at least 2")
     # a homogeneous recurrence is zero exactly when its d initial values are
     if not any(rec.init):
         raise AllZeroSequenceError("the sequence is identically zero")
     s = _prefix(rec, horizon)
-    if force_c is not None and force_c < 0:
-        raise ValueError("force_c must be a natural number")
     nonneg = _nonnegative(s.den, s)
 
     def proven(c: int) -> bool:
@@ -626,38 +656,36 @@ def synthesize(
 
     c = _least(proven, 0, _growth_constant(s.den, rec.init)) if force_c is None else force_c
     shift_proven = force_c is None or proven(c)
-    pipe = _prepare(rec, c, s)
+    num, t = _prepare(rec, c, s)
     if not shift_proven:
         # t may turn negative anywhere in the capped prefix; a proof of the
         # shift is a proof that it does not
-        pipe.t_values.need(pipe.t_values.cap)
-        for n, v in enumerate(pipe.t_values):
+        t.need(t.cap)
+        for n, v in enumerate(t):
             if v < 0:
                 raise SynthesisError(f"shift {c} leaves a negative term at n={n}")
-    cert = _bound_data(pipe)
+    cert = _bound_data(c, t)
 
     # a forced base has no other evidence, and the base certificate assumes
     # t(n) >= 0 for every n, which only the checked prefix backs under an
     # unproven shift
     replay = 0 if shift_proven and force_b is None else horizon
     if force_b is not None:
-        if force_b < 2:
-            raise ValueError("force_b must be at least 2")
-        b, m_b = force_b, _window_cutoff(pipe, force_b)
-        mismatch = _first_mismatch(pipe, b, _checked(replay, m_b))
+        b, m_b = force_b, _window_cutoff(t, force_b)
+        mismatch = _first_mismatch(num, t, b, _checked(replay, m_b))
         if mismatch is not None:
             n, got = mismatch
-            raise SynthesisError(f"base {b} fails at n={n}: term gives {got}, sequence needs {pipe.t_values[n]}")
+            raise SynthesisError(f"base {b} fails at n={n}: term gives {got}, sequence needs {t[n]}")
         report = {"strategy": "forced"}
     else:
-        b, m_b, report = _search_minimal_base(pipe, cert.b2, horizon, replay)
+        b, m_b, report = _search_minimal_base(num, t, cert.b2, horizon, replay)
     certified_from = m_b if shift_proven else None
     report["evidence"] = "horizon-only" if certified_from is None else "certified"
     report["checked_to"] = _checked(replay, m_b)[-1]
 
-    term = build_extraction_term(pipe.num, pipe.den, b)
-    padded = pipe.num + (0,) * (len(pipe.den) - len(pipe.num))
-    if read_extraction(term) != (padded, pipe.den, b):
+    term = build_extraction_term(num, t.den, b)
+    padded = num + (0,) * (len(t.den) - len(num))
+    if read_extraction(term) != (padded, t.den, b):
         raise SynthesisError("internal: built term does not read back as the data base search checked")
 
     return SynthesisResult(

@@ -9,11 +9,8 @@ D = D(b^n) and never forms b^(n^2); any other term goes through the
 reference evaluator ``evaluate``.  read_extraction reads every node, so
 both give the same values, but ``peak_bits`` then measures different
 computations: O(h*n*log b) bits on the fast path against O(n^2*log b)
-through ``evaluate``.  How the fast path reduces modulo D, by a modular
-power or by a residue in Z[X] stepped one index at a time, is the route
-rule of ``extraction_values``, chosen once per range; on the residue
-route it forms D(b^n) and the residue at each index, and the numerator
-N(b^n) only where its sign or the bit budget needs it.
+through ``evaluate``.  How the fast path reduces modulo D is the route
+rule in the ``extraction_values`` docstring.
 ``verify_catalog`` replays every catalog fixture.  ``extraction_direct``
 recomputes the digit extraction by evaluating the generating function's
 (num, den) pair at b^(-n) in exact Fractions, completely bypassing both
@@ -50,10 +47,8 @@ class VerificationReport:
     ``read_extraction`` reads (it reads none with h past 4096, so that the
     dense data stays small), else through ``evaluate``.
     ``extraction_values`` works modulo D = D(x) at x = b^n, and its
-    intermediates stay O(h*n*log b) bits.  On its residue route (see its
-    docstring for when a range takes it) no intermediate has more than a
-    few bits past bits(x) + bits(D); on its pow route A = N(x) times a
-    residue mod D can have more.
+    intermediates stay O(h*n*log b) bits; how far below that depends on
+    the route its docstring gives.
     ``aborted`` carries the index and message of a blown bit budget.
     """
 

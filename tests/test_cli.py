@@ -270,6 +270,7 @@ def test_verify_refuses_a_shift_that_is_not_a_natural_number(capsys, tmp_path):
         (3.7, "malformed result file: expected int, str or Fraction, got float"),
         (True, "malformed result file: expected int, str or Fraction, got bool"),
         (-1, "shift must be a natural number"),
+        ("1/0", "zero denominator in '1/0'"),
     ):
         path.write_text(json.dumps({**blob, "c": c}), encoding="utf-8")
         code, out, err = run(capsys, "verify", "--result", str(path))
@@ -290,6 +291,8 @@ def test_synth_malformed_spec_is_one_line_error(capsys):
         ('{"order": true, "coeffs": [-1], "init": [1]}', wrong_type),
         ('{"order": 1, "coeffs": [-1], "init": [true]}', wrong_type),
         ('{"order": 1, "coeffs": [-1], "init": ["1/2"]}', "expected an integer, got '1/2'"),
+        ('{"order": 1, "coeffs": ["1/0"], "init": [1]}', "zero denominator in '1/0'"),
+        ('{"order": 1, "coeffs": [-1], "init": ["1/0"]}', "zero denominator in '1/0'"),
     ):
         for command in ("synth", "expand"):
             code, out, err = run(capsys, command, spec)

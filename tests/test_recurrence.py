@@ -9,15 +9,24 @@ from arithterm.polys import int_poly_gcd
 from arithterm.recurrence import (
     NonIntegerTermError,
     Recurrence,
-    _growth_constant,
+    _int_den,
     eval_oracle,
     floor_root,
     generating_function,
-    growth_constant,
-    is_provably_nonnegative,
 )
+from arithterm.synthesis import _NONNEG_PROBE, _growth_constant, _nonnegative
 
 FIB = Recurrence(2, (-1, -1), (0, 1))
+
+
+def growth_constant(rec):
+    # the growth constant of s that synthesize searches the shift below
+    return _growth_constant(_int_den(rec), rec.init)
+
+
+def provably_nonnegative(rec):
+    # _nonnegative on the prefix synthesize forms first
+    return _nonnegative(_int_den(rec), eval_oracle(rec, _NONNEG_PROBE + rec.order).values)
 
 
 def small_recurrences(max_order=4, coeff_bound=5, init_bound=10):
@@ -45,6 +54,9 @@ def test_validation():
         Recurrence(2, (-1, -1), (0,))
     with pytest.raises(ValueError):
         Recurrence(2, (-1, 0), (0, 1))
+    for coeffs, init in ((("1/0",), (1,)), ((-1,), ("1/0",))):
+        with pytest.raises(ValueError, match="^zero denominator in '1/0'$"):
+            Recurrence(1, coeffs, init)
 
 
 def test_fraction_coefficients_from_strings():
@@ -126,6 +138,8 @@ def test_json_round_trip():
         {"order": 1, "coeffs": [True], "init": [1]},
         {"order": 1, "coeffs": [-1], "init": ["1/2"]},
         {"order": "3/2", "coeffs": [-1], "init": [1]},
+        {"order": 1, "coeffs": ["1/0"], "init": [1]},
+        {"order": 1, "coeffs": [-1], "init": ["1/0"]},
     ):
         with pytest.raises(ValueError):
             Recurrence.from_json_dict(bad)
@@ -283,21 +297,21 @@ def test_growth_constant_bounds_the_sequence(rec):
 
 
 def test_provably_nonnegative_easy_cases():
-    assert is_provably_nonnegative(FIB)
-    assert is_provably_nonnegative(Recurrence(2, (-1, -1), (2, 1)))
-    assert is_provably_nonnegative(Recurrence(2, (-2, 1), (0, 1)))  # order-2 route
-    assert is_provably_nonnegative(Recurrence(2, (-3, 2), (0, 1)))
-    assert is_provably_nonnegative(Recurrence(2, (-16, 1), (1, 8)))
+    assert provably_nonnegative(FIB)
+    assert provably_nonnegative(Recurrence(2, (-1, -1), (2, 1)))
+    assert provably_nonnegative(Recurrence(2, (-2, 1), (0, 1)))  # order-2 route
+    assert provably_nonnegative(Recurrence(2, (-3, 2), (0, 1)))
+    assert provably_nonnegative(Recurrence(2, (-16, 1), (1, 8)))
 
 
 def test_provably_nonnegative_rejects_signed_sequences():
-    assert not is_provably_nonnegative(Recurrence(2, (-2, 3), (0, 1)))
-    assert not is_provably_nonnegative(Recurrence(2, (-1, 2), (2, 1)))
+    assert not provably_nonnegative(Recurrence(2, (-2, 3), (0, 1)))
+    assert not provably_nonnegative(Recurrence(2, (-1, 2), (2, 1)))
 
 
 @given(small_recurrences())
 def test_provably_nonnegative_never_lies(rec):
-    if is_provably_nonnegative(rec):
+    if provably_nonnegative(rec):
         assert all(v >= 0 for v in eval_oracle(rec, 60).values)
 
 

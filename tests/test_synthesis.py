@@ -11,18 +11,14 @@ from hypothesis import strategies as st
 from arithterm import recurrence, synthesis, terms
 from arithterm.catalog import get_fixture
 from arithterm.recurrence import (
-    _NONNEG_PROBE,
     NonIntegerTermError,
     Recurrence,
-    _growth_constant,
     _int_den,
-    _nonnegative,
     eval_oracle,
     floor_root,
-    growth_constant,
-    is_provably_nonnegative,
 )
 from arithterm.synthesis import (
+    _NONNEG_PROBE,
     AllZeroSequenceError,
     BoundsCertificate,
     SynthesisError,
@@ -35,7 +31,9 @@ from arithterm.synthesis import (
     _digit_floor,
     _dominated_from,
     _first_mismatch,
+    _growth_constant,
     _least,
+    _nonnegative,
     _prefix,
     _prepare,
     _shift_certified,
@@ -393,7 +391,8 @@ def test_written_down_witness_validates_without_pow_lt(monkeypatch):
     # a c_t of 182 bits
     assert synthesize(get_fixture("FibConv4").recurrence).certificate.m == 176920
     rec = Recurrence(2, (-1, -1), (2**181, 2**181 + 7))
-    assert _bound_data(_prepare(rec, find_shift(rec), _prefix(rec, 40))).c_t.bit_length() == 182
+    c = find_shift(rec)
+    assert _bound_data(c, _prepare(rec, c, _prefix(rec, 40))[1]).c_t.bit_length() == 182
     assert calls == []
     # hand-made m below the written-down 37 still reach pow_lt, with the
     # same outcomes: m = 29 holds, m = 28 does not, the 6^29 tie is refused
@@ -416,7 +415,8 @@ def test_bound_data_for_huge_initial_values_is_fast():
     # c_t has 182 bits here; building c_t^(m+1) exactly never finishes
     rec = Recurrence(2, (-1, -1), (2**181, 2**181 + 7))
     started = time.perf_counter()
-    cert = _bound_data(_prepare(rec, find_shift(rec), _prefix(rec, 40)))
+    c = find_shift(rec)
+    cert = _bound_data(c, _prepare(rec, c, _prefix(rec, 40))[1])
     cert.validate()
     assert time.perf_counter() - started < 10
     assert cert.c_t.bit_length() == 182
@@ -448,8 +448,8 @@ def test_window_jump_ends_large_coefficient_searches(k):
     assert verify_term(eval_oracle(rec, 41).values, r.term, r.c, 1, 40).ok
     # the jump lands on the first base with a window, and so skips no base
     # that a probe could accept
-    pipe = _prepare(rec, r.c, _prefix(rec, r.horizon))
-    assert _window_cutoff(pipe, r.b - 1) is None
+    _, t = _prepare(rec, r.c, _prefix(rec, r.horizon))
+    assert _window_cutoff(t, r.b - 1) is None
 
 
 def test_window_jump_landing_base_gets_one_window_check(monkeypatch):
@@ -457,7 +457,7 @@ def test_window_jump_landing_base_gets_one_window_check(monkeypatch):
     # and the probe of that base reuses it
     calls = []
     cutoff = synthesis._window_cutoff
-    monkeypatch.setattr(synthesis, "_window_cutoff", lambda pipe, b: calls.append(b) or cutoff(pipe, b))
+    monkeypatch.setattr(synthesis, "_window_cutoff", lambda t, b: calls.append(b) or cutoff(t, b))
     r = synthesize(Recurrence(2, (-(10**50), 1), (1, 2)))
     assert r.certified_from == 65 and r.b in calls
     assert max(calls.count(b) for b in calls) == 1
@@ -519,9 +519,9 @@ def test_probes_count_the_bases_direct_checked(monkeypatch, fid):
     bases = []
     first_mismatch = synthesis._first_mismatch
 
-    def counted(pipe, b, ns):
+    def counted(num, t, b, ns):
         bases.append(b)
-        return first_mismatch(pipe, b, ns)
+        return first_mismatch(num, t, b, ns)
 
     monkeypatch.setattr(synthesis, "_first_mismatch", counted)
     r = synthesize(get_fixture(fid).recurrence)
@@ -601,15 +601,16 @@ def test_proven_shift_walks_past_a_long_carry_run():
     assert verify_term(eval_oracle(rec, 41).values, r.term, 0, 1, 40).ok
     # b is the least valid base: with t(1) below every base here, n = 1
     # passes iff the carry F(x) is a multiple of x
-    pipe = _prepare(rec, 0, _prefix(rec, r.horizon))
-    floor, b_c = _digit_floor(pipe, r.horizon), 161804
-    assert pipe.t_values[1] < floor
-    assert all(_carry(pipe, x) % x != 0 for x in range(floor, b_c))
+    s = _prefix(rec, r.horizon)
+    num, t = _prepare(rec, 0, s)
+    floor, b_c = _digit_floor(t, r.horizon), 161804
+    assert t[1] < floor
+    assert all(_carry(num, t, x) % x != 0 for x in range(floor, b_c))
     # from b_c on the carry lemma holds, so F does not increase and
     # 1 <= F(b - 1) <= F(x) <= F(b_c) < b_c <= x on [b_c, b)
-    assert is_provably_nonnegative(rec) and _coefficient_slack(pipe.den, b_c) > 0
-    assert _carry(pipe, b_c - 1) >= b_c - 1 and _carry(pipe, b_c) < b_c
-    assert _carry(pipe, b - 1) >= 1 and _carry(pipe, b) == 0
+    assert _nonnegative(s.den, s) and _coefficient_slack(t.den, b_c) > 0
+    assert _carry(num, t, b_c - 1) >= b_c - 1 and _carry(num, t, b_c) < b_c
+    assert _carry(num, t, b - 1) >= 1 and _carry(num, t, b) == 0
 
 
 def test_unproven_shift_base_is_not_proven_least():
@@ -668,10 +669,17 @@ def test_forced_shift_checks_the_whole_prefix_for_negative_terms(rec, force_c, h
 
 
 def test_synthesize_raises_a_non_integer_term_past_the_initial_values():
-    # s(n) = 2^(12 - n) first leaves the integers at n = 13
+    # s(n) = 2^(12 - n) first leaves the integers at n = 13, past the values
+    # synthesize forms; the reduced denominator 2 - z refuses it at every
+    # horizon, for every n
+    for horizon in (20, 40):
+        with pytest.raises(SynthesisError, match="^not an integer sequence: "):
+            synthesize(Recurrence(1, ("-1/2",), (2**12,)), horizon=horizon)
+    # a value synthesize forms is still named when it is not an integer:
+    # s = 3, -1, 1/3
     with pytest.raises(NonIntegerTermError) as err:
-        synthesize(Recurrence(1, ("-1/2",), (2**12,)))
-    assert err.value.index == 13
+        synthesize(Recurrence(1, ("1/3",), (3,)))
+    assert err.value.index == 2
 
 
 def test_prepare_names_the_read_back_cap(monkeypatch):
@@ -685,6 +693,7 @@ def test_prepare_names_the_read_back_cap(monkeypatch):
 
 
 BIG_COEFF = Recurrence(2, (-(10**30), 1), (1, 2))  # no base has a window before n = 65
+MINUS_TWO_POW = Recurrence(2, ("3/2", -1), (1, -2))  # s(n) = (-2)^n, scale 2
 
 
 @pytest.mark.parametrize(
@@ -696,8 +705,9 @@ BIG_COEFF = Recurrence(2, (-(10**30), 1), (1, 2))  # no base has a window before
         (FIB, {"force_b": 4}, "certified"),
         (FIB, {}, "certified"),
         (BIG_COEFF, {}, "certified"),
+        (MINUS_TWO_POW, {"horizon": 10**6}, "certified"),
     ],
-    ids=["searched", "force_c-proven", "force_c-unproven", "force_b", "fibonacci", "window-at-65"],
+    ids=["searched", "force_c-proven", "force_c-unproven", "force_b", "fibonacci", "window-at-65", "rational-far-horizon"],
 )
 def test_synthesize_expands_the_sequence_once_and_builds_no_recurrence(monkeypatch, rec, kwargs, evidence):
     # every value of s and of t comes from _extend, appended to its one
@@ -710,9 +720,9 @@ def test_synthesize_expands_the_sequence_once_and_builds_no_recurrence(monkeypat
         extend(den, vals, count)
 
     def kept(rec, c, s):
-        pipe = prepare(rec, c, s)
-        seen.update(s=s, t=pipe.t_values)
-        return pipe
+        num, t = prepare(rec, c, s)
+        seen.update(s=s, t=t)
+        return num, t
 
     def no_call(*args, **kwargs):
         raise AssertionError("synthesize built a Recurrence or called eval_oracle")
@@ -721,7 +731,9 @@ def test_synthesize_expands_the_sequence_once_and_builds_no_recurrence(monkeypat
     monkeypatch.setattr(synthesis, "_prepare", kept)
     monkeypatch.setattr(synthesis, "eval_oracle", no_call)
     monkeypatch.setattr(Recurrence, "__init__", no_call)
+    started = time.perf_counter()
     r = synthesize(rec, **kwargs)
+    elapsed = time.perf_counter() - started
     assert r.report["evidence"] == evidence
     s, t = seen["s"], seen["t"]
     assert set(formed) <= {id(s), id(t)}
@@ -745,6 +757,11 @@ def test_synthesize_expands_the_sequence_once_and_builds_no_recurrence(monkeypat
         # reads, t(0.._WINDOW_CAP + h) for h = 2, where t(65) and t(66) make
         # the window
         assert r.certified_from == 65 and len(t) == _WINDOW_CAP + 3 == 67
+    if rec == MINUS_TWO_POW:
+        # Fatou's lemma, not the capped prefix, decides integrality, so a
+        # far horizon forms no more of s than the shift stage reads
+        assert (r.b, r.c) == (4, 2) and elapsed < 1
+        assert len(s) == _NONNEG_PROBE + rec.order
 
 
 def test_synthesize_validation():
@@ -754,6 +771,12 @@ def test_synthesize_validation():
         synthesize(FIB, force_b=1)
     with pytest.raises(ValueError):
         synthesize(FIB, force_c=-1)
+    # checked before any work: no bound data for a coefficient of 10^80,
+    # and no value of s = 3, -1, 1/3 is formed
+    with pytest.raises(ValueError, match="^force_b must be at least 2$"):
+        synthesize(Recurrence(1, (-(10**80),), (1,)), force_b=1)
+    with pytest.raises(ValueError, match="^force_c must be a natural number$"):
+        synthesize(Recurrence(1, ("1/3",), (3,)), force_c=-1)
 
 
 def test_valid_at_zero_flag():
@@ -809,9 +832,9 @@ def test_synthesize_random_small_batch():
         done += 1
 
 
-def _window_start(pipe, b):
+def _window_start(t, b):
     # the scan grows t as far as it reads
-    return _dominated_from(pipe.den, b, pipe.t_values, -2, _WINDOW_CAP + len(pipe.den))
+    return _dominated_from(t.den, b, t, -2, _WINDOW_CAP + len(t.den))
 
 
 @st.composite
@@ -828,21 +851,22 @@ def _recurrences(draw):
 def test_dominance_window_proves_every_base_it_certifies(rec):
     # every base the window certifies, whether or not the scan accepts it,
     # equals t(n) from max(start, 2) on; t comes from the oracle because
-    # the pipeline holds only the prefix base search reads
+    # _prepare's t holds only the prefix base search reads
     c = find_shift(rec)
-    pipe = _prepare(rec, c, _prefix(rec, 40))
-    t = [v + c ** (n + 1) for n, v in enumerate(eval_oracle(rec, 81).values)]
-    floor = _digit_floor(pipe, 40)
+    num, t = _prepare(rec, c, _prefix(rec, 40))
+    oracle = [v + c ** (n + 1) for n, v in enumerate(eval_oracle(rec, 81).values)]
+    floor = _digit_floor(t, 40)
     for b in range(floor, floor + 21):
-        start = _window_start(pipe, b)
+        start = _window_start(t, b)
         if start is None:
             continue
         for n in range(max(start, 2), 81):
-            assert extraction_value(pipe.num, pipe.den, b, n) == t[n], (b, start, n)
+            assert extraction_value(num, t.den, b, n) == oracle[n], (b, start, n)
 
 
-def _padded_data(pipe, b):
-    return pipe.num + (0,) * (len(pipe.den) - len(pipe.num)), pipe.den, b
+def _padded_data(prepared, b):
+    num, t = prepared
+    return num + (0,) * (len(t.den) - len(num)), t.den, b
 
 
 @given(_recurrences())
@@ -928,13 +952,13 @@ def test_proven_shift_direct_checks_only_below_certified_from(rec):
         r = synthesize(rec)
     assert r.report["minimal_proven"] is True and r.report["evidence"] == "certified"
     assert r.report["checked_to"] == r.certified_from - 1
-    pipe = _prepare(rec, r.c, _prefix(rec, r.horizon))
+    _, t = _prepare(rec, r.c, _prefix(rec, r.horizon))
     by_base = {}
     for b, n in checks:
         by_base.setdefault(b, []).append(n)
     for b, ns in by_base.items():
         assert ns == list(range(1, len(ns) + 1))
-        assert len(ns) <= _window_cutoff(pipe, b) - 1
+        assert len(ns) <= _window_cutoff(t, b) - 1
     assert by_base[r.b] == list(range(1, r.certified_from))
 
 
@@ -957,7 +981,7 @@ def test_forced_base_replays_to_the_horizon(monkeypatch):
 
 def test_certified_from_is_the_window_start():
     r = synthesize(FIB)
-    start = _window_start(_prepare(FIB, r.c, _prefix(FIB, r.horizon)), r.b)
+    start = _window_start(_prepare(FIB, r.c, _prefix(FIB, r.horizon))[1], r.b)
     assert start is not None and r.certified_from == max(start, 2)
 
 
@@ -969,7 +993,7 @@ def test_find_shift_is_the_least_certified_shift(rec):
     # linear scan
     s = eval_oracle(rec, _WINDOW_CAP + rec.order).values
     nonneg = _fraction_nonnegative(rec, s)
-    expected = next(c for c in range(growth_constant(rec) + 1) if nonneg or _fraction_shift_certified(rec, c, s))
+    expected = next(c for c in range(_growth_constant(_int_den(rec), rec.init) + 1) if nonneg or _fraction_shift_certified(rec, c, s))
     assert find_shift(rec) == expected
 
 
@@ -1089,10 +1113,10 @@ def test_integer_shift_and_growth_data_match_their_fraction_forms(rec):
         assert _shift_certified(den, c, s) == _fraction_shift_certified(rec, c, s), c
     # the bound data's growth constant, against the shifted recurrence
     # with Fraction coefficients that _bound_data used to build
-    pipe = _prepare(rec, find_shift(rec), s)
-    h, d0 = len(pipe.den) - 1, pipe.den[0]
-    rec_t = Recurrence(h, [Fraction(a, d0) for a in pipe.den[1:]], pipe.t_values[:h])
-    assert _growth_constant(pipe.den, pipe.t_values) == _fraction_growth_constant(rec_t)
+    _, t = _prepare(rec, find_shift(rec), s)
+    h, d0 = len(t.den) - 1, t.den[0]
+    rec_t = Recurrence(h, [Fraction(a, d0) for a in t.den[1:]], t[:h])
+    assert _growth_constant(t.den, t) == _fraction_growth_constant(rec_t)
 
 
 @given(st.one_of(_recurrences(), _rational_recurrences()))
@@ -1136,12 +1160,11 @@ def test_shifted_sequence_grows_from_its_own_denominator(rec):
     for shift in (c, c - 1) if c else (c,):
         s = synthesis._Prefix(oracle[: _NONNEG_PROBE + rec.order], _int_den(rec), cap)
         try:
-            pipe = _prepare(rec, shift, s)
+            _, t = _prepare(rec, shift, s)
         except SynthesisError as err:
             # only an unproven shift can leave t identically or eventually zero
             assert shift < c and "zero" in str(err)
             continue
-        t = pipe.t_values
         t.need(cap)
         assert t == [v + shift ** (n + 1) for n, v in enumerate(oracle)], shift
         assert len(s) == _NONNEG_PROBE + rec.order
@@ -1160,47 +1183,45 @@ def test_carry_jumps_skip_only_bases_that_fail_at_n1(rec):
     # them; each base it passes over without a direct check has no window
     # (every base below the coefficient criterion) or fails n = 1
     c = find_shift(rec)
-    pipe = _prepare(rec, c, _prefix(rec, 40))
-    b2 = _bound_data(pipe).b2
+    num, t = _prepare(rec, c, _prefix(rec, 40))
+    b2 = _bound_data(c, t).b2
     checked = []
     first_mismatch = synthesis._first_mismatch
 
-    def failing(pipe, b, ns):
+    def failing(num, t, b, ns):
         checked.append(b)
-        return (1, -1) if len(checked) <= 20 else first_mismatch(pipe, b, ns)
+        return (1, -1) if len(checked) <= 20 else first_mismatch(num, t, b, ns)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(synthesis, "_first_mismatch", failing)
         try:
-            b = synthesis._search_minimal_base(pipe, b2, 40, 0)[0]
+            b = synthesis._search_minimal_base(num, t, b2, 40, 0)[0]
             assert b == checked[-1]
         except SynthesisError:  # the walk ran past b2
             pass
     assert checked == sorted(set(checked))
-    for x in range(_digit_floor(pipe, 40), checked[-1]):
+    for x in range(_digit_floor(t, 40), checked[-1]):
         if x not in checked:
-            assert _window_cutoff(pipe, x) is None or (
-                extraction_value(pipe.num, pipe.den, x, 1) != pipe.t_values[1]
-            ), x
+            assert _window_cutoff(t, x) is None or extraction_value(num, t.den, x, 1) != t[1], x
 
 
-def _reference_walk(pipe, b2, horizon, replay):
+def _reference_walk(num, t, b2, horizon, replay):
     # _search_minimal_base as it was before the t(2) bound and the carry
     # memo: each carry jump gallops from b + 1, and every carry is computed
     # afresh; also the quotient k of each carry jump, None for a window jump
-    lo = b = min(_digit_floor(pipe, horizon), b2)
+    lo = b = min(_digit_floor(t, horizon), b2)
     probes, jumps = 0, []
     while b is not None and b <= b2:
-        if _coefficient_slack(pipe.den, b) > 0 and (f := _carry(pipe, b)) is not None and f % b:
+        if _coefficient_slack(t.den, b) > 0 and (f := _carry(num, t, b)) is not None and f % b:
             k = f // b
             jumps.append(k)
-            b = _least(lambda x: (g := _carry(pipe, x)) is None or g <= k * x, b + 1, b2)
-        elif (m_b := _window_cutoff(pipe, b)) is None:
+            b = _least(lambda x: (g := _carry(num, t, x)) is None or g <= k * x, b + 1, b2)
+        elif (m_b := _window_cutoff(t, b)) is None:
             jumps.append(None)
-            b = _least(lambda x: _window_cutoff(pipe, x) is not None, b + 1, b2)
+            b = _least(lambda x: _window_cutoff(t, x) is not None, b + 1, b2)
         else:
             probes += 1
-            if synthesis._first_mismatch(pipe, b, _checked(replay, m_b)) is None:
+            if synthesis._first_mismatch(num, t, b, _checked(replay, m_b)) is None:
                 report = {"strategy": "scan", "probes": probes, "scanned_from": lo, "minimal_proven": not replay}
                 return (b, m_b, report), jumps
             b += 1
@@ -1215,18 +1236,19 @@ def _reference_walk(pipe, b2, horizon, replay):
 def test_carry_walk_starts_past_t2_and_computes_each_carry_once(rec):
     # the first 8 direct checks fail, so both walks go on past them; each
     # counts its own checks
-    pipe = _prepare(rec, find_shift(rec), _prefix(rec, 40))
-    b2, t2 = _bound_data(pipe).b2, pipe.t_values[2]
+    c = find_shift(rec)
+    num, t = _prepare(rec, c, _prefix(rec, 40))
+    b2, t2 = _bound_data(c, t).b2, t[2]
     first_mismatch = synthesis._first_mismatch
     checked = []
 
-    def failing(pipe, b, ns):
+    def failing(num, t, b, ns):
         checked.append(b)
-        return (1, -1) if len(checked) <= 8 else first_mismatch(pipe, b, ns)
+        return (1, -1) if len(checked) <= 8 else first_mismatch(num, t, b, ns)
 
     def walk():
         try:
-            return synthesis._search_minimal_base(pipe, b2, 40, 0)
+            return synthesis._search_minimal_base(num, t, b2, 40, 0)
         except SynthesisError:  # the walk ran past b2
             return None
 
@@ -1243,13 +1265,13 @@ def test_carry_walk_starts_past_t2_and_computes_each_carry_once(rec):
         finally:
             current = None
 
-    def recorded_carry(pipe, x):
+    def recorded_carry(num, t, x):
         (outside if current is None else current).append(x)
-        return _carry(pipe, x)
+        return _carry(num, t, x)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(synthesis, "_first_mismatch", failing)
-        expected, ks = _reference_walk(pipe, b2, 40, 0)
+        expected, ks = _reference_walk(num, t, b2, 40, 0)
         checked.clear()
         mp.setattr(synthesis, "_least", recorded_least)
         mp.setattr(synthesis, "_carry", recorded_carry)
@@ -1279,17 +1301,17 @@ def test_carry_walk_computes_at_most_half_the_carries_of_the_gallop_from_b_plus_
     # benchmark's random_batch computed 3,198 carries
     calls = []
     carry = synthesis._carry
-    monkeypatch.setattr(synthesis, "_carry", lambda pipe, x: calls.append(x) or carry(pipe, x))
+    monkeypatch.setattr(synthesis, "_carry", lambda num, t, x: calls.append(x) or carry(num, t, x))
     for rec in random_specs(1, 200):
         synthesize(rec, horizon=30)
     assert len(calls) <= 3198 // 2
 
 
-def _validated_cutoff(pipe, b, horizon):
+def _validated_cutoff(num, t, b, horizon):
     # a base by the definition: it has a window cutoff m_b and direct-checks
     # on [1, max(horizon, m_b - 1)]
-    m_b = _window_cutoff(pipe, b)
-    if m_b is None or _first_mismatch(pipe, b, range(1, max(horizon, m_b - 1) + 1)) is not None:
+    m_b = _window_cutoff(t, b)
+    if m_b is None or _first_mismatch(num, t, b, range(1, max(horizon, m_b - 1) + 1)) is not None:
         return None
     return m_b
 
@@ -1298,6 +1320,6 @@ def _validated_cutoff(pipe, b, horizon):
 @example(PELL)
 def test_search_finds_the_least_base_a_full_scan_finds(rec):
     r = synthesize(rec)
-    pipe = _prepare(rec, r.c, _prefix(rec, r.horizon))
-    assert all(_validated_cutoff(pipe, b, r.horizon) is None for b in range(_digit_floor(pipe, r.horizon), r.b))
-    assert _validated_cutoff(pipe, r.b, r.horizon) == r.certified_from
+    num, t = _prepare(rec, r.c, _prefix(rec, r.horizon))
+    assert all(_validated_cutoff(num, t, b, r.horizon) is None for b in range(_digit_floor(t, r.horizon), r.b))
+    assert _validated_cutoff(num, t, r.b, r.horizon) == r.certified_from
