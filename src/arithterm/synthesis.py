@@ -57,14 +57,16 @@ fails the direct check, mostly at n = 1.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import add, mul
 
 from . import terms
-from .recurrence import Recurrence, _extend, _int_den, eval_oracle, floor_root, generating_function
+from .recurrence import Recurrence, _extend, _int_den, floor_root, generating_function
+from .recurrence import eval_oracle  # noqa: F401  unused here; perfbench/selftest.py checks its tracer wraps it here
 from .terms import _MAX_MATCHED_H, BudgetExceededError, Term, build_extraction_term, extraction_fraction, extraction_values, read_extraction
 
 _WINDOW_CAP = 64  # how far to look for the digit-size window of a shift or base
@@ -99,14 +101,17 @@ def radius_lower_bound(den: Sequence[int]) -> Fraction:
 
 
 def _coefficient_slack(den: tuple[int, ...], base: int) -> int:
-    """den_0 base^h - sum_{i>=1} |den_i| base^(h-i), for h = len(den) - 1.
+    """den_0 base^h - sum_{i>=1} |den_i| base^(h-i), for h = len(den) - 1,
+    by Horner's rule on (den_0, -|den_1|, ..., -|den_h|).
 
     The coefficient criterion holds at ``base`` when this is >= 0, and
     strictly when it is > 0; strictly, den has no root in |z| <= 1/base.
     Both only get easier as the base grows.
     """
-    h = len(den) - 1
-    return den[0] * base**h - sum(abs(d) * base ** (h - i) for i, d in enumerate(den[1:], start=1))
+    acc = den[0]
+    for d in den[1:]:
+        acc = acc * base - abs(d)
+    return acc
 
 
 def _dominated_from(den: tuple[int, ...], base: int, values: Sequence[int], offset: int, count: int) -> int | None:
@@ -174,7 +179,8 @@ def _shift_certified(den: tuple[int, ...], c: int, s: Sequence[int]) -> bool:
     start = _dominated_from(den, c, s, 1, _WINDOW_CAP + d)
     if start is None:
         return False
-    return all(s[n] + c ** (n + 1) > 0 for n in range(start + d))
+    # c^(n+1) as a running product
+    return all(v + pw > 0 for v, pw in zip(s[: start + d], accumulate(repeat(c, start + d), mul)))
 
 
 def _nonnegative(den: Sequence[int], s: Sequence[int]) -> bool:
@@ -251,15 +257,16 @@ def _least(pred: Callable[[int], bool], lo: int, hi: int) -> int | None:
 def find_shift(rec: Recurrence) -> int:
     """Least proven shift c; 0 exactly when s is provably nonnegative.
 
-    c is proven, as in synthesize, when _nonnegative or _shift_certified
-    holds.  _least searches that from 0, as it is monotone in c: at c = 0
-    only _nonnegative can hold, the certificate's coefficient criterion
-    gets easier as c grows, a window for c is one for every larger c, and
+    c is proven when _nonnegative or _shift_certified holds.  _least
+    searches that from 0, as it is monotone in c: at c = 0 only
+    _nonnegative can hold, the certificate's coefficient criterion gets
+    easier as c grows, a window for c is one for every larger c, and
     s(n) + c^(n+1) grows with c.  The growth constant is always proven.
+    This is synthesize's own shift stage, _prepare included, so it raises
+    what synthesize raises before base search (AllZeroSequenceError, and
+    SynthesisError for a spec that is not an integer sequence).
     """
-    den, s = _int_den(rec), eval_oracle(rec, _WINDOW_CAP + rec.order).values
-    nonneg = _nonnegative(den, s)
-    return _least(lambda c: nonneg or _shift_certified(den, c, s), 0, _growth_constant(den, rec.init))
+    return _shift_stage(rec, 1, None)[0]
 
 
 def pow_lt(a: int, p: int, b: int, q: int) -> bool:
@@ -439,7 +446,25 @@ def _prepare(rec: Recurrence, c: int, s: _Prefix) -> tuple[tuple[int, ...], _Pre
         raise SynthesisError("shifted sequence is eventually zero; no proper pole")
     if h > _MAX_MATCHED_H:
         raise SynthesisError(f"the term's denominator would have degree {h}, past the cap of {_MAX_MATCHED_H}")
-    return num, _Prefix((v + c ** (n + 1) for n, v in enumerate(s)), den, s.cap)
+    # c^(n+1) as a running product
+    return num, _Prefix(map(add, s, accumulate(repeat(c, len(s)), mul)), den, s.cap)
+
+
+def _shift_stage(rec: Recurrence, horizon: int, force_c: int | None) -> tuple[int, bool, tuple[int, ...], _Prefix]:
+    """(c, shift_proven, num, t): the least proven shift, or force_c and
+    whether it is proven, then _prepare's (num, t) for it.  _nonnegative
+    is decided once, on the prefix of _prefix(rec, horizon)."""
+    # a homogeneous recurrence is zero exactly when its d initial values are
+    if not any(rec.init):
+        raise AllZeroSequenceError("the sequence is identically zero")
+    s = _prefix(rec, horizon)
+    nonneg = _nonnegative(s.den, s)
+
+    def proven(c: int) -> bool:
+        return nonneg or _shift_certified(s.den, c, s)
+
+    c = _least(proven, 0, _growth_constant(s.den, rec.init)) if force_c is None else force_c
+    return (c, force_c is None or proven(c), *_prepare(rec, c, s))
 
 
 def _bound_data(c: int, t: _Prefix) -> BoundsCertificate:
@@ -479,10 +504,13 @@ def _window_cutoff(t: _Prefix, b: int) -> int | None:
 
 
 def _digit_floor(t: _Prefix, horizon: int) -> int:
-    """No base below this can represent the sequence: t(n) must fit n digits."""
+    """No base below this can represent the sequence: t(n) must fit n digits.
+    max(2, floor_root(t(n), n) + 1) over n <= min(horizon, 8), taking a root
+    only when t(n) >= lo^n, exactly when it raises the floor lo so far."""
     lo = 2
     for n in range(1, min(horizon, 8) + 1):
-        lo = max(lo, floor_root(t[n], n) + 1)
+        if t[n] >= lo**n:
+            lo = floor_root(t[n], n) + 1
     return lo
 
 
@@ -558,8 +586,14 @@ def _search_minimal_base(num: tuple[int, ...], t: _Prefix, b2: int, horizon: int
     """
     lo = b = min(_digit_floor(t, horizon), b2)
     probes, t2 = 0, t[2]
-    carry = functools.cache(lambda x: _carry(num, t, x))
-    cutoff = functools.cache(lambda x: _window_cutoff(t, x))
+    carries: dict[int, int | None] = {}
+    cutoffs: dict[int, int | None] = {}
+
+    def carry(x: int) -> int | None:
+        return carries[x] if x in carries else carries.setdefault(x, _carry(num, t, x))
+
+    def cutoff(x: int) -> int | None:
+        return cutoffs[x] if x in cutoffs else cutoffs.setdefault(x, _window_cutoff(t, x))
 
     while b is not None and b <= b2:
         if _coefficient_slack(t.den, b) > 0 and (f := carry(b)) is not None and f % b:
@@ -614,14 +648,14 @@ def synthesize(
     """Produce a validated representation s(n) = E(n) - c^(n+1) for n >= 1.
 
     A shift c is proven when _nonnegative, decided once, or
-    _shift_certified(c) holds; a searched c is the least proven one, found
-    as in find_shift.  A spec that is not an integer sequence raises
-    SynthesisError from _prepare, or NonIntegerTermError at the first
-    non-integer value formed before that.  horizon is how far the direct
-    checks replay where no proof covers every n: under a forced shift
-    without one, and for a forced base.  A searched base under a proven
-    shift is direct-checked only below certified_from, from where the
-    dominance window proves it; report["checked_to"] is always the last
+    _shift_certified(c) holds; a searched c is the least proven one, the c
+    of find_shift, by the same _shift_stage.  A spec that is not an integer
+    sequence raises SynthesisError from _prepare, or NonIntegerTermError at
+    the first non-integer value formed before that.  horizon is how far
+    the direct checks replay where no proof covers every n: under a forced
+    shift without one, and for a forced base.  A searched base under a
+    proven shift is direct-checked only below certified_from, from where
+    the dominance window proves it; report["checked_to"] is always the last
     index that was direct-checked, certified_from - 1 there.
     force_c / force_b pin the shift or base instead of searching.  A forced
     base direct-checks on [1, max(horizon, m_b - 1)] (_checked) and is
@@ -645,18 +679,7 @@ def synthesize(
         raise ValueError("force_c must be a natural number")
     if force_b is not None and force_b < 2:
         raise ValueError("force_b must be at least 2")
-    # a homogeneous recurrence is zero exactly when its d initial values are
-    if not any(rec.init):
-        raise AllZeroSequenceError("the sequence is identically zero")
-    s = _prefix(rec, horizon)
-    nonneg = _nonnegative(s.den, s)
-
-    def proven(c: int) -> bool:
-        return nonneg or _shift_certified(s.den, c, s)
-
-    c = _least(proven, 0, _growth_constant(s.den, rec.init)) if force_c is None else force_c
-    shift_proven = force_c is None or proven(c)
-    num, t = _prepare(rec, c, s)
+    c, shift_proven, num, t = _shift_stage(rec, horizon, force_c)
     if not shift_proven:
         # t may turn negative anywhere in the capped prefix; a proof of the
         # shift is a proof that it does not

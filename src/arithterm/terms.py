@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Union
+from typing import Iterator, Mapping, NamedTuple, Union
 
 from .polys import _int_prem
 
@@ -62,8 +62,9 @@ class UnboundVariableError(KeyError):
 
 # The node classes take eq, hash, repr, match args and FrozenInstanceError
 # from the dataclass, but validate in a written-out __init__ that sets each
-# field through object.__setattr__, which is cheaper than the generated
-# __init__ plus a __post_init__; a term build makes dozens of nodes.
+# field through its slot descriptor's __set__, bound once below the classes:
+# that skips the frozen __setattr__ as object.__setattr__ does, at about
+# half its cost per field.  A term build makes dozens of nodes.
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -75,7 +76,7 @@ class Const:
             raise TypeError("constant must be an int")
         if value < 0:
             raise ValueError("constants are natural numbers")
-        object.__setattr__(self, "value", value)
+        _set_value(self, value)
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -85,7 +86,7 @@ class Var:
     def __init__(self, name: str):
         if not name.isidentifier():
             raise ValueError(f"bad variable name: {name!r}")
-        object.__setattr__(self, "name", name)
+        _set_name(self, name)
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -97,9 +98,13 @@ class BinOp:
     def __init__(self, op: str, left: Term, right: Term):
         if op not in _OPS:
             raise ValueError(f"unknown operator: {op!r}")
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+        _set_op(self, op)
+        _set_left(self, left)
+        _set_right(self, right)
+
+
+_set_value, _set_name = Const.value.__set__, Var.name.__set__
+_set_op, _set_left, _set_right = BinOp.op.__set__, BinOp.left.__set__, BinOp.right.__set__
 
 
 @dataclass
@@ -182,8 +187,7 @@ class ParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True, slots=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "num" | "ident" | "op" | "lparen" | "rparen" | "end"
     text: str
     pos: int
@@ -443,6 +447,11 @@ def _degree(coeffs: tuple[int, ...]) -> int:
     return max((i for i, coeff in enumerate(coeffs) if coeff), default=-1)
 
 
+# n and n^2 are shared by every term build_extraction_term makes
+_N = Var("n")
+_N_SQUARED = BinOp("pow", _N, Const(2))
+
+
 def build_extraction_term(num: tuple[int, ...], den: tuple[int, ...], base: int) -> Term:
     """Assemble fl(base^(n^2) * N(x) / D(x)) % x, x = base^n, from signed data.
 
@@ -455,8 +464,8 @@ def build_extraction_term(num: tuple[int, ...], den: tuple[int, ...], base: int)
     each positive part must be nonzero.
 
     Nodes are immutable, so the term is a tree whose equal subterms are
-    shared: n, n^2, the constant base and each j*n are built once, and
-    base^n is both the modulus and the denominator's j = 1 power.
+    shared: n and n^2 are module-level, the base and each j*n are built once,
+    and base^n is both the modulus and the denominator's j = 1 power.
     """
     if base < 2:
         raise ValueError("base must be at least 2")
@@ -466,8 +475,7 @@ def build_extraction_term(num: tuple[int, ...], den: tuple[int, ...], base: int)
     if _degree(num) >= h:
         raise ValueError("numerator degree must be below h")
 
-    n, b = Var("n"), Const(base)
-    nsq = BinOp("pow", n, Const(2))
+    n, nsq, b = _N, _N_SQUARED, Const(base)
     x = BinOp("pow", b, n)
     times_n: dict[int, Term] = {1: n}
 
@@ -708,17 +716,15 @@ def extraction_value(
     return value
 
 
-_N_SQUARED = BinOp("pow", Var("n"), Const(2))
-
-
 def _summand(t: Term, base: int, numerator: bool) -> tuple[int, int] | None:
     """(j, coeff) when t is coeff*base^(n^2 + j*n) in a numerator, or
     coeff*base^(j*n) or the constant coeff (j = 0) in a denominator; else None.
 
     Every node is read, so t has that value at every n: coeff is an optional
     Const factor on the left of a mul, j*n is n (j = 1) or Const(j)*n, and
-    j = 0 drops the j*n of a numerator exponent.  Each == compares a
-    subterm with one of two levels, so it recurses at most that deep.
+    j = 0 drops the j*n of a numerator exponent.  n^2 is the shared
+    _N_SQUARED (an ``is`` test) or, as in a parsed or JSON term, equal to it:
+    each == reads a subterm of two levels, so it recurses at most that deep.
     """
     coeff = 1
     if isinstance(t, BinOp) and t.op == "mul" and isinstance(t.left, Const):
@@ -729,9 +735,9 @@ def _summand(t: Term, base: int, numerator: bool) -> tuple[int, int] | None:
         return None
     expo = t.right
     if numerator:
-        if expo == _N_SQUARED:
+        if expo is _N_SQUARED or expo == _N_SQUARED:
             return 0, coeff
-        if not (isinstance(expo, BinOp) and expo.op == "add" and expo.left == _N_SQUARED):
+        if not (isinstance(expo, BinOp) and expo.op == "add" and (expo.left is _N_SQUARED or expo.left == _N_SQUARED)):
             return None
         expo = expo.right
     match expo:
@@ -808,7 +814,8 @@ def read_extraction(term: Term) -> tuple | None:
     the variable n, or None.
 
     h is the largest multiple of n seen, and num and den are padded with
-    zeros to length h + 1.  Every node is read (see _summand), so the term
+    zeros to length h + 1.  Every node is read (see _summand), the shared
+    n^2 by identity, which for a frozen node implies equality, so the term
     equals extraction_value of the result at every n, but the shape is read
     leniently: summands may come in any order, repeat or carry a factor 1
     or 0, and build_extraction_term need not give the term back.  Nothing

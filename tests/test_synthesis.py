@@ -16,6 +16,7 @@ from arithterm.recurrence import (
     _int_den,
     eval_oracle,
     floor_root,
+    generating_function,
 )
 from arithterm.synthesis import (
     _NONNEG_PROBE,
@@ -77,6 +78,21 @@ def test_find_shift_result_really_clears_the_sequence():
     for rec in (SIGNED_U, SIGNED_V):
         c = find_shift(rec)
         assert all(v + c ** (n + 1) > 0 for n, v in enumerate(eval_oracle(rec, 200).values))
+
+
+@pytest.mark.parametrize("init", [2**12, 2**100], ids=["2^12", "2^100"])
+def test_find_shift_refuses_what_synthesize_refuses(init):
+    # s(n) = 2^(k - n) is an integer on the prefix up to k, but its reduced
+    # denominator 2 - z makes it no integer sequence
+    rec = Recurrence(1, ("-1/2",), (init,))
+    for call in (find_shift, synthesize):
+        with pytest.raises(SynthesisError, match="not an integer sequence"):
+            call(rec)
+
+
+def test_find_shift_refuses_the_zero_sequence():
+    with pytest.raises(AllZeroSequenceError):
+        find_shift(Recurrence(2, (-1, -1), (0, 0)))
 
 
 def test_find_shift_is_logarithmic_in_the_shift():
@@ -862,6 +878,60 @@ def test_dominance_window_proves_every_base_it_certifies(rec):
             continue
         for n in range(max(start, 2), 81):
             assert extraction_value(num, t.den, b, n) == oracle[n], (b, start, n)
+
+
+@given(_recurrences())
+@example(SIGNED_U)
+@example(SIGNED_V)
+def test_find_shift_is_the_shift_synthesize_takes(rec):
+    assert find_shift(rec) == synthesize(rec).c
+
+
+def _reference_slack(den, b):
+    h = len(den) - 1
+    return den[0] * b**h - sum(abs(d) * b ** (h - i) for i, d in enumerate(den[1:], start=1))
+
+
+@given(st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=8), st.integers(0, 10**6))
+@example([3], 0)
+@example([1, -2, 5], 0)
+@example([1, -2, 5], 1)
+@example([-4, 7, 0, -1], 1)
+def test_coefficient_slack_is_the_power_sum(den, b):
+    assert _coefficient_slack(tuple(den), b) == _reference_slack(den, b)
+
+
+@st.composite
+def _digit_prefixes(draw):
+    """Nonnegative prefixes whose t(n) are often an n-th power or next to
+    one, where the digit floor moves or just stays."""
+    t = [draw(st.integers(0, 10))]
+    for n in range(1, draw(st.integers(9, 12))):
+        near_power = draw(st.integers(2, 40)) ** n + draw(st.integers(-1, 1))
+        t.append(near_power if draw(st.booleans()) else draw(st.integers(0, 10**40)))
+    return t
+
+
+@given(_digit_prefixes(), st.integers(1, 40))
+@example([0, 1, 3, 7, 15, 31, 63, 127, 255], 8)
+@example([0, 2, 9, 63, 256, 0, 0, 0, 0], 8)  # each of 2, 9, 256 raises the floor by one
+@example([5, 2**64, 0, 0, 0, 0, 0, 0, 3**200], 8)
+def test_digit_floor_is_the_largest_root_plus_one(t, horizon):
+    want = max(2, *(floor_root(t[n], n) + 1 for n in range(1, min(horizon, 8) + 1)))
+    assert _digit_floor(t, horizon) == want
+
+
+@given(_recurrences(), st.integers(0, 30))
+@example(FIB, 0)
+@example(SIGNED_U, 3)
+def test_prepare_shifts_every_formed_value_by_c_to_the_n_plus_1(rec, c):
+    s = _prefix(rec, 40)
+    try:
+        _, t = _prepare(rec, c, s)
+    except SynthesisError:
+        assume(False)
+    assert list(t) == [v + c ** (n + 1) for n, v in enumerate(s)]
+    assert (t.den, t.cap) == (generating_function(rec, c)[1], s.cap)
 
 
 def _padded_data(prepared, b):

@@ -384,7 +384,8 @@ def test_build_extraction_term_without_minus_parts():
     assert evaluate(t, {"n": 9}) == 9
 
 
-def _distinct_nodes(t):
+def _nodes(t):
+    """Every node object of t, by id."""
     seen, stack = {}, [t]
     while stack:
         node = stack.pop()
@@ -392,7 +393,11 @@ def _distinct_nodes(t):
             seen[id(node)] = node
             if isinstance(node, BinOp):
                 stack += [node.left, node.right]
-    return len(seen)
+    return seen
+
+
+def _distinct_nodes(t):
+    return len(_nodes(t))
 
 
 def test_build_extraction_term_shares_equal_subterms():
@@ -420,11 +425,54 @@ def test_built_terms_round_trip_on_the_benchmark_data(random_specs):
 
 @pytest.mark.parametrize(
     "node, field",
-    [(Const(3), "value"), (Var("n"), "name"), (BinOp("add", Const(1), Var("n")), "op"), (BinOp("add", Const(1), Var("n")), "left")],
+    [
+        (Const(3), "value"),
+        (Var("n"), "name"),
+        (BinOp("add", Const(1), Var("n")), "op"),
+        (BinOp("add", Const(1), Var("n")), "left"),
+        (BinOp("add", Const(1), Var("n")), "right"),
+    ],
 )
 def test_term_nodes_are_frozen(node, field):
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(node, field, getattr(node, field))
+
+
+@pytest.mark.parametrize(
+    "make, text",
+    [
+        (lambda: Const(3), "Const(value=3)"),
+        (lambda: Var("n"), "Var(name='n')"),
+        (lambda: BinOp("add", Const(1), Var("n")), "BinOp(op='add', left=Const(value=1), right=Var(name='n'))"),
+    ],
+    ids=["Const", "Var", "BinOp"],
+)
+def test_term_nodes_keep_their_dataclass_behaviour(make, text):
+    # __init__ sets the fields through the slot descriptors; eq, hash, repr,
+    # match args and frozenness (test_term_nodes_are_frozen for assignment)
+    # still come from the dataclass
+    a, b = make(), make()
+    fields = tuple(f.name for f in dataclasses.fields(a))
+    assert a is not b and a == b and hash(a) == hash(b) and repr(a) == text
+    assert type(a).__match_args__ == fields
+    assert a != Const(4) and a != Var("m") and a != BinOp("mul", Const(1), Var("n"))
+    for field in fields:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(a, field)
+    assert a == b
+
+
+@given(term_strategy())
+def test_rebuilt_nodes_equal_hash_and_print_as_the_originals(t):
+    back = term_from_json(term_to_json(t))
+    assert back == t and hash(back) == hash(t) and repr(back) == repr(t)
+    match back:
+        case BinOp(op, left, right):
+            assert (op, left, right) == (t.op, t.left, t.right)
+        case Const(value):
+            assert value == t.value
+        case Var(name):
+            assert name == t.name
 
 
 def test_build_extraction_term_validation():
@@ -454,6 +502,19 @@ def extraction_data(draw):
     assume(den[h] != 0 and (num[0] or den[0]) and max(num) > 0 and max(den) > 0)
     base = draw(st.integers(2, 50))
     return tuple(num), tuple(den), base
+
+
+@given(extraction_data())
+@example(((3, -1, 2, 1), (1, -2, 1, -3, 2), 7))
+def test_parsed_and_json_terms_read_back_as_the_built_term(data):
+    # the built term shares n and n^2 with every other built term, which
+    # _summand matches by identity; parse and term_from_json build every
+    # node afresh, so they take the == branch, with the same result
+    built = build_extraction_term(*data)
+    ids = _nodes(built).keys()
+    for back in (parse(render(built)), term_from_json(term_to_json(built))):
+        assert not ids & _nodes(back).keys()
+        assert read_extraction(back) == read_extraction(built) == (data[0] + (0,), *data[1:])
 
 
 @given(extraction_data(), st.integers(0, 25))
