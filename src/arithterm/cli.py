@@ -134,6 +134,12 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # one source, and --shift only where no shift comes with it, so no
+    # input is dropped without a word
+    if [args.spec, args.fixture, args.result].count(None) != 2:
+        raise ValueError("verify needs exactly one of SPEC TERM, --fixture or --result")
+    if args.shift is not None and args.spec is None:
+        raise ValueError("--shift is for the SPEC TERM form; a fixture or a result carries its own shift")
     n_lo = 1
     if args.fixture is not None:
         fix = get_fixture(args.fixture)
@@ -141,9 +147,9 @@ def _cmd_verify(args) -> int:
     elif args.result is not None:
         rec, term, c = _load_result(args.result)
     else:
-        if args.spec is None or args.term is None:
+        if args.term is None:
             raise ValueError("verify needs SPEC and TERM, or --fixture, or --result")
-        rec, term, c = _load_spec(args.spec), parse(args.term), args.shift
+        rec, term, c = _load_spec(args.spec), parse(args.term), args.shift or 0
     if args.n_from is not None:
         n_lo = args.n_from
     n_hi = args.n_to
@@ -243,7 +249,7 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("term", metavar="TERM", nargs="?")
     p.add_argument("--fixture", default=None, help="verify a catalog fixture by id")
     p.add_argument("--result", default=None, help="verify a JSON file produced by synth --format json")
-    p.add_argument("--shift", type=int, default=0, help="shift c for the SPEC TERM form")
+    p.add_argument("--shift", type=int, default=None, help="shift c for the SPEC TERM form (default 0)")
     p.add_argument("--from", dest="n_from", type=int, default=None)
     p.add_argument("--to", dest="n_to", type=int, default=40)
     p.add_argument("--json", action="store_true")

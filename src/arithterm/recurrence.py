@@ -18,6 +18,8 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice, repeat
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from .polys import reduce_int_fraction
@@ -123,8 +125,11 @@ def _int_den(rec: Recurrence) -> tuple[int, ...]:
 def eval_oracle(rec: Recurrence, count: int) -> SequenceWindow:
     """First ``count`` terms of the sequence, computed exactly by _extend.
 
-    Raises NonIntegerTermError as soon as a rational non-integer shows up;
-    the recurrence then does not define an integer sequence.
+    The whole prefix is formed, so the cost grows with count times the
+    bits of the values, but _extend's iterator pipeline spends no Python
+    step per value on integer coefficients.  Raises NonIntegerTermError as
+    soon as a rational non-integer shows up; the recurrence then does not
+    define an integer sequence.
     """
     if count < 0:
         raise ValueError("count must be a natural number")
@@ -141,28 +146,44 @@ def _extend(den: Sequence[int], vals: list[int], count: int) -> None:
     vals holds v(0) to v(len(vals) - 1) and, unless it already holds count
     values, at least the len(den) - 1 initial ones.
 
-    Each new value costs one integer multiply-add per nonzero coefficient,
-    followed, only when the scale exceeds 1, by an exact division by it,
-    which raises NonIntegerTermError at the first value that is not an
-    integer.
+    The new values come from a pipeline of iterators that CPython runs in
+    C, with no Python step per value unless the scale exceeds 1.  For
+    n0 = len(vals), each nonzero lag i streams vals from index n0 - i on,
+    through a list iterator placed there at once (islice would step over
+    the n0 - i values before it), times w = -den_i unless w = 1.  The lag
+    streams are summed by map(add) in a balanced tree, so each value passes
+    O(log #lags) maps; a chain one map per lag deep overflows the C stack
+    at 10^5 lags.  Past a scale above 1, one more stage divides exactly
+    and raises NonIntegerTermError at the first value that is not an
+    integer, with the values before it appended.  vals.extend appends each
+    value as soon as it is formed, so the j-th new value, v(n0 + j), reads
+    lag i at index n0 - i + j < n0 + j: every lag iterator reads only values
+    already appended.
     """
-    if len(vals) >= count:
+    n0 = len(vals)
+    if n0 >= count:
         return
     scale, *coeffs = den
-    # v(n) = -(sum_{i>=1} den_i * v(n-i)) / scale over the nonzero lags i;
-    # the last coefficient is nonzero, so there is at least one
-    (w1, k1), *lags = [(-a, -i) for i, a in enumerate(coeffs, 1) if a]
-    append = vals.append
-    for n in range(len(vals), count):
-        acc = w1 * vals[k1]
-        for w, k in lags:
-            acc += w * vals[k]
-        if scale > 1:
+    lags = []
+    for i, a in enumerate(coeffs, 1):
+        if a:
+            lagged = iter(vals)
+            lagged.__setstate__(n0 - i)
+            lags.append(lagged if a == -1 else map(mul, repeat(-a), lagged))
+    # the last coefficient is nonzero, so there is at least one lag
+    while len(lags) > 1:
+        lags = [map(add, x, y) for x, y in zip(lags[::2], lags[1::2])] + lags[len(lags) // 2 * 2 :]
+    stream = lags[0]
+    if scale > 1:
+
+        def exact(acc: int, n: int) -> int:
             q, rem = divmod(acc, scale)
             if rem:
                 raise NonIntegerTermError(n, Fraction(acc, scale))
-            acc = q
-        append(acc)
+            return q
+
+        stream = map(exact, stream, range(n0, count))
+    vals.extend(islice(stream, count - n0))
 
 
 def generating_function(rec: Recurrence, c: int = 0) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -174,11 +195,15 @@ def generating_function(rec: Recurrence, c: int = 0) -> tuple[tuple[int, ...], t
     it the unique primitive reduced representative with den[0] > 0.  A zero
     sequence gives ((), (1,)).
     """
+    return _generating_function(_int_den(rec), rec.init, c)
+
+
+def _generating_function(den: tuple[int, ...], init: Sequence[int], c: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """generating_function for den = _int_den(rec) and init = rec.init,
+    for a caller that holds den already."""
     if c < 0:
         raise ValueError("shift must be a natural number")
-    d = rec.order
-    den = _int_den(rec)
-    num = [sum(den[i] * rec.init[k - i] for i in range(k + 1)) for k in range(d)]
+    num = [sum(den[i] * init[k - i] for i in range(k + 1)) for k in range(len(den) - 1)]
     if c:
         # num/den + c/(1 - cz) = (num (1 - cz) + c den) / (den (1 - cz))
         num = [x + c * y for x, y in zip(_times_1_minus_cz(num, c), den)]

@@ -65,7 +65,7 @@ from itertools import accumulate, repeat
 from operator import add, mul
 
 from . import terms
-from .recurrence import Recurrence, _extend, _int_den, floor_root, generating_function
+from .recurrence import Recurrence, _extend, _generating_function, _int_den, floor_root
 from .recurrence import eval_oracle  # noqa: F401  unused here; perfbench/selftest.py checks its tracer wraps it here
 from .terms import _MAX_MATCHED_H, BudgetExceededError, Term, build_extraction_term, extraction_fraction, extraction_values, read_extraction
 
@@ -436,7 +436,7 @@ def _prepare(rec: Recurrence, c: int, s: _Prefix) -> tuple[tuple[int, ...], _Pre
     every n.  The shift proofs that pick c (_nonnegative, _shift_certified)
     live in this module too.  Nothing here looks at the sign of t; synthesize does, where no proof
     covers it."""
-    num, den = generating_function(rec, c)
+    num, den = _generating_function(s.den, rec.init, c)
     if not num:
         raise SynthesisError("shifted sequence is identically zero")
     if den[0] != 1:

@@ -357,6 +357,39 @@ def test_verify_missing_arguments(capsys):
     assert "verify needs" in err
 
 
+def test_verify_refuses_a_shift_it_would_not_apply(capsys, tmp_path):
+    # A088137's result has c = 3: a --shift 7 beside it was dropped, and
+    # the replay printed ok for a shift it never applied
+    code, out, _ = run(capsys, "synth", '{"order": 2, "coeffs": [-2, 3], "init": [0, 1]}', "--format", "json")
+    assert code == 0 and json.loads(out)["c"] == 3
+    path = tmp_path / "a.json"
+    path.write_text(out, encoding="utf-8")
+    message = "arithterm: --shift is for the SPEC TERM form; a fixture or a result carries its own shift\n"
+    for argv in (("--result", str(path), "--shift", "7"), ("--fixture", "A000045", "--shift", "2"), ("--fixture", "A000045", "--shift", "0")):
+        code, out, err = run(capsys, "verify", *argv, "--to", "10")
+        assert (code, out, err) == (1, "", message)
+
+
+def test_verify_takes_exactly_one_source(capsys, tmp_path):
+    # SPEC TERM beside --fixture, or --fixture beside --result, was dropped
+    # without a word: the fixture won
+    code, out, _ = run(capsys, "synth", FIB, "--format", "json")
+    path = tmp_path / "r.json"
+    path.write_text(out, encoding="utf-8")
+    message = "arithterm: verify needs exactly one of SPEC TERM, --fixture or --result\n"
+    for argv in (
+        (FIB, "n", "--fixture", "A000045"),
+        ("--fixture", "A000045", "--result", str(path)),
+        (FIB, FIB_TERM, "--result", str(path)),
+        (),
+    ):
+        code, out, err = run(capsys, "verify", *argv, "--to", "10")
+        assert (code, out, err) == (1, "", message), argv
+    # the shift of the SPEC TERM form still defaults to 0
+    code, out, _ = run(capsys, "verify", FIB, FIB_TERM, "--to", "10")
+    assert (code, out) == (0, "ok: checked n in [1, 10]\n")
+
+
 def test_catalog_list(capsys):
     code, out, _ = run(capsys, "catalog", "list")
     assert code == 0

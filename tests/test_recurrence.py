@@ -2,19 +2,20 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from arithterm.polys import int_poly_gcd
 from arithterm.recurrence import (
     NonIntegerTermError,
     Recurrence,
+    _extend,
     _int_den,
     eval_oracle,
     floor_root,
     generating_function,
 )
-from arithterm.synthesis import _NONNEG_PROBE, _growth_constant, _nonnegative
+from arithterm.synthesis import _NONNEG_PROBE, _growth_constant, _nonnegative, _Prefix
 
 FIB = Recurrence(2, (-1, -1), (0, 1))
 
@@ -114,6 +115,93 @@ def test_eval_oracle_matches_fraction_steps(data, count):
     except NonIntegerTermError as err:
         got = (err.index, err.value)
     assert got == expected
+
+
+def _reference_extend(den, vals, count):
+    # the per-value loop _extend replaced, kept as the reference for its
+    # iterator pipeline: one multiply-add per nonzero lag, then an exact
+    # division by the scale
+    if len(vals) >= count:
+        return
+    scale, *coeffs = den
+    (w1, k1), *lags = [(-a, -i) for i, a in enumerate(coeffs, 1) if a]
+    for n in range(len(vals), count):
+        acc = w1 * vals[k1]
+        for w, k in lags:
+            acc += w * vals[k]
+        if scale > 1:
+            q, rem = divmod(acc, scale)
+            if rem:
+                raise NonIntegerTermError(n, Fraction(acc, scale))
+            acc = q
+        vals.append(acc)
+
+
+def _grown(extend, den, vals, count):
+    """(values, (index, value) of the NonIntegerTermError or None) after
+    extend grows vals to count."""
+    try:
+        extend(den, vals, count)
+    except NonIntegerTermError as err:
+        return list(vals), (err.index, err.value)
+    return list(vals), None
+
+
+# orders 1 to 6 with scales 1 to 6; coefficients are often 0 (a skipped
+# lag) or -1 and 1 (w = 1, the lag streamed as is, and w = -1)
+_dens = st.integers(1, 6).flatmap(
+    lambda d: st.tuples(
+        st.integers(1, 6),
+        st.lists(st.one_of(st.sampled_from((0, -1, 1)), st.integers(-9, 9)), min_size=d, max_size=d).filter(lambda cs: cs[-1] != 0),
+        st.lists(st.integers(-8, 8), min_size=d, max_size=d),
+    )
+)
+
+
+@given(_dens, st.integers(0, 40))
+@example((1, [-1, -1], [0, 1]), 30)
+@example((2, [-3], [4]), 6)  # 4, 6, 9, then 27/2 at index 3
+@example((3, [0, 0, -1], [3, 6, 9]), 20)
+def test_extend_matches_the_reference_loop(data, count):
+    scale, coeffs, init = data
+    den = (scale, *coeffs)
+    # the same values appended, and where the reference stops at a
+    # non-integer, the same error after the same prefix
+    assert _grown(_extend, den, list(init), count) == _grown(_reference_extend, den, list(init), count)
+
+
+@given(_dens, st.lists(st.integers(0, 40), max_size=5))
+def test_a_prefix_grown_in_steps_equals_one_grown_at_once(data, steps):
+    scale, coeffs, init = data
+    den, cap = (scale, *coeffs), 35
+    at_once = _grown(_extend, den, list(init), min(max(steps, default=0), cap))
+    stepped, error = _Prefix(init, den, cap), None
+    try:
+        for count in steps:
+            stepped.need(count)
+    except NonIntegerTermError as err:
+        error = (err.index, err.value)
+    # the furthest step forms exactly what one step to it forms
+    assert (list(stepped), error) == at_once
+
+
+def test_extend_leaves_a_prefix_that_holds_count_values_alone():
+    for den, vals in (((1, -1, -1), [0, 1, 1, 2, 3]), ((2, -3), [4, 6, 9]), ((1, -1, -1), [0])):
+        for count in range(len(vals) + 1):
+            grown = list(vals)
+            _extend(den, grown, count)
+            assert grown == vals
+
+
+def test_extend_sums_a_hundred_thousand_lags_without_a_crash():
+    # v(n) = v(n-1) + ... + v(n-10^5): one map per lag chained would be
+    # 10^5 C frames deep per value
+    d = 100_000
+    den, vals = (1, *[-1] * d), [0] * (d - 1) + [1]
+    expected = list(vals)
+    _reference_extend(den, expected, d + 3)
+    _extend(den, vals, d + 3)
+    assert vals[d:] == expected[d:] == [1, 2, 4]
 
 
 def test_json_round_trip():

@@ -1216,6 +1216,27 @@ def test_synthesize_decides_nonnegative_once(monkeypatch, rec, force_c):
     assert calls == [_int_den(rec)]
 
 
+@pytest.mark.parametrize("force_c", [None, 1])
+@pytest.mark.parametrize("rec", [FIB, SIGNED_U, MINUS_TWO_POW], ids=["FIB", "SIGNED_U", "rational"])
+def test_synthesize_forms_the_integer_denominator_once(monkeypatch, rec, force_c):
+    # _prefix forms it, and the prefix's den serves the shift proofs and
+    # t's generating function
+    calls = []
+    int_den = recurrence._int_den
+
+    def counted(rec):
+        calls.append(rec)
+        return int_den(rec)
+
+    monkeypatch.setattr(recurrence, "_int_den", counted)
+    monkeypatch.setattr(synthesis, "_int_den", counted)
+    try:
+        synthesize(rec, force_c=force_c)
+    except SynthesisError:  # a forced shift too small for the sequence
+        pass
+    assert calls == [rec]
+
+
 @given(st.one_of(_recurrences(), _rational_recurrences()))
 @example(SIGNED_U)
 @example(Recurrence(2, ("3/2", -1), (1, -2)))
