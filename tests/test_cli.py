@@ -365,7 +365,12 @@ def test_verify_refuses_a_shift_it_would_not_apply(capsys, tmp_path):
     path = tmp_path / "a.json"
     path.write_text(out, encoding="utf-8")
     message = "arithterm: --shift is for the SPEC TERM form; a fixture or a result carries its own shift\n"
-    for argv in (("--result", str(path), "--shift", "7"), ("--fixture", "A000045", "--shift", "2"), ("--fixture", "A000045", "--shift", "0")):
+    # --shift 0 too: the source's own shift is used, not a default
+    for argv in (
+        ("--result", str(path), "--shift", "7"),
+        ("--fixture", "A000045", "--shift", "2"),
+        ("--fixture", "A000045", "--shift", "0"),
+    ):
         code, out, err = run(capsys, "verify", *argv, "--to", "10")
         assert (code, out, err) == (1, "", message)
 
