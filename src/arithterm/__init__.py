@@ -18,7 +18,6 @@ from .recurrence import (
     Recurrence,
     SequenceWindow,
     eval_oracle,
-    floor_root,
     generating_function,
 )
 from .terms import (
@@ -48,10 +47,6 @@ from .synthesis import (
     BoundsCertificate,
     SynthesisError,
     SynthesisResult,
-    find_b1_m,
-    find_b2,
-    find_shift,
-    radius_lower_bound,
     synthesize,
 )
 from .catalog import (
@@ -86,7 +81,6 @@ __all__ = [
     "Recurrence",
     "SequenceWindow",
     "eval_oracle",
-    "floor_root",
     "generating_function",
     "DEFAULT_BIT_BUDGET",
     "BinOp",
@@ -112,10 +106,6 @@ __all__ = [
     "BoundsCertificate",
     "SynthesisError",
     "SynthesisResult",
-    "find_b1_m",
-    "find_b2",
-    "find_shift",
-    "radius_lower_bound",
     "synthesize",
     "Fixture",
     "LucasParameterError",

@@ -152,7 +152,7 @@ def _cmd_verify(args) -> int:
         rec, term, c = _load_spec(args.spec), parse(args.term), args.shift or 0
     if args.n_from is not None:
         n_lo = args.n_from
-    n_hi = args.n_to
+    n_hi = max(n_lo, 40) if args.n_to is None else args.n_to
     # before the oracle expands s(0..n_hi), which a bad range can make huge
     if n_lo < 0 or n_hi < n_lo:
         raise ValueError("need 0 <= n_lo <= n_hi")
@@ -250,8 +250,8 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--fixture", default=None, help="verify a catalog fixture by id")
     p.add_argument("--result", default=None, help="verify a JSON file produced by synth --format json")
     p.add_argument("--shift", type=int, default=None, help="shift c for the SPEC TERM form (default 0)")
-    p.add_argument("--from", dest="n_from", type=int, default=None)
-    p.add_argument("--to", dest="n_to", type=int, default=40)
+    p.add_argument("--from", dest="n_from", type=int, default=None, help="first index checked (default: a fixture's valid_from, else 1)")
+    p.add_argument("--to", dest="n_to", type=int, default=None, help="last index checked (default: the larger of the first index and 40)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 

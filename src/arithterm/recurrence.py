@@ -216,7 +216,13 @@ def _times_1_minus_cz(p: Sequence[int], c: int) -> list[int]:
 
 
 def floor_root(x: int, k: int) -> int:
-    """Largest integer r with r^k <= x, for x >= 0, k >= 1."""
+    """Largest integer r with r^k <= x, for x >= 0, k >= 1.
+
+    Integer Newton from r = 2^ceil(L/k) > x^(1/k), L the bit length of x.
+    While r^k > x, the step floor(((k - 1) r + x / r^(k-1)) / k) is below r
+    and, by AM-GM, at least floor(x^(1/k)), so the first r with r^k <= x
+    is the root.
+    """
     if x < 0:
         raise ValueError("x must be a natural number")
     if x < 2 or k == 1:
@@ -224,6 +230,4 @@ def floor_root(x: int, k: int) -> int:
     r = 1 << ((x.bit_length() + k - 1) // k)
     while r**k > x:
         r = (r * (k - 1) + x // r ** (k - 1)) // k
-    while (r + 1) ** k <= x:
-        r += 1
     return r

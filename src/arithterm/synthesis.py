@@ -44,11 +44,11 @@ synthesize expands s once, into a prefix that the shift stage reads and
 alone grows (_prefix).  t starts from the values of s formed by then and
 grows from its own denominator (_prepare), by the same expander.  Each
 grows in place only as far as its readers ask, so most specs form a dozen
-values rather than the whole capped prefix, with rational coefficients or
-not: _prepare decides integrality for every n by Fatou's lemma.  The shift
-proofs (_nonnegative, _shift_certified, _growth_constant) live here, beside
-the search that reads them.  Everything is exact integer
-arithmetic, apart from the radius bound rho, a Fraction of two integers.
+values, with rational coefficients or not: _prepare decides integrality
+for every n by Fatou's lemma.  The shift proofs (_nonnegative,
+_shift_certified, _growth_constant) live here, beside the search that
+reads them.  Everything is exact integer arithmetic, apart from the
+radius bound rho, a Fraction of two integers.
 Certificates are only ever sufficient: a reported base is backed by a
 proof sketch (coefficient dominance + a window of digit-size checks), and
 nearly every base rejected during the search passes that certificate but
@@ -126,10 +126,10 @@ def _dominated_from(den: tuple[int, ...], base: int, values: Sequence[int], offs
     uses it for |s(k)| < c^(k+1), base search for t(k) < b^(k-2).  None
     when the criterion fails or values[:count] hold no window.
 
-    ``values`` is a whole prefix of at least count values, or a _Prefix
-    whose cap is at least count: a scan that runs out of formed values
-    grows it to count and goes on.  Most windows start within the first
-    few values, and a window past them mostly needs the whole count.
+    ``values`` is a whole prefix of at least count values, or a _Prefix:
+    a scan that runs out of formed values grows it to count and goes on.
+    Most windows start within the first few values, and a window past them
+    mostly needs the whole count.
     """
     h = len(den) - 1
     if _coefficient_slack(den, base) < 0:
@@ -151,18 +151,18 @@ class _Prefix(list):
     """The first len(self) values of a sequence that obeys the integer
     recurrence den (as _extend takes it), grown in place on demand.
 
-    need(count) makes it hold min(count, cap) values, by _extend; readers
+    need(count) makes it hold at least count values, by _extend; readers
     index and slice it as the list it is.
     """
 
-    __slots__ = ("den", "cap")
+    __slots__ = ("den",)
 
-    def __init__(self, values: Sequence[int], den: tuple[int, ...], cap: int):
+    def __init__(self, values: Sequence[int], den: tuple[int, ...]):
         super().__init__(values)
-        self.den, self.cap = den, cap
+        self.den = den
 
     def need(self, count: int) -> None:
-        _extend(self.den, self, min(count, self.cap))
+        _extend(self.den, self, count)
 
 
 def _shift_certified(den: tuple[int, ...], c: int, s: Sequence[int]) -> bool:
@@ -252,21 +252,6 @@ def _least(pred: Callable[[int], bool], lo: int, hi: int) -> int | None:
         else:
             below = mid
     return x
-
-
-def find_shift(rec: Recurrence) -> int:
-    """Least proven shift c; 0 exactly when s is provably nonnegative.
-
-    c is proven when _nonnegative or _shift_certified holds.  _least
-    searches that from 0, as it is monotone in c: at c = 0 only
-    _nonnegative can hold, the certificate's coefficient criterion gets
-    easier as c grows, a window for c is one for every larger c, and
-    s(n) + c^(n+1) grows with c.  The growth constant is always proven.
-    This is synthesize's own shift stage, _prepare included, so it raises
-    what synthesize raises before base search (AllZeroSequenceError, and
-    SynthesisError for a spec that is not an integer sequence).
-    """
-    return _shift_stage(rec, 1, None)[0]
 
 
 def pow_lt(a: int, p: int, b: int, q: int) -> bool:
@@ -400,24 +385,17 @@ class BoundsCertificate:
         }
 
 
-def _prefix(rec: Recurrence, horizon: int) -> _Prefix:
+def _prefix(rec: Recurrence) -> _Prefix:
     """The prefix of s, on den = _int_den(rec), that synthesize expands
-    once, capped at max(_WINDOW_CAP + d + 2, horizon + 1) values, which is
-    also the cap of t: the shift proofs read at most
-    s(0.._WINDOW_CAP + d - 1), and base search at most t(0.._WINDOW_CAP + h),
-    h <= d + 1, in the dominance window, whose start is at most
-    _WINDOW_CAP + 1, and t(1..horizon) in the direct checks.
-
-    It holds s(0.._NONNEG_PROBE + d - 1) at first, all that
-    _nonnegative, the growth constant, the digit floor and the
-    carry read, and _shift_certified, which lives in this module with the
-    other shift proofs, grows it by _extend, so no value is formed twice.
-    Rational coefficients form no more than integer ones: _prepare decides
+    once.  It holds s(0.._NONNEG_PROBE + d - 1) at first, all that
+    _nonnegative, the growth constant, the digit floor and the carry read,
+    and _shift_certified grows it by _extend to at most
+    s(0.._WINDOW_CAP + d - 1), so no value is formed twice.  Rational
+    coefficients form no more than integer ones: _prepare decides
     integrality for every n, so NonIntegerTermError only comes from a value
     formed here.
     """
-    den = _int_den(rec)
-    s = _Prefix(rec.init, den, max(_WINDOW_CAP + rec.order + 2, horizon + 1))
+    s = _Prefix(rec.init, _int_den(rec))
     s.need(_NONNEG_PROBE + rec.order)
     return s
 
@@ -428,36 +406,45 @@ def _prepare(rec: Recurrence, c: int, s: _Prefix) -> tuple[tuple[int, ...], _Pre
     formed, at least _NONNEG_PROBE + d values, and grown past it from t's
     own denominator t.den: deg num < h, so sum_i den_i t(n-i) = 0 from
     n = h on, and den[0] = 1, so _extend never divides.  Raises
-    SynthesisError when t is eventually zero, when its denominator's
+    SynthesisError when t is identically zero, when its denominator's
     degree h is past _MAX_MATCHED_H, the largest h read_extraction reads
     back, or when den[0] != 1: by Fatou's lemma the series has integer
     coefficients exactly when its reduced primitive denominator has
     den[0] = 1, so this is the one place integrality is decided, for
-    every n.  The shift proofs that pick c (_nonnegative, _shift_certified)
-    live in this module too.  Nothing here looks at the sign of t; synthesize does, where no proof
-    covers it."""
+    every n.  A nonzero t has h >= 1: num/den is proper before reduction
+    (deg num <= d < d + 1 = deg den) and stays proper, so h = 0 forces
+    num = ().  Nothing here looks at the sign of t; synthesize does, where
+    no proof covers it."""
     num, den = _generating_function(s.den, rec.init, c)
     if not num:
         raise SynthesisError("shifted sequence is identically zero")
     if den[0] != 1:
         raise SynthesisError(f"not an integer sequence: its generating function's reduced denominator has constant term {den[0]}")
     h = len(den) - 1
-    if h < 1:
-        raise SynthesisError("shifted sequence is eventually zero; no proper pole")
     if h > _MAX_MATCHED_H:
         raise SynthesisError(f"the term's denominator would have degree {h}, past the cap of {_MAX_MATCHED_H}")
     # c^(n+1) as a running product
-    return num, _Prefix(map(add, s, accumulate(repeat(c, len(s)), mul)), den, s.cap)
+    return num, _Prefix(map(add, s, accumulate(repeat(c, len(s)), mul)), den)
 
 
-def _shift_stage(rec: Recurrence, horizon: int, force_c: int | None) -> tuple[int, bool, tuple[int, ...], _Prefix]:
+def _shift_stage(rec: Recurrence, force_c: int | None) -> tuple[int, bool, tuple[int, ...], _Prefix]:
     """(c, shift_proven, num, t): the least proven shift, or force_c and
-    whether it is proven, then _prepare's (num, t) for it.  _nonnegative
-    is decided once, on the prefix of _prefix(rec, horizon)."""
+    whether it is proven, then _prepare's (num, t) for it.  It reads the
+    recurrence alone.
+
+    c is proven when _nonnegative, decided once on the prefix of
+    _prefix(rec), or _shift_certified holds.  _least searches that from 0,
+    as it is monotone in c: at c = 0 only _nonnegative can hold, the
+    certificate's coefficient criterion gets easier as c grows, a window
+    for c is one for every larger c, and s(n) + c^(n+1) grows with c.  The
+    growth constant is always proven, so a searched c is 0 exactly when s
+    is provably nonnegative.  Raises AllZeroSequenceError for the zero
+    sequence, and what _prepare raises.
+    """
     # a homogeneous recurrence is zero exactly when its d initial values are
     if not any(rec.init):
         raise AllZeroSequenceError("the sequence is identically zero")
-    s = _prefix(rec, horizon)
+    s = _prefix(rec)
     nonneg = _nonnegative(s.den, s)
 
     def proven(c: int) -> bool:
@@ -648,12 +635,14 @@ def synthesize(
     """Produce a validated representation s(n) = E(n) - c^(n+1) for n >= 1.
 
     A shift c is proven when _nonnegative, decided once, or
-    _shift_certified(c) holds; a searched c is the least proven one, the c
-    of find_shift, by the same _shift_stage.  A spec that is not an integer
-    sequence raises SynthesisError from _prepare, or NonIntegerTermError at
-    the first non-integer value formed before that.  horizon is how far
-    the direct checks replay where no proof covers every n: under a forced
-    shift without one, and for a forced base.  A searched base under a
+    _shift_certified(c) holds; a searched c is the least proven one
+    (_shift_stage, which reads the recurrence alone).  A spec that is not
+    an integer sequence raises SynthesisError from _prepare, or
+    NonIntegerTermError at the first non-integer value formed before that.
+    horizon is how far the direct checks replay where no proof covers
+    every n: under a forced shift without one, and for a forced base, and
+    how far an unproven shift's t is scanned for a negative value, besides
+    the indices base search reads.  A searched base under a
     proven shift is direct-checked only below certified_from, from where
     the dominance window proves it; report["checked_to"] is always the last
     index that was direct-checked, certified_from - 1 there.
@@ -679,11 +668,11 @@ def synthesize(
         raise ValueError("force_c must be a natural number")
     if force_b is not None and force_b < 2:
         raise ValueError("force_b must be at least 2")
-    c, shift_proven, num, t = _shift_stage(rec, horizon, force_c)
+    c, shift_proven, num, t = _shift_stage(rec, force_c)
     if not shift_proven:
-        # t may turn negative anywhere in the capped prefix; a proof of the
-        # shift is a proof that it does not
-        t.need(t.cap)
+        # t may turn negative anywhere; a proof of the shift is a proof that
+        # it does not.  Scan every index base search and the direct checks read.
+        t.need(max(_WINDOW_CAP + rec.order + 2, horizon + 1))
         for n, v in enumerate(t):
             if v < 0:
                 raise SynthesisError(f"shift {c} leaves a negative term at n={n}")

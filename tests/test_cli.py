@@ -319,6 +319,17 @@ def test_verify_fixture_far_point_at_n_10000(capsys):
     assert out.strip() == "ok: checked n in [10000, 10000]"
 
 
+def test_verify_to_follows_from(capsys):
+    # --to defaults to max(first index, 40), so --from alone past 40 is a
+    # one-index range
+    code, out, _ = run(capsys, "verify", "--fixture", "A000045", "--from", "100")
+    assert (code, out) == (0, "ok: checked n in [100, 100]\n")
+    code, out, _ = run(capsys, "verify", "--fixture", "A000045", "--from", "7")
+    assert (code, out) == (0, "ok: checked n in [7, 40]\n")
+    code, out, _ = run(capsys, "verify", "--fixture", "A000045")
+    assert (code, out) == (0, "ok: checked n in [0, 40]\n")
+
+
 def test_verify_checks_its_range_before_expanding_the_oracle(capsys, monkeypatch):
     # s(0..50000) alone would be about 100 MB; --to -3 is a range, not a count
     def eval_oracle(*args):

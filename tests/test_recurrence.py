@@ -173,9 +173,9 @@ def test_extend_matches_the_reference_loop(data, count):
 @given(_dens, st.lists(st.integers(0, 40), max_size=5))
 def test_a_prefix_grown_in_steps_equals_one_grown_at_once(data, steps):
     scale, coeffs, init = data
-    den, cap = (scale, *coeffs), 35
-    at_once = _grown(_extend, den, list(init), min(max(steps, default=0), cap))
-    stepped, error = _Prefix(init, den, cap), None
+    den = (scale, *coeffs)
+    at_once = _grown(_extend, den, list(init), max(steps, default=0))
+    stepped, error = _Prefix(init, den), None
     try:
         for count in steps:
             stepped.need(count)
@@ -403,7 +403,14 @@ def test_provably_nonnegative_never_lies(rec):
         assert all(v >= 0 for v in eval_oracle(rec, 60).values)
 
 
-@given(st.integers(min_value=0, max_value=10**12), st.integers(min_value=1, max_value=6))
+@given(st.integers(min_value=0, max_value=2**400 - 1), st.integers(min_value=1, max_value=12))
+@example(2**399 - 1, 12)
+@example(3**5 - 1, 5)
+@example(3**5, 5)
+@example(3**5 + 1, 5)
+@example((2**33 + 1) ** 12 - 1, 12)
+@example((2**33 + 1) ** 12, 12)
+@example((2**33 + 1) ** 12 + 1, 12)
 def test_floor_root_is_exact(x, k):
     r = floor_root(x, k)
     assert r**k <= x < (r + 1) ** k

@@ -38,10 +38,10 @@ from arithterm.synthesis import (
     _prefix,
     _prepare,
     _shift_certified,
+    _shift_stage,
     _window_cutoff,
     find_b1_m,
     find_b2,
-    find_shift,
     pow_lt,
     radius_lower_bound,
     synthesize,
@@ -52,6 +52,11 @@ from arithterm.verify import verify_term
 FIB = Recurrence(2, (-1, -1), (0, 1))
 SIGNED_U = Recurrence(2, (-2, 3), (0, 1))  # 0, 1, 2, 1, -4, -11, ...
 SIGNED_V = Recurrence(2, (-1, 2), (2, 1))  # 2, 1, -3, -7, -1, 13, ...
+
+
+def find_shift(rec):
+    # the least proven shift, as synthesize's shift stage searches it
+    return _shift_stage(rec, None)[0]
 
 
 def test_radius_lower_bound_values():
@@ -408,7 +413,7 @@ def test_written_down_witness_validates_without_pow_lt(monkeypatch):
     assert synthesize(get_fixture("FibConv4").recurrence).certificate.m == 176920
     rec = Recurrence(2, (-1, -1), (2**181, 2**181 + 7))
     c = find_shift(rec)
-    assert _bound_data(c, _prepare(rec, c, _prefix(rec, 40))[1]).c_t.bit_length() == 182
+    assert _bound_data(c, _prepare(rec, c, _prefix(rec))[1]).c_t.bit_length() == 182
     assert calls == []
     # hand-made m below the written-down 37 still reach pow_lt, with the
     # same outcomes: m = 29 holds, m = 28 does not, the 6^29 tie is refused
@@ -432,7 +437,7 @@ def test_bound_data_for_huge_initial_values_is_fast():
     rec = Recurrence(2, (-1, -1), (2**181, 2**181 + 7))
     started = time.perf_counter()
     c = find_shift(rec)
-    cert = _bound_data(c, _prepare(rec, c, _prefix(rec, 40))[1])
+    cert = _bound_data(c, _prepare(rec, c, _prefix(rec))[1])
     cert.validate()
     assert time.perf_counter() - started < 10
     assert cert.c_t.bit_length() == 182
@@ -464,7 +469,7 @@ def test_window_jump_ends_large_coefficient_searches(k):
     assert verify_term(eval_oracle(rec, 41).values, r.term, r.c, 1, 40).ok
     # the jump lands on the first base with a window, and so skips no base
     # that a probe could accept
-    _, t = _prepare(rec, r.c, _prefix(rec, r.horizon))
+    _, t = _prepare(rec, r.c, _prefix(rec))
     assert _window_cutoff(t, r.b - 1) is None
 
 
@@ -552,7 +557,7 @@ def test_synthesize_refuses_a_recurrence_integral_only_on_its_prefix():
     # s(n) = 2^(100 - n): integers on every index the prefix holds, but
     # s(101) = 1/2; the reduced denominator 2 - z says so for every n
     rec = Recurrence(1, ("-1/2",), (2**100,))
-    assert all(isinstance(v, int) for v in _prefix(rec, 40))
+    assert all(isinstance(v, int) for v in _prefix(rec))
     with pytest.raises(SynthesisError, match="^not an integer sequence: "):
         synthesize(rec)
     # rational coefficients whose reduced denominator starts 1 still synthesize
@@ -617,7 +622,7 @@ def test_proven_shift_walks_past_a_long_carry_run():
     assert verify_term(eval_oracle(rec, 41).values, r.term, 0, 1, 40).ok
     # b is the least valid base: with t(1) below every base here, n = 1
     # passes iff the carry F(x) is a multiple of x
-    s = _prefix(rec, r.horizon)
+    s = _prefix(rec)
     num, t = _prepare(rec, 0, s)
     floor, b_c = _digit_floor(t, r.horizon), 161804
     assert t[1] < floor
@@ -673,8 +678,8 @@ def test_synthesize_force_c_too_small_is_rejected():
         # forced c = 0 is refused at n = 67 even though h = 2
         (Recurrence(2, (-2, 1), (66, 65)), 0, 40, "^shift 0 leaves a negative term at n=67$"),
         # s(n) = 30 - n with c = 1: t(n) = 31 - n first goes negative at
-        # n = 32, past the horizon and inside the cap, which an unproven
-        # shift forms whole
+        # n = 32, past the horizon; an unproven shift scans t to
+        # max(_WINDOW_CAP + d + 2, horizon + 1), every index base search reads
         (Recurrence(2, (-2, 1), (30, 29)), 1, 30, "^shift 1 leaves a negative term at n=32$"),
     ],
     ids=["past-the-window", "past-the-horizon"],
@@ -703,7 +708,7 @@ def test_prepare_names_the_read_back_cap(monkeypatch):
     # fail; _prepare refuses the denominator degree first
     monkeypatch.setattr(synthesis, "_MAX_MATCHED_H", 1)
     with pytest.raises(SynthesisError, match="^the term's denominator would have degree 2, past the cap of 1$"):
-        _prepare(FIB, 0, _prefix(FIB, 40))
+        _prepare(FIB, 0, _prefix(FIB))
     with pytest.raises(SynthesisError, match="past the cap of 1"):
         synthesize(FIB)
 
@@ -757,7 +762,7 @@ def test_synthesize_expands_the_sequence_once_and_builds_no_recurrence(monkeypat
     # starts from, which are all of s: only the shift stage grows s
     assert formed.get(id(s), []) == list(range(rec.order, len(s)))
     assert formed.get(id(t), []) == list(range(len(s), len(t)))
-    cap = _WINDOW_CAP + rec.order + 2
+    scanned = _WINDOW_CAP + rec.order + 2
     if rec == FIB:
         # s(0..9), the _NONNEG_PROBE + d values _prefix forms first, is all
         # the shift stage reads; the window at base 3 starts at n = 3, so no
@@ -765,16 +770,16 @@ def test_synthesize_expands_the_sequence_once_and_builds_no_recurrence(monkeypat
         assert len(s) == _NONNEG_PROBE + rec.order == 10
         assert len(t) < _WINDOW_CAP
     if kwargs == {"force_c": 2}:
-        # an unproven shift grows t to the cap, to look for a negative t(n)
-        # anywhere in it, and leaves s alone
-        assert len(t) == cap and len(s) == _NONNEG_PROBE + rec.order
+        # an unproven shift grows t to every index base search reads, to
+        # look for a negative t(n) anywhere there, and leaves s alone
+        assert len(t) == scanned and len(s) == _NONNEG_PROBE + rec.order
     if rec == BIG_COEFF:
         # the window scans run out of values and grow t to all the window
         # reads, t(0.._WINDOW_CAP + h) for h = 2, where t(65) and t(66) make
         # the window
         assert r.certified_from == 65 and len(t) == _WINDOW_CAP + 3 == 67
     if rec == MINUS_TWO_POW:
-        # Fatou's lemma, not the capped prefix, decides integrality, so a
+        # Fatou's lemma, not the formed prefix, decides integrality, so a
         # far horizon forms no more of s than the shift stage reads
         assert (r.b, r.c) == (4, 2) and elapsed < 1
         assert len(s) == _NONNEG_PROBE + rec.order
@@ -869,7 +874,7 @@ def test_dominance_window_proves_every_base_it_certifies(rec):
     # equals t(n) from max(start, 2) on; t comes from the oracle because
     # _prepare's t holds only the prefix base search reads
     c = find_shift(rec)
-    num, t = _prepare(rec, c, _prefix(rec, 40))
+    num, t = _prepare(rec, c, _prefix(rec))
     oracle = [v + c ** (n + 1) for n, v in enumerate(eval_oracle(rec, 81).values)]
     floor = _digit_floor(t, 40)
     for b in range(floor, floor + 21):
@@ -925,13 +930,13 @@ def test_digit_floor_is_the_largest_root_plus_one(t, horizon):
 @example(FIB, 0)
 @example(SIGNED_U, 3)
 def test_prepare_shifts_every_formed_value_by_c_to_the_n_plus_1(rec, c):
-    s = _prefix(rec, 40)
+    s = _prefix(rec)
     try:
         _, t = _prepare(rec, c, s)
     except SynthesisError:
         assume(False)
     assert list(t) == [v + c ** (n + 1) for n, v in enumerate(s)]
-    assert (t.den, t.cap) == (generating_function(rec, c)[1], s.cap)
+    assert t.den == generating_function(rec, c)[1]
 
 
 def _padded_data(prepared, b):
@@ -952,7 +957,7 @@ def test_synthesized_term_matches_the_oracle_and_reads_back_as_its_data(rec):
     # the term is 0 at n = 0, which valid_at_zero relies on
     assert evaluate(r.term, {"n": 0}) == 0
     assert r.valid_at_zero == (r.c == -oracle[0])
-    assert read_extraction(r.term) == _padded_data(_prepare(rec, r.c, _prefix(rec, r.horizon)), r.b)
+    assert read_extraction(r.term) == _padded_data(_prepare(rec, r.c, _prefix(rec)), r.b)
 
 
 @pytest.mark.parametrize(
@@ -989,7 +994,7 @@ def test_synthesize_reads_back_a_term_too_deep_to_compare():
     order = 520
     rec = Recurrence(order, (0,) * (order - 1) + (-1,), tuple(range(1, order + 1)))
     r = synthesize(rec, horizon=3)
-    assert read_extraction(r.term) == _padded_data(_prepare(rec, r.c, _prefix(rec, 3)), r.b)
+    assert read_extraction(r.term) == _padded_data(_prepare(rec, r.c, _prefix(rec)), r.b)
     assert r.valid_at_zero is False and r.report["evidence"] == "certified"
 
 
@@ -1022,7 +1027,7 @@ def test_proven_shift_direct_checks_only_below_certified_from(rec):
         r = synthesize(rec)
     assert r.report["minimal_proven"] is True and r.report["evidence"] == "certified"
     assert r.report["checked_to"] == r.certified_from - 1
-    _, t = _prepare(rec, r.c, _prefix(rec, r.horizon))
+    _, t = _prepare(rec, r.c, _prefix(rec))
     by_base = {}
     for b, n in checks:
         by_base.setdefault(b, []).append(n)
@@ -1051,7 +1056,7 @@ def test_forced_base_replays_to_the_horizon(monkeypatch):
 
 def test_certified_from_is_the_window_start():
     r = synthesize(FIB)
-    start = _window_start(_prepare(FIB, r.c, _prefix(FIB, r.horizon))[1], r.b)
+    start = _window_start(_prepare(FIB, r.c, _prefix(FIB))[1], r.b)
     assert start is not None and r.certified_from == max(start, 2)
 
 
@@ -1171,7 +1176,7 @@ def _fraction_growth_constant(rec):
 @given(_rational_recurrences())
 @example(Recurrence(2, ("3/2", -1), (1, -2)))
 def test_integer_shift_and_growth_data_match_their_fraction_forms(rec):
-    s = _prefix(rec, 30)
+    s = _prefix(rec)
     den = _int_den(rec)
     assert den[0] > 0 and all(Fraction(a, den[0]) == b for a, b in zip(den[1:], rec.coeffs))
     c_s = _growth_constant(den, rec.init)
@@ -1243,20 +1248,21 @@ def test_synthesize_forms_the_integer_denominator_once(monkeypatch, rec, force_c
 def test_shifted_sequence_grows_from_its_own_denominator(rec):
     # t starts from the first _NONNEG_PROBE + d values of s, shifted, and
     # _extend grows it past them on its reduced denominator alone; the
-    # oracle forms s(n) + c^(n+1) on the whole capped prefix directly
-    cap = _prefix(rec, 40).cap
-    oracle = eval_oracle(rec, cap).values
+    # oracle forms s(n) + c^(n+1) directly, on every index base search
+    # reads at horizon 40 (h <= d + 1, window start <= _WINDOW_CAP + 1)
+    count = _WINDOW_CAP + rec.order + 2
+    oracle = eval_oracle(rec, count).values
     c = find_shift(rec)
     # below the least certified shift, c - 1 is a forced shift without a proof
     for shift in (c, c - 1) if c else (c,):
-        s = synthesis._Prefix(oracle[: _NONNEG_PROBE + rec.order], _int_den(rec), cap)
+        s = synthesis._Prefix(oracle[: _NONNEG_PROBE + rec.order], _int_den(rec))
         try:
             _, t = _prepare(rec, shift, s)
         except SynthesisError as err:
-            # only an unproven shift can leave t identically or eventually zero
-            assert shift < c and "zero" in str(err)
+            # only an unproven shift can leave t identically zero
+            assert shift < c and "identically zero" in str(err)
             continue
-        t.need(cap)
+        t.need(count)
         assert t == [v + shift ** (n + 1) for n, v in enumerate(oracle)], shift
         assert len(s) == _NONNEG_PROBE + rec.order
 
@@ -1274,7 +1280,7 @@ def test_carry_jumps_skip_only_bases_that_fail_at_n1(rec):
     # them; each base it passes over without a direct check has no window
     # (every base below the coefficient criterion) or fails n = 1
     c = find_shift(rec)
-    num, t = _prepare(rec, c, _prefix(rec, 40))
+    num, t = _prepare(rec, c, _prefix(rec))
     b2 = _bound_data(c, t).b2
     checked = []
     first_mismatch = synthesis._first_mismatch
@@ -1328,7 +1334,7 @@ def test_carry_walk_starts_past_t2_and_computes_each_carry_once(rec):
     # the first 8 direct checks fail, so both walks go on past them; each
     # counts its own checks
     c = find_shift(rec)
-    num, t = _prepare(rec, c, _prefix(rec, 40))
+    num, t = _prepare(rec, c, _prefix(rec))
     b2, t2 = _bound_data(c, t).b2, t[2]
     first_mismatch = synthesis._first_mismatch
     checked = []
@@ -1411,6 +1417,6 @@ def _validated_cutoff(num, t, b, horizon):
 @example(PELL)
 def test_search_finds_the_least_base_a_full_scan_finds(rec):
     r = synthesize(rec)
-    num, t = _prepare(rec, r.c, _prefix(rec, r.horizon))
+    num, t = _prepare(rec, r.c, _prefix(rec))
     assert all(_validated_cutoff(num, t, b, r.horizon) is None for b in range(_digit_floor(t, r.horizon), r.b))
     assert _validated_cutoff(num, t, r.b, r.horizon) == r.certified_from

@@ -712,6 +712,8 @@ def test_extraction_value_stats_and_budget(monkeypatch):
         extraction_value(*FIB[:2], 1, 5)
     with pytest.raises(ValueError):
         extraction_value((0, 1, 0, 0), (1, -1, -1), 3, 5)
+    with pytest.raises(ValueError, match="need a range of step 1"):
+        list(extraction_values(*FIB, range(1, 10, 2)))
 
 
 def test_extraction_fraction_rejects_num_longer_than_den():
