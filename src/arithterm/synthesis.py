@@ -356,8 +356,8 @@ class BoundsCertificate:
         find_b1_m wrote down builds no power; for any other m pow_lt decides
         the inequality exactly.  A hand-made certificate whose powers go
         past DEFAULT_BIT_BUDGET bits, and that bit lengths cannot decide,
-        raises BudgetExceededError instead.  b2 fails when it has at most
-        6 (bits(c_t) - 1) bits; else c_t^6 has at most bits(b2) + 6 bits.
+        raises BudgetExceededError instead; that holds for b2 > c_t^6 as
+        well, which pow_lt decides too.
         """
         c_t, b1, m, rho, b2 = self.c_t, self.b1, self.m, self.rho, self.b2
         checks = [
@@ -367,7 +367,7 @@ class BoundsCertificate:
             ("rho > 0", lambda: rho > 0),
             ("c_t^(m+1) < b1^(m-2)", lambda: m >= _size_cutoff(c_t) or pow_lt(c_t, m + 1, b1, m - 2)),
             ("b1^(-m) < rho", lambda: (k := rho.denominator // rho.numerator).bit_length() < m or pow_lt(k, 1, b1, m)),
-            ("b2 >= max(8, c_t^6 + 1)", lambda: b2 >= 8 and b2.bit_length() > 6 * c_t.bit_length() - 6 and b2 > c_t**6),
+            ("b2 >= max(8, c_t^6 + 1)", lambda: b2 >= 8 and pow_lt(c_t, 6, b2, 1)),
             ("b2^(-1) < rho", lambda: rho.numerator * b2 > rho.denominator),
         ]
         for label, ok in checks:
@@ -401,11 +401,12 @@ def _prefix(rec: Recurrence) -> _Prefix:
 
 
 def _prepare(rec: Recurrence, c: int, s: _Prefix) -> tuple[tuple[int, ...], _Prefix]:
-    """(num, t) for shift c: num of t's generating function num/den, and
-    t(n) = s(n) + c^(n+1) formed on the prefix s of _prefix as far as it is
-    formed, at least _NONNEG_PROBE + d values, and grown past it from t's
-    own denominator t.den: deg num < h, so sum_i den_i t(n-i) = 0 from
-    n = h on, and den[0] = 1, so _extend never divides.  Raises
+    """(num, t) for shift c: num of t's generating function num/den, padded
+    to len(den) as read_extraction reads it, and t(n) = s(n) + c^(n+1)
+    formed on the prefix s of _prefix as far as it is formed, at least
+    _NONNEG_PROBE + d values, and grown past it from t's own denominator
+    t.den: deg num < h, so sum_i den_i t(n-i) = 0 from n = h on, and
+    den[0] = 1, so _extend never divides.  Raises
     SynthesisError when t is identically zero, when its denominator's
     degree h is past _MAX_MATCHED_H, the largest h read_extraction reads
     back, or when den[0] != 1: by Fatou's lemma the series has integer
@@ -424,7 +425,7 @@ def _prepare(rec: Recurrence, c: int, s: _Prefix) -> tuple[tuple[int, ...], _Pre
     if h > _MAX_MATCHED_H:
         raise SynthesisError(f"the term's denominator would have degree {h}, past the cap of {_MAX_MATCHED_H}")
     # c^(n+1) as a running product
-    return num, _Prefix(map(add, s, accumulate(repeat(c, len(s)), mul)), den)
+    return num + (0,) * (h + 1 - len(num)), _Prefix(map(add, s, accumulate(repeat(c, len(s)), mul)), den)
 
 
 def _shift_stage(rec: Recurrence, force_c: int | None) -> tuple[int, bool, tuple[int, ...], _Prefix]:
@@ -490,12 +491,12 @@ def _window_cutoff(t: _Prefix, b: int) -> int | None:
     return None if start is None else max(start, 2)
 
 
-def _digit_floor(t: _Prefix, horizon: int) -> int:
+def _digit_floor(t: _Prefix) -> int:
     """No base below this can represent the sequence: t(n) must fit n digits.
-    max(2, floor_root(t(n), n) + 1) over n <= min(horizon, 8), taking a root
-    only when t(n) >= lo^n, exactly when it raises the floor lo so far."""
+    max(2, floor_root(t(n), n) + 1) over n = 1.._NONNEG_PROBE, which every t
+    holds, taking a root only when t(n) >= lo^n, exactly when it raises lo."""
     lo = 2
-    for n in range(1, min(horizon, 8) + 1):
+    for n in range(1, _NONNEG_PROBE + 1):
         if t[n] >= lo**n:
             lo = floor_root(t[n], n) + 1
     return lo
@@ -528,8 +529,8 @@ def _checked(replay: int, m_b: int | None) -> range:
     return range(1, max(replay, (m_b or 1) - 1) + 1)
 
 
-def _search_minimal_base(num: tuple[int, ...], t: _Prefix, b2: int, horizon: int, replay: int) -> tuple[int, int, dict]:
-    """Least base in [digit floor, b2] with a _window_cutoff m_b that
+def _search_minimal_base(num: tuple[int, ...], t: _Prefix, b2: int, replay: int) -> tuple[int, int, dict]:
+    """Least base in [_digit_floor(t), b2] with a _window_cutoff m_b that
     direct-checks on _checked(replay, m_b), with m_b and a report;
     report["probes"] counts the bases direct-checked.  replay is 0 under a
     proven shift, whose dominance window covers every n >= m_b, and the
@@ -571,7 +572,7 @@ def _search_minimal_base(num: tuple[int, ...], t: _Prefix, b2: int, horizon: int
     negative past the checked prefix, so F need not be monotone and a
     skipped base might validate: report["minimal_proven"] is False.
     """
-    lo = b = min(_digit_floor(t, horizon), b2)
+    lo = b = min(_digit_floor(t), b2)
     probes, t2 = 0, t[2]
     carries: dict[int, int | None] = {}
     cutoffs: dict[int, int | None] = {}
@@ -642,10 +643,10 @@ def synthesize(
     horizon is how far the direct checks replay where no proof covers
     every n: under a forced shift without one, and for a forced base, and
     how far an unproven shift's t is scanned for a negative value, besides
-    the indices base search reads.  A searched base under a
-    proven shift is direct-checked only below certified_from, from where
-    the dominance window proves it; report["checked_to"] is always the last
-    index that was direct-checked, certified_from - 1 there.
+    the indices base search reads; nothing else reads it.  A searched base
+    under a proven shift is direct-checked only below certified_from, from
+    where the dominance window proves it; report["checked_to"] is always
+    the last index that was direct-checked, certified_from - 1 there.
     force_c / force_b pin the shift or base instead of searching.  A forced
     base direct-checks on [1, max(horizon, m_b - 1)] (_checked) and is
     rejected at the first failure anywhere in that range; one without a
@@ -657,9 +658,9 @@ def synthesize(
     signed (num, den, b) the term is built from, by the route rule of
     extraction_values; most of these checks are a few small indices, on
     which that rule takes a modular power.  synthesize never evaluates
-    the term: it reads that data back off it with read_extraction, which
-    proves the term equals extraction_value of it at every n; a mismatch
-    raises SynthesisError "internal: ...".  The term is 0 at n = 0, so
+    the term: it reads that same tuple back off it with read_extraction,
+    which proves the term equals extraction_value of it at every n; a
+    mismatch raises SynthesisError "internal: ...".  The term is 0 at n = 0, so
     valid_at_zero is s(0) + c == 0.
     """
     if horizon < 1:
@@ -690,14 +691,13 @@ def synthesize(
             raise SynthesisError(f"base {b} fails at n={n}: term gives {got}, sequence needs {t[n]}")
         report = {"strategy": "forced"}
     else:
-        b, m_b, report = _search_minimal_base(num, t, cert.b2, horizon, replay)
+        b, m_b, report = _search_minimal_base(num, t, cert.b2, replay)
     certified_from = m_b if shift_proven else None
     report["evidence"] = "horizon-only" if certified_from is None else "certified"
     report["checked_to"] = _checked(replay, m_b)[-1]
 
     term = build_extraction_term(num, t.den, b)
-    padded = num + (0,) * (len(t.den) - len(num))
-    if read_extraction(term) != (padded, t.den, b):
+    if read_extraction(term) != (num, t.den, b):
         raise SynthesisError("internal: built term does not read back as the data base search checked")
 
     return SynthesisResult(

@@ -253,11 +253,10 @@ class _Parser:
         self.i += 1
         return t
 
-    def expect(self, kind: str, text: str | None = None) -> _Token:
+    def expect(self, kind: str) -> _Token:
         t = self.next()
-        if t.kind != kind or (text is not None and t.text != text):
-            want = text if text is not None else kind
-            raise ParseError(f"expected {want!r}, found {t.text!r}", t.pos)
+        if t.kind != kind:
+            raise ParseError(f"expected {kind!r}, found {t.text!r}", t.pos)
         return t
 
     def term(self) -> Term:

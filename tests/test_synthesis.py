@@ -329,6 +329,17 @@ def test_certificate_validate_refuses_a_small_b2_by_bit_lengths():
     assert time.perf_counter() - started < 1
 
 
+@pytest.mark.parametrize("sixth_plus", [0, 1])
+def test_certificate_validate_refuses_b2_past_the_bit_budget(monkeypatch, sixth_plus):
+    # the clauses before b2 hold from bit lengths; c_t^6 has about 1,795
+    # bits, which bit lengths cannot tell from b2 and the budget refuses
+    monkeypatch.setattr(terms, "DEFAULT_BIT_BUDGET", 1000)
+    c_t = 2**299 + 1
+    cert = BoundsCertificate(c=0, c_t=c_t, rho=Fraction(1, 2), b1=2**600, m=10, b2=c_t**6 + sixth_plus)
+    with pytest.raises(terms.BudgetExceededError):
+        cert.validate()
+
+
 def test_find_b2_refuses_c_t_to_the_sixth_past_the_bit_budget(monkeypatch):
     monkeypatch.setattr(terms, "DEFAULT_BIT_BUDGET", 600)
     assert find_b2(2**100 - 1, Fraction(1, 2)) == (2**100 - 1) ** 6 + 1
@@ -395,8 +406,17 @@ def test_certificate_validate_agrees_with_exact_powers(c_t, db1, m, p, q):
 
 
 def test_written_down_witness_validates_without_pow_lt(monkeypatch):
+    # a written-down witness decides both inequalities in b1^m without
+    # pow_lt; the b2 clause calls pow_lt(c_t, 6, b2, 1) for every
+    # certificate, so calls with (p, q) = (6, 1) are not recorded
     calls = []
-    monkeypatch.setattr(synthesis, "pow_lt", lambda *args: calls.append(args) or pow_lt(*args))
+
+    def recorded(a, p, b, q):
+        if (p, q) != (6, 1):
+            calls.append((a, p, b, q))
+        return pow_lt(a, p, b, q)
+
+    monkeypatch.setattr(synthesis, "pow_lt", recorded)
     certs = []
     for rho in (Fraction(1), Fraction(1, 2), Fraction(7, 10), Fraction(1, 1000), Fraction(1, 3**20)):
         for c_t in range(1, 201):
@@ -624,7 +644,7 @@ def test_proven_shift_walks_past_a_long_carry_run():
     # passes iff the carry F(x) is a multiple of x
     s = _prefix(rec)
     num, t = _prepare(rec, 0, s)
-    floor, b_c = _digit_floor(t, r.horizon), 161804
+    floor, b_c = _digit_floor(t), 161804
     assert t[1] < floor
     assert all(_carry(num, t, x) % x != 0 for x in range(floor, b_c))
     # from b_c on the carry lemma holds, so F does not increase and
@@ -876,7 +896,7 @@ def test_dominance_window_proves_every_base_it_certifies(rec):
     c = find_shift(rec)
     num, t = _prepare(rec, c, _prefix(rec))
     oracle = [v + c ** (n + 1) for n, v in enumerate(eval_oracle(rec, 81).values)]
-    floor = _digit_floor(t, 40)
+    floor = _digit_floor(t)
     for b in range(floor, floor + 21):
         start = _window_start(t, b)
         if start is None:
@@ -890,6 +910,24 @@ def test_dominance_window_proves_every_base_it_certifies(rec):
 @example(SIGNED_V)
 def test_find_shift_is_the_shift_synthesize_takes(rec):
     assert find_shift(rec) == synthesize(rec).c
+
+
+@given(_recurrences())
+# s = 8, -8, 8, ... with c = 3: t(1) = 1 and t(2) = 35, so the digit floor
+# over n <= 8 is 6, at horizon 1 as well
+@example(Recurrence(1, (1,), (8,)))
+def test_a_searched_result_does_not_depend_on_the_horizon(rec):
+    # the shift stage reads the recurrence and base search reads t alone;
+    # under a proven shift the horizon replays nothing
+    def outcome(horizon):
+        try:
+            data = synthesize(rec, horizon=horizon).to_json_dict()
+        except (SynthesisError, terms.BudgetExceededError) as err:
+            return type(err), str(err)
+        del data["horizon"]
+        return data
+
+    assert outcome(1) == outcome(3) == outcome(30)
 
 
 def _reference_slack(den, b):
@@ -917,13 +955,14 @@ def _digit_prefixes(draw):
     return t
 
 
-@given(_digit_prefixes(), st.integers(1, 40))
-@example([0, 1, 3, 7, 15, 31, 63, 127, 255], 8)
-@example([0, 2, 9, 63, 256, 0, 0, 0, 0], 8)  # each of 2, 9, 256 raises the floor by one
-@example([5, 2**64, 0, 0, 0, 0, 0, 0, 3**200], 8)
-def test_digit_floor_is_the_largest_root_plus_one(t, horizon):
-    want = max(2, *(floor_root(t[n], n) + 1 for n in range(1, min(horizon, 8) + 1)))
-    assert _digit_floor(t, horizon) == want
+@given(_digit_prefixes())
+@example([0, 1, 3, 7, 15, 31, 63, 127, 255])
+@example([0, 2, 9, 63, 256, 0, 0, 0, 0])  # each of 2, 9, 256 raises the floor by one
+@example([5, 2**64, 0, 0, 0, 0, 0, 0, 3**200])
+def test_digit_floor_is_the_largest_root_plus_one(t):
+    # over n <= 8, the indices every prefix holds, whatever the horizon
+    want = max(2, *(floor_root(t[n], n) + 1 for n in range(1, 9)))
+    assert _digit_floor(t) == want
 
 
 @given(_recurrences(), st.integers(0, 30))
@@ -932,16 +971,19 @@ def test_digit_floor_is_the_largest_root_plus_one(t, horizon):
 def test_prepare_shifts_every_formed_value_by_c_to_the_n_plus_1(rec, c):
     s = _prefix(rec)
     try:
-        _, t = _prepare(rec, c, s)
+        num, t = _prepare(rec, c, s)
     except SynthesisError:
         assume(False)
     assert list(t) == [v + c ** (n + 1) for n, v in enumerate(s)]
-    assert t.den == generating_function(rec, c)[1]
+    gf_num, gf_den = generating_function(rec, c)
+    assert t.den == gf_den
+    # num comes zero-padded to len(den), the length read_extraction reads
+    assert len(num) == len(t.den) and num == (*gf_num, *(0,) * (len(num) - len(gf_num)))
 
 
-def _padded_data(prepared, b):
+def _data(prepared, b):
     num, t = prepared
-    return num + (0,) * (len(t.den) - len(num)), t.den, b
+    return num, t.den, b
 
 
 @given(_recurrences())
@@ -957,7 +999,7 @@ def test_synthesized_term_matches_the_oracle_and_reads_back_as_its_data(rec):
     # the term is 0 at n = 0, which valid_at_zero relies on
     assert evaluate(r.term, {"n": 0}) == 0
     assert r.valid_at_zero == (r.c == -oracle[0])
-    assert read_extraction(r.term) == _padded_data(_prepare(rec, r.c, _prefix(rec)), r.b)
+    assert read_extraction(r.term) == _data(_prepare(rec, r.c, _prefix(rec)), r.b)
 
 
 @pytest.mark.parametrize(
@@ -994,7 +1036,7 @@ def test_synthesize_reads_back_a_term_too_deep_to_compare():
     order = 520
     rec = Recurrence(order, (0,) * (order - 1) + (-1,), tuple(range(1, order + 1)))
     r = synthesize(rec, horizon=3)
-    assert read_extraction(r.term) == _padded_data(_prepare(rec, r.c, _prefix(rec)), r.b)
+    assert read_extraction(r.term) == _data(_prepare(rec, r.c, _prefix(rec)), r.b)
     assert r.valid_at_zero is False and r.report["evidence"] == "certified"
 
 
@@ -1292,21 +1334,21 @@ def test_carry_jumps_skip_only_bases_that_fail_at_n1(rec):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(synthesis, "_first_mismatch", failing)
         try:
-            b = synthesis._search_minimal_base(num, t, b2, 40, 0)[0]
+            b = synthesis._search_minimal_base(num, t, b2, 0)[0]
             assert b == checked[-1]
         except SynthesisError:  # the walk ran past b2
             pass
     assert checked == sorted(set(checked))
-    for x in range(_digit_floor(t, 40), checked[-1]):
+    for x in range(_digit_floor(t), checked[-1]):
         if x not in checked:
             assert _window_cutoff(t, x) is None or extraction_value(num, t.den, x, 1) != t[1], x
 
 
-def _reference_walk(num, t, b2, horizon, replay):
+def _reference_walk(num, t, b2, replay):
     # _search_minimal_base as it was before the t(2) bound and the carry
     # memo: each carry jump gallops from b + 1, and every carry is computed
     # afresh; also the quotient k of each carry jump, None for a window jump
-    lo = b = min(_digit_floor(t, horizon), b2)
+    lo = b = min(_digit_floor(t), b2)
     probes, jumps = 0, []
     while b is not None and b <= b2:
         if _coefficient_slack(t.den, b) > 0 and (f := _carry(num, t, b)) is not None and f % b:
@@ -1345,7 +1387,7 @@ def test_carry_walk_starts_past_t2_and_computes_each_carry_once(rec):
 
     def walk():
         try:
-            return synthesis._search_minimal_base(num, t, b2, 40, 0)
+            return synthesis._search_minimal_base(num, t, b2, 0)
         except SynthesisError:  # the walk ran past b2
             return None
 
@@ -1368,7 +1410,7 @@ def test_carry_walk_starts_past_t2_and_computes_each_carry_once(rec):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(synthesis, "_first_mismatch", failing)
-        expected, ks = _reference_walk(num, t, b2, 40, 0)
+        expected, ks = _reference_walk(num, t, b2, 0)
         checked.clear()
         mp.setattr(synthesis, "_least", recorded_least)
         mp.setattr(synthesis, "_carry", recorded_carry)
@@ -1418,5 +1460,5 @@ def _validated_cutoff(num, t, b, horizon):
 def test_search_finds_the_least_base_a_full_scan_finds(rec):
     r = synthesize(rec)
     num, t = _prepare(rec, r.c, _prefix(rec))
-    assert all(_validated_cutoff(num, t, b, r.horizon) is None for b in range(_digit_floor(t, r.horizon), r.b))
+    assert all(_validated_cutoff(num, t, b, r.horizon) is None for b in range(_digit_floor(t), r.b))
     assert _validated_cutoff(num, t, r.b, r.horizon) == r.certified_from

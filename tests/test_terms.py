@@ -178,6 +178,20 @@ def test_parse_error_positions():
     assert "trailing" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    ("src", "message"),
+    [
+        ("fl 3", "expected 'lparen', found '3' (at position 3)"),
+        ("fl(2", "expected 'rparen', found '' (at position 4)"),
+        ("(1 + 2", "expected 'rparen', found '' (at position 6)"),
+    ],
+)
+def test_parse_names_the_missing_bracket(src, message):
+    with pytest.raises(ParseError) as err:
+        parse(src)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("src", ["2²", "x²"])
 def test_parse_refuses_a_digit_that_is_not_decimal(src):
     # '²' is a digit to str.isdigit and alphanumeric, but int() does not
